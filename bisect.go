@@ -317,13 +317,6 @@ func OpenCSRFile(path string) (*CSRFile, error) { return graph.OpenCSRFile(path)
 // copy entirely.
 func ReadCSRFile(r io.Reader) (*Graph, error) { return graph.ReadCSRFile(r) }
 
-// SetCompactCSR toggles the compact (int32-indexed) in-memory CSR
-// representation for subsequently constructed graphs. It is enabled by
-// default; disabling it is an ablation knob for measuring the memory
-// and bandwidth effect of the compact form. Not safe to flip
-// concurrently with graph construction.
-func SetCompactCSR(enabled bool) { graph.DisableCompactCSR = !enabled }
-
 // Exact solvers.
 
 // ExactBisectionWidth computes the exact minimum bisection (≤ 28

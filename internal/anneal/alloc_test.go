@@ -69,11 +69,8 @@ func TestExpTableBracketsExp(t *testing.T) {
 		x := r.Float64() * 40 // crosses the expTableMaxX=32 cutoff
 		u := r.Float64()
 		want := u < math.Exp(-x)
-		if got := acceptUphill(u, x, false); got != want {
+		if got := acceptUphill(u, x); got != want {
 			t.Fatalf("acceptUphill(%v, %v) = %v, naive says %v", u, x, got, want)
-		}
-		if got := acceptUphill(u, x, true); got != want {
-			t.Fatalf("acceptUphill(%v, %v, disabled) = %v, naive says %v", u, x, got, want)
 		}
 	}
 	// Adversarial inputs: exact bucket edges, the cutoff, and +Inf
@@ -84,7 +81,7 @@ func TestExpTableBracketsExp(t *testing.T) {
 				continue
 			}
 			want := u < math.Exp(-x)
-			if got := acceptUphill(u, x, false); got != want {
+			if got := acceptUphill(u, x); got != want {
 				t.Fatalf("edge case acceptUphill(%v, %v) = %v, want %v", u, x, got, want)
 			}
 		}

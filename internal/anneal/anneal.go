@@ -66,19 +66,6 @@ type Options struct {
 	// smaller = slower, higher-quality cooling). Ignored for geometric
 	// cooling.
 	Delta float64
-	// DisableExpTable turns off the quantized acceptance-probability
-	// bracket (see refiner.go) and evaluates math.Exp on every uphill
-	// Metropolis trial instead. Results are identical by construction —
-	// the bracket only ever decides when it provably agrees with the
-	// exact comparison; only running time changes. Used by the SA
-	// ablation benchmarks and cross-check tests.
-	DisableExpTable bool
-	// DisableUndoLog turns off undo-log best tracking and restores the
-	// original clone-on-improvement scheme (an O(n) copy of the full
-	// bisection each time the best cost improves). Results are
-	// identical; only running time and allocation change. Used by the
-	// SA ablation benchmarks and cross-check tests.
-	DisableUndoLog bool
 	// Workspace, when non-nil, supplies the reusable run state (cached
 	// vertex weights, the undo log, the best-state buffer) so repeated
 	// runs allocate nothing. A nil Workspace makes Run/Refine allocate
@@ -210,8 +197,6 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 	curCut := b.Cut()
 	metropolis := o.Acceptance != AcceptThreshold
 	adaptive := o.Cooling == CoolAdaptive
-	useTable := !o.DisableExpTable
-	useLog := !o.DisableUndoLog
 
 	// The loops draw words through a block-prefetching stream and
 	// open-code Intn's Lemire reduction and Float64's conversion with
@@ -246,24 +231,18 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 	wbuf := ws.buf
 	wpos := ws.pos
 
-	// Best-state tracking. The default scheme snapshots the sides once,
-	// then records every accepted move in the undo log; an improvement
-	// costs O(1) (remember the log position), and the snapshot is
-	// brought up to date at most once per temperature by replaying the
-	// log's prefix parity — O(accepted) per temperature, against the
-	// old scheme's O(n) full-state copy per improvement. The ablation
-	// path keeps the original clone-on-improvement scheme.
+	// Best-state tracking. The sides are snapshot once, then every
+	// accepted move is recorded in the undo log; an improvement costs
+	// O(1) (remember the log position), and the snapshot is brought up
+	// to date at most once per temperature by replaying the log's prefix
+	// parity — O(accepted) per temperature, against an O(n) full-state
+	// copy per improvement for the clone-on-improvement scheme the test
+	// oracle (oracle_test.go) keeps.
 	bestCost := costAt(curCut, d2, alpha)
 	bestCut := curCut
-	var best *partition.Bisection
-	if useLog {
-		copy(w.bestSides, sides)
-		trials := int(o.SizeFactor) * n
-		if cap(w.log) < trials {
-			w.log = make([]int32, 0, trials)
-		}
-	} else {
-		best = b.Clone()
+	copy(w.bestSides, sides)
+	if trials := int(o.SizeFactor) * n; cap(w.log) < trials {
+		w.log = make([]int32, 0, trials)
 	}
 
 	frozen := 0
@@ -342,9 +321,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 						wpos = ws.pos
 					}
 					fw, x := float64(word>>11), dE/temp
-					if !useTable {
-						accept = acceptUphillExact(fw/(1<<53), x)
-					} else if x < expTableMaxX {
+					if x < expTableMaxX {
 						i := int(x*expTableInvStep) & (expTableSize - 1)
 						if fw >= expEdgeScaled[i] {
 							// rejected: u ≥ exp(−i·δ) ≥ exp(−x)
@@ -361,30 +338,23 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 				}
 			}
 			if accept {
-				if useLog {
-					// Apply the flip through the live references —
-					// partition.Move's arithmetic, minus the call and the
-					// cut/side-weight fields, which stay shadowed in
-					// curCut/sideDiff until SetSides rebuilds the
-					// bisection from the best sides at run end.
-					gv := gains[vi]
-					curCut -= gv
-					gains[vi] = -gv
-					nsv := side ^ 1
-					sides[vi] = nsv
-					for _, e := range g.Neighbors(v) {
-						d := int64(e.W) << 1
-						m := int64(sides[e.To]^nsv) - 1
-						gains[e.To] += (d ^ m) - m
-					}
-					log[logN] = v
-					logN++
-				} else {
-					// The clone-based ablation path keeps b fully valid
-					// so best.Assign(b) can snapshot it.
-					b.Move(v)
-					curCut = b.Cut()
+				// Apply the flip through the live references —
+				// partition.Move's arithmetic, minus the call and the
+				// cut/side-weight fields, which stay shadowed in
+				// curCut/sideDiff until SetSides rebuilds the bisection
+				// from the best sides at run end.
+				gv := gains[vi]
+				curCut -= gv
+				gains[vi] = -gv
+				nsv := side ^ 1
+				sides[vi] = nsv
+				for _, e := range g.Neighbors(v) {
+					d := int64(e.W) << 1
+					m := int64(sides[e.To]^nsv) - 1
+					gains[e.To] += (d ^ m) - m
 				}
+				log[logN] = v
+				logN++
 				// Flipping v off side s moves its weight to the other
 				// side, so the difference w(V₀)−w(V₁) shifts by 2·w(v).
 				if side == 0 {
@@ -405,11 +375,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 						bestCost = c
 						bestCut = curCut
 						improvedBest = true
-						if useLog {
-							bestMark = logN
-						} else {
-							best.Assign(b)
-						}
+						bestMark = logN
 						cur = c
 					} else {
 						cur = c
@@ -454,7 +420,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 				ElapsedNS: time.Since(tempStart).Nanoseconds(),
 			})
 		}
-		if useLog && bestMark >= 0 {
+		if bestMark >= 0 {
 			// Materialize the best state seen this temperature: start
 			// from the current sides and undo the log's tail (the moves
 			// accepted after the best). A vertex flipped twice cancels,
@@ -486,16 +452,11 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 	// unconsumed tail.
 	ws.pos = wpos
 
-	// Adopt the best state seen and rebalance it exactly. The undo-log
-	// path only has the best sides; SetSides rebuilds gains and cut in
-	// O(m) — once per run, where the old clone scheme paid O(n) per
-	// improvement.
-	if useLog {
-		if err := b.SetSides(w.bestSides); err != nil {
-			return st, err
-		}
-	} else {
-		b.Assign(best)
+	// Adopt the best state seen and rebalance it exactly. Only the best
+	// sides are kept; SetSides rebuilds gains and cut in O(m) — once per
+	// run, where a clone scheme pays O(n) per improvement.
+	if err := b.SetSides(w.bestSides); err != nil {
+		return st, err
 	}
 	partition.RepairBalance(b, partition.MinAchievableImbalance(g.TotalVertexWeight()))
 	st.FinalCut = b.Cut()
@@ -605,7 +566,7 @@ func (w *Refiner) calibrateStartTemp(b *partition.Bisection, o Options, ws *word
 				word = ws.refill()
 			}
 			u := float64(word>>11) / (1 << 53)
-			if acceptUphill(u, dE/temp, o.DisableExpTable) {
+			if acceptUphill(u, dE/temp) {
 				acc++
 			}
 		}

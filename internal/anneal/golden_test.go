@@ -94,10 +94,10 @@ func runGoldenCase(c goldenCase, opts Options) (goldenRecord, error) {
 
 // TestGoldenSeedDeterminism pins the full observable behavior of SA —
 // final cuts, schedule statistics, side assignments, and trace event
-// streams — to a committed fixture, for every hot-loop variant. The
-// fixture was captured before the workspace/exp-table/undo-log overhaul,
-// so passing it proves the optimized paths reproduce the original
-// implementation bit for bit.
+// streams — to a committed fixture. The fixture was captured before the
+// workspace/exp-table/undo-log overhaul, so passing it proves the
+// optimized path reproduces the original implementation bit for bit;
+// TestPlainOracleMatchesRefine holds it to the plain Figure 1 oracle.
 func TestGoldenSeedDeterminism(t *testing.T) {
 	path := filepath.Join("testdata", "sa_golden.json")
 	if *updateGolden {
@@ -132,16 +132,12 @@ func TestGoldenSeedDeterminism(t *testing.T) {
 		t.Fatalf("fixture has %d records for %d cases; rerun with -update", len(want), len(cases))
 	}
 	for i, c := range cases {
-		for _, v := range goldenVariants() {
-			opts := c.opts
-			v.apply(&opts)
-			got, err := runGoldenCase(c, opts)
-			if err != nil {
-				t.Fatalf("%s [%s]: %v", c.Name, v.name, err)
-			}
-			if got != want[i] {
-				t.Errorf("%s [%s]:\n got %+v\nwant %+v", c.Name, v.name, got, want[i])
-			}
+		got, err := runGoldenCase(c, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if got != want[i] {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.Name, got, want[i])
 		}
 	}
 }
@@ -171,24 +167,5 @@ func TestGoldenWorkspaceReuse(t *testing.T) {
 				t.Errorf("round %d, %s with shared workspace:\n got %+v\nwant %+v", round, c.Name, got, want[i])
 			}
 		}
-	}
-}
-
-// goldenVariant toggles one combination of the hot-loop ablation flags.
-// Every combination must reproduce the pre-overhaul fixture exactly: the
-// exp bracket table decides identically to per-trial math.Exp, and the
-// undo log materializes the same best state the clone-per-improvement
-// scheme saved.
-type goldenVariant struct {
-	name  string
-	apply func(*Options)
-}
-
-func goldenVariants() []goldenVariant {
-	return []goldenVariant{
-		{name: "optimized", apply: func(*Options) {}},
-		{name: "no_exp_table", apply: func(o *Options) { o.DisableExpTable = true }},
-		{name: "no_undo_log", apply: func(o *Options) { o.DisableUndoLog = true }},
-		{name: "naive", apply: func(o *Options) { o.DisableExpTable = true; o.DisableUndoLog = true }},
 	}
 }

@@ -1,0 +1,193 @@
+package anneal
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/partition"
+	"repro/internal/rng"
+)
+
+// plainRefine is the test oracle for Refine: Figure 1 of the paper
+// written the plain way. It draws through the rng.Rand methods, moves
+// vertices with partition.Move, decides every uphill Metropolis trial
+// with math.Exp, and clones the whole bisection each time the best cost
+// improves. Refine's prefetched word stream, exp bracket table, and undo
+// log must reproduce it exactly, so its final sides and Stats are the
+// reference the fast path is pinned to. Control and Observer are not
+// modelled.
+func plainRefine(b *partition.Bisection, opts Options, r *rng.Rand) Stats {
+	o := opts.withDefaults()
+	g := b.Graph()
+	n := g.N()
+	st := Stats{InitialCut: b.Cut(), FinalCut: b.Cut()}
+	if n == 0 {
+		return st
+	}
+	metropolis := o.Acceptance != AcceptThreshold
+	imbalance := func() float64 { return float64(b.SideWeight(0) - b.SideWeight(1)) }
+	// delta is the cost change cut + α·d² of flipping v, in the
+	// operation order Refine uses so the floats agree bit for bit.
+	delta := func(v int32) float64 {
+		d := imbalance()
+		nd := d + 2*float64(g.VertexWeight(v))
+		if b.Side(v) == 0 {
+			nd = d - 2*float64(g.VertexWeight(v))
+		}
+		return -float64(b.Gain(v)) + o.Alpha*(nd*nd-d*d)
+	}
+	cost := func() float64 { d := imbalance(); return float64(b.Cut()) + o.Alpha*(d*d) }
+
+	// Start temperature: solve exp(−avgUp/T) = InitProb over sampled
+	// uphill moves, then double T until the sampled acceptance reaches it.
+	samples := min(64+4*n, 4096)
+	var upSum float64
+	var upCount int
+	for i := 0; i < samples; i++ {
+		if dE := delta(int32(r.Intn(n))); dE > 0 {
+			upSum += dE
+			upCount++
+		}
+	}
+	temp := 1.0
+	if upCount > 0 {
+		temp = (upSum / float64(upCount)) / math.Log(1/o.InitProb)
+		for iter := 0; iter < 30; iter++ {
+			acc := 0
+			for i := 0; i < samples; i++ {
+				dE := delta(int32(r.Intn(n)))
+				if dE <= 0 || r.Float64() < math.Exp(-dE/temp) {
+					acc++
+				}
+			}
+			if float64(acc) >= o.InitProb*float64(samples) {
+				break
+			}
+			temp *= 2
+		}
+	}
+	st.StartTemp = temp
+
+	best := b.Clone()
+	bestCost := cost()
+	trialsPerTemp := int64(o.SizeFactor) * int64(n)
+	frozen := 0
+	for t := 0; t < o.MaxTemps && frozen < o.FreezeLim; t++ {
+		var accepted int64
+		improvedBest := false
+		cur := cost()
+		var costSum, costSumSq float64
+		for k := int64(0); k < trialsPerTemp; k++ {
+			v := int32(r.Intn(n))
+			dE := delta(v)
+			accept := dE <= 0
+			if !accept {
+				if metropolis {
+					accept = r.Float64() < math.Exp(-dE/temp)
+				} else {
+					accept = dE < temp
+				}
+			}
+			if accept {
+				b.Move(v)
+				cur += dE
+				accepted++
+				if cur < bestCost {
+					// Re-evaluate exactly: cur accumulates float error.
+					c := cost()
+					if c < bestCost {
+						bestCost = c
+						improvedBest = true
+						best = b.Clone()
+					}
+					cur = c
+				}
+			}
+			if o.Cooling == CoolAdaptive {
+				costSum += cur
+				costSumSq += cur * cur
+			}
+		}
+		st.Temperatures++
+		st.Trials += trialsPerTemp
+		st.Accepted += accepted
+		st.FinalTemp = temp
+		if o.Cooling == CoolAdaptive {
+			mean := costSum / float64(trialsPerTemp)
+			sigma := math.Sqrt(max(costSumSq/float64(trialsPerTemp)-mean*mean, 1e-12))
+			temp = temp / (1 + temp*math.Log(1+o.Delta)/(3*sigma))
+		} else {
+			temp *= o.TempFactor
+		}
+		if float64(accepted) < o.MinPercent*float64(trialsPerTemp) && !improvedBest {
+			frozen++
+		} else {
+			frozen = 0
+		}
+	}
+	b.Assign(best)
+	partition.RepairBalance(b, partition.MinAchievableImbalance(g.TotalVertexWeight()))
+	st.FinalCut = b.Cut()
+	return st
+}
+
+// TestPlainOracleMatchesRefine runs the oracle and Refine from the same
+// random state on graphs beyond the golden fixture's three cases —
+// weighted vertices, both acceptance rules, both cooling rules — and
+// requires identical sides and Stats.
+func TestPlainOracleMatchesRefine(t *testing.T) {
+	for _, c := range goldenCases() {
+		checkOracle(t, c.Name, c.g, c.opts, c.seed)
+	}
+	wg := weightedTestGraph(t)
+	for i, opts := range []Options{
+		{SizeFactor: 2, TempFactor: 0.8, FreezeLim: 2, MaxTemps: 30},
+		{SizeFactor: 2, FreezeLim: 2, MaxTemps: 30, Cooling: CoolAdaptive},
+		{SizeFactor: 2, TempFactor: 0.8, FreezeLim: 2, MaxTemps: 30, Acceptance: AcceptThreshold},
+	} {
+		checkOracle(t, "weighted", wg, opts, uint64(100+i))
+	}
+}
+
+func checkOracle(t *testing.T, name string, g *graph.Graph, opts Options, seed uint64) {
+	t.Helper()
+	r := rng.NewFib(seed)
+	want := partition.NewRandom(g, r)
+	wantSt := plainRefine(want, opts, r)
+	got, gotSt, err := Run(g, opts, rng.NewFib(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotSt != wantSt {
+		t.Fatalf("%s %+v: stats %+v, oracle %+v", name, opts, gotSt, wantSt)
+	}
+	for v := int32(0); int(v) < g.N(); v++ {
+		if got.Side(v) != want.Side(v) {
+			t.Fatalf("%s %+v: side of vertex %d differs from the oracle", name, opts, v)
+		}
+	}
+}
+
+// weightedTestGraph is a random 150-vertex graph with vertex weights in
+// [1,4] and edge weights in [1,3].
+func weightedTestGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	r := rng.NewFib(31)
+	const n = 150
+	b := graph.NewBuilder(n)
+	for v := int32(0); v < n; v++ {
+		b.SetVertexWeight(v, int32(1+r.Intn(4)))
+	}
+	for i := 0; i < 3*n; i++ {
+		u, v := int32(r.Intn(n)), int32(r.Intn(n))
+		if u != v {
+			b.AddWeightedEdge(u, v, int32(1+r.Intn(3)))
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}

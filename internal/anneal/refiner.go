@@ -121,17 +121,15 @@ func expProbeScaled(fw, x float64) int8 {
 }
 
 // acceptUphill reports u < exp(−x) for x > 0, via the bracket table
-// unless the ablation flag forces the exact per-trial math.Exp. The
-// trial loop open-codes this dispatch so the probe inlines; calibration
-// and the tests use this form.
-func acceptUphill(u, x float64, disableTable bool) bool {
-	if !disableTable {
-		switch expProbe(u, x) {
-		case probeAccept:
-			return true
-		case probeReject:
-			return false
-		}
+// with the exact math.Exp fallback. The trial loop open-codes this
+// dispatch so the probe inlines; calibration and the tests use this
+// form.
+func acceptUphill(u, x float64) bool {
+	switch expProbe(u, x) {
+	case probeAccept:
+		return true
+	case probeReject:
+		return false
 	}
 	return acceptUphillExact(u, x)
 }

@@ -19,9 +19,8 @@
 // every buffer across levels and runs; the package-level functions
 // create an ephemeral one per call, so their results are independently
 // owned. Both produce byte-identical graphs to the original
-// Builder-based path, which remains available behind the
-// DisableDirectCSR ablation flag and is pinned by the golden fixture in
-// testdata.
+// Builder-based path, as the golden fixture in testdata (captured from
+// that path) pins.
 package coarsen
 
 import (

@@ -13,8 +13,7 @@ import (
 // of graph.FuzzCSREquivalence: whatever weighted graph the fuzzer
 // assembles and whatever random maximal matching it draws, the coarse
 // graph must carry exactly the model's merged vertex weights and folded
-// edge weights, in valid sorted CSR — and the DisableDirectCSR Builder
-// path must produce the identical graph.
+// edge weights, in valid sorted CSR.
 func FuzzContractEquivalence(f *testing.F) {
 	f.Add([]byte{}, uint64(1))
 	f.Add([]byte{7, 0, 1, 3, 1, 2, 5, 2, 3, 1, 0, 3, 2}, uint64(7))
@@ -110,12 +109,5 @@ func FuzzContractEquivalence(f *testing.F) {
 			t.Fatalf("kernel Contract failed: %v", err)
 		}
 		check("kernel", direct)
-
-		wsb := &Workspace{DisableDirectCSR: true}
-		viaBuilder, err := wsb.Contract(g, mate)
-		if err != nil {
-			t.Fatalf("builder Contract failed: %v", err)
-		}
-		check("builder", viaBuilder)
 	})
 }

@@ -105,7 +105,7 @@ func hashTrace(events []trace.Event) uint64 {
 
 // goldenPipeline abstracts which implementation runs the three pinned
 // stages, so the same record builder covers the package-level entry
-// points and every workspace/ablation variant.
+// points and the reused-workspace variant.
 type goldenPipeline struct {
 	contract    func(g *graph.Graph, mate []int32) (*Contraction, error)
 	compactOnce func(g *graph.Graph, initial InitialFunc, r *rng.Rand, obs trace.Observer) (*partition.Bisection, error)

@@ -11,8 +11,7 @@ import (
 )
 
 // workspacePipeline routes the golden stages through an explicit
-// workspace, exercising the direct-CSR kernel (or, with
-// DisableDirectCSR, the retained Builder path) and the arena's buffer
+// workspace, exercising the direct-CSR kernel and the arena's buffer
 // reuse.
 func workspacePipeline(w *Workspace) goldenPipeline {
 	return goldenPipeline{
@@ -29,33 +28,23 @@ func workspacePipeline(w *Workspace) goldenPipeline {
 	}
 }
 
-// TestGoldenCompactionVariants holds every execution mode to the same
-// fixture the package-level entry points are pinned to: a shared
+// TestGoldenCompactionVariants holds the workspace execution mode to
+// the same fixture the package-level entry points are pinned to: one
 // workspace reused across all cases and rounds (the multi-start steady
-// state), and the DisableDirectCSR ablation that routes contraction
-// through the original graph.Builder path. Matching records prove the
-// kernel, the arena, and the Builder path are interchangeable bit for
-// bit.
+// state). The fixture was captured from the original graph.Builder
+// contraction, so matching records prove the kernel and the arena
+// reproduce it bit for bit.
 func TestGoldenCompactionVariants(t *testing.T) {
 	want := readGoldenFixture(t, filepath.Join("testdata", "compact_golden.json"))
-	variants := []struct {
-		name string
-		ws   *Workspace
-	}{
-		{name: "workspace_reuse", ws: NewWorkspace()},
-		{name: "via_builder", ws: &Workspace{DisableDirectCSR: true}},
-	}
-	for _, v := range variants {
-		p := workspacePipeline(v.ws)
-		for round := 0; round < 2; round++ {
-			for i, c := range goldenCases() {
-				got, err := runGoldenCase(c, p)
-				if err != nil {
-					t.Fatalf("%s [%s round %d]: %v", c.Name, v.name, round, err)
-				}
-				if got != want[i] {
-					t.Errorf("%s [%s round %d]:\n got %+v\nwant %+v", c.Name, v.name, round, got, want[i])
-				}
+	p := workspacePipeline(NewWorkspace())
+	for round := 0; round < 2; round++ {
+		for i, c := range goldenCases() {
+			got, err := runGoldenCase(c, p)
+			if err != nil {
+				t.Fatalf("%s [round %d]: %v", c.Name, round, err)
+			}
+			if got != want[i] {
+				t.Errorf("%s [round %d]:\n got %+v\nwant %+v", c.Name, round, got, want[i])
 			}
 		}
 	}

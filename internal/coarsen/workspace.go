@@ -25,18 +25,12 @@ import (
 //
 // Results are identical with and without a workspace: the workspace
 // matching consumes the same random stream as matching.RandomMaximal,
-// and the contraction kernel reproduces the Builder-based contraction
-// byte for byte (the golden fixture pins both). A Workspace must not be
+// and the contraction kernel reproduces the original Builder-based
+// contraction byte for byte (the golden fixture pins both, and
+// FuzzContractEquivalence holds the kernel to a map-based model). A Workspace must not be
 // shared across goroutines; core.WithWorkspace and ParallelBestOf
 // create one per worker.
 type Workspace struct {
-	// DisableDirectCSR routes contraction through the original
-	// graph.Builder path instead of the direct fine-CSR → coarse-CSR
-	// kernel. Ablation flag in the spirit of kl's DisableScratch and
-	// anneal's DisableExpTable: results are identical either way, only
-	// the time and allocation profiles differ.
-	DisableDirectCSR bool
-
 	match  matching.Workspace
 	levels []*level
 	depth  int
@@ -142,8 +136,7 @@ func (w *Workspace) pushLevel() *level {
 // assignment, member pairs, summed vertex weights, then the coarse
 // adjacency — directly in CSR via the kernel (parallelized across row
 // shards when a pool is attached and the graph is large, see
-// parallel.go), or through graph.Builder when the ablation flag asks
-// for the original path.
+// parallel.go).
 func (w *Workspace) contractInto(lv *level, g *graph.Graph, mate []int32) error {
 	n := g.N()
 	c := &lv.con
@@ -184,10 +177,6 @@ func (w *Workspace) contractInto(lv *level, g *graph.Graph, mate []int32) error 
 			return fmt.Errorf("coarsen: merged vertex weight %d overflows", wsum)
 		}
 		lv.vw[cv] = int32(wsum)
-	}
-
-	if w.DisableDirectCSR {
-		return contractViaBuilder(c, lv.vw, cn)
 	}
 
 	lv.off = growInt32(lv.off, n+1)
@@ -271,30 +260,6 @@ func (w *Workspace) contractInto(lv *level, g *graph.Graph, mate []int32) error 
 		return fmt.Errorf("coarsen: contraction kernel produced invalid CSR: %w", err)
 	}
 	c.Coarse = &lv.g
-	return nil
-}
-
-// contractViaBuilder is the original contraction path — one
-// graph.Builder fed every surviving fine edge, with its sort-and-merge
-// Build — kept as the DisableDirectCSR ablation reference. It must stay
-// behaviorally identical to the kernel; the golden fixture and
-// FuzzContractEquivalence hold both to the same output.
-func contractViaBuilder(c *Contraction, vw []int32, cn int) error {
-	b := graph.NewBuilder(cn)
-	for cv := 0; cv < cn; cv++ {
-		b.SetVertexWeight(int32(cv), vw[cv])
-	}
-	c.Fine.Edges(func(u, v, w int32) {
-		cu, cv := c.Map[u], c.Map[v]
-		if cu != cv {
-			b.AddWeightedEdge(cu, cv, w)
-		}
-	})
-	coarse, err := b.Build()
-	if err != nil {
-		return err
-	}
-	c.Coarse = coarse
 	return nil
 }
 

@@ -65,16 +65,6 @@ type Options struct {
 	// decision sequence bit-exactly (see docs/PERFORMANCE.md). The pool
 	// attaches to the Workspace; reuse one (and Close it) to amortize.
 	ParallelDegree int
-	// DisableParallelGains keeps the per-move neighbor gain updates and
-	// bucket repositions serial even when ParallelDegree engages the
-	// pool. Results are identical; only running time changes. Used by
-	// the parallel-refinement ablation benchmark.
-	DisableParallelGains bool
-	// DisableParallelProposal keeps move selection on the serial bucket
-	// scan even when ParallelDegree engages the pool (it only differs on
-	// weighted graphs; unit-weight selection is O(1) either way).
-	// Results are identical; only running time changes.
-	DisableParallelProposal bool
 }
 
 // ParallelMinVertices is the graph size below which the pass stays
@@ -298,13 +288,12 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 			buckets[b.Side(v)].Add(v, b.Gain(v))
 		}
 	}
-	useGains := useParallel && !opts.DisableParallelGains
-	if useGains {
+	if useParallel {
 		w.mover.Bind(w.pool, b, buckets[0], buckets[1])
 	}
 	// The sharded proposal only differs from the serial scan on weighted
 	// graphs; unit-weight selection is already O(1) per side.
-	useProp := useParallel && !opts.DisableParallelProposal && g.MaxVertexWeight() > 1
+	useProp := useParallel && g.MaxVertexWeight() > 1
 	if useProp {
 		shards := w.pool.Degree()
 		if cap(w.propV) < 2*shards {
@@ -342,7 +331,7 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 		}
 		gain := b.Gain(v)
 		buckets[b.Side(v)].Remove(v)
-		if useGains && len(g.Neighbors(v)) >= ParallelMinDegree {
+		if useParallel && len(g.Neighbors(v)) >= ParallelMinDegree {
 			w.mover.Move(v)
 		} else {
 			b.Move(v)
@@ -383,13 +372,13 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 		emitMoveBatch(obs, b, batchIdx, len(moves), startCut, cum, bestCum, batchMaxGain)
 	}
 	for i := len(moves) - 1; i >= bestK; i-- {
-		if useGains && len(g.Neighbors(moves[i])) >= ParallelMinDegree {
+		if useParallel && len(g.Neighbors(moves[i])) >= ParallelMinDegree {
 			w.mover.MoveNoBuckets(moves[i])
 		} else {
 			b.Move(moves[i])
 		}
 	}
-	if useGains {
+	if useParallel {
 		w.mover.Unbind()
 	}
 	w.moves = moves[:0] // keep the grown capacity for the next pass

@@ -87,30 +87,6 @@ func TestShardedPassIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedPassAblationsIdentity pins that the ablation switches only
-// change which kernel runs, never the result.
-func TestShardedPassAblationsIdentity(t *testing.T) {
-	lowerGates(t)
-	g := weightedGraph(t, 700, 29)
-	refSides, refStats := refineSides(t, g, Options{})
-	for _, opts := range []Options{
-		{ParallelDegree: 4, DisableParallelGains: true},
-		{ParallelDegree: 4, DisableParallelProposal: true},
-		{ParallelDegree: 4, DisableParallelGains: true, DisableParallelProposal: true},
-	} {
-		opts.Workspace = NewRefiner()
-		sides, stats := refineSides(t, g, opts)
-		if stats != refStats {
-			t.Fatalf("opts %+v: stats %+v, want %+v", opts, stats, refStats)
-		}
-		for v := range sides {
-			if sides[v] != refSides[v] {
-				t.Fatalf("opts %+v: side of vertex %d differs", opts, v)
-			}
-		}
-	}
-}
-
 // TestShardedPassSteadyAllocs pins the zero-allocation contract of the
 // sharded gain-update and move-proposal kernels: once a Refiner has
 // warmed up on a graph, parallel passes allocate nothing.

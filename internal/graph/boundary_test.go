@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -73,23 +74,23 @@ func TestBCSRHeaderAtVertexCap(t *testing.T) {
 	}
 }
 
-// TestBCSRCompactOffsetOverflow pins the int32-offset guard: a header
-// declaring compact offsets for an edge count whose half-edges exceed
-// 2³¹−1 must be refused outright (such graphs may only ship wide), and
-// the same count with the wide flag must get past that check to the
-// size validation.
+// TestBCSRCompactOffsetOverflow pins the int32-offset guard at the
+// MaxEdges boundary: one edge past the cap is refused by the cap check
+// itself with ErrTooLarge, exactly MaxEdges passes it and fails later on
+// the (absent) body, and the retired int64-offset flag is refused
+// whatever the counts.
 func TestBCSRCompactOffsetOverflow(t *testing.T) {
-	const m = 1 << 30 // 2·m half-edges = 2³¹ > maxCompactHalfEdges
-	_, err := ReadCSRFile(bytes.NewReader(bcsrHeader(1<<20, m, 0)))
-	if err == nil || !strings.Contains(err.Error(), "compact") {
-		t.Fatalf("compact flags with %d half-edges: got %v, want compact-offset refusal", uint64(2*m), err)
+	_, err := ReadCSRFile(bytes.NewReader(bcsrHeader(1<<20, MaxEdges+1, 0)))
+	if !errors.Is(err, ErrTooLarge) || !errors.Is(err, ErrCorruptBCSR) {
+		t.Fatalf("m=MaxEdges+1: got %v, want ErrTooLarge and ErrCorruptBCSR", err)
 	}
-	_, err = ReadCSRFile(bytes.NewReader(bcsrHeader(1<<20, m, csrFlagWide)))
-	if err == nil {
-		t.Fatal("header-only wide image accepted")
+	_, err = ReadCSRFile(bytes.NewReader(bcsrHeader(1<<20, MaxEdges, 0)))
+	if err == nil || errors.Is(err, ErrTooLarge) || !strings.Contains(err.Error(), "size") {
+		t.Fatalf("m=MaxEdges: got %v, want size-mismatch error", err)
 	}
-	if strings.Contains(err.Error(), "compact") {
-		t.Fatalf("wide flag still hit the compact-offset check: %v", err)
+	_, err = ReadCSRFile(bytes.NewReader(bcsrHeader(4, 3, 1)))
+	if err == nil || !strings.Contains(err.Error(), "flags") {
+		t.Fatalf("int64-offset flag: got %v, want unsupported-flags error", err)
 	}
 }
 
@@ -119,9 +120,9 @@ func flipBit(data []byte, byteIdx, bit int) []byte {
 }
 
 // FuzzReadBCSR drives the BCSR reader with hostile images. Seeds cover
-// the validation boundaries this PR touches: the vertex cap, an edge
-// count that overflows int32 offsets (must be forced onto the wide-CSR
-// path or refused), truncations, and mid-section single-bit flips in a
+// the validation boundaries: the vertex cap, an edge count that
+// overflows int32 offsets (must be refused), the retired int64-offset
+// flag, truncations, and mid-section single-bit flips in a
 // valid image — corruptions that pass the header checks and must be
 // caught by the structural sweep. Any rejection must carry
 // ErrCorruptBCSR; any acceptance must yield a Validate-clean graph.
@@ -131,8 +132,8 @@ func FuzzReadBCSR(f *testing.F) {
 	f.Add(valid[:csrHeaderSize])
 	f.Add(bcsrHeader(MaxVertices, 2, 0))
 	f.Add(bcsrHeader(MaxVertices+1, 2, 0))
-	f.Add(bcsrHeader(1<<20, 1<<30, 0))           // int32 offset overflow, compact
-	f.Add(bcsrHeader(1<<20, 1<<30, csrFlagWide)) // int32 offset overflow, wide
+	f.Add(bcsrHeader(1<<20, 1<<30, 0)) // int32 offset overflow
+	f.Add(bcsrHeader(1<<20, 1<<30, 1)) // retired int64-offset flag
 	f.Add(bcsrHeader(1<<62, 1<<62, csrFlagVW))
 	// Mid-section bit flips past the header: offsets, edges, wdeg. The
 	// header (size, counts, flags) still validates; the body sweep must
@@ -204,5 +205,30 @@ func TestBCSRCorruptionTyped(t *testing.T) {
 				t.Fatalf("OpenCSRFile error not typed: %v", err)
 			}
 		})
+	}
+}
+
+// TestSizeCapsAreTyped pins the one size cap every construction path
+// shares: the Builder's vertex cap and the text parsers' header edge
+// cap refuse with ErrTooLarge, and exactly MaxEdges in a header passes
+// the cap.
+func TestSizeCapsAreTyped(t *testing.T) {
+	if _, err := NewBuilder(MaxVertices + 1).Build(); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Builder over the vertex cap: got %v, want ErrTooLarge", err)
+	}
+	over, at := strconv.Itoa(MaxEdges+1), strconv.Itoa(MaxEdges)
+	for _, c := range []struct {
+		name string
+		read func(string) error
+	}{
+		{"edge list", func(s string) error { _, err := ReadEdgeList(strings.NewReader("graph 4 " + s + "\n")); return err }},
+		{"METIS", func(s string) error { _, err := ReadMETIS(strings.NewReader("4 " + s + "\n")); return err }},
+	} {
+		if err := c.read(over); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s header with MaxEdges+1 edges: got %v, want ErrTooLarge", c.name, err)
+		}
+		if err := c.read(at); errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s header with MaxEdges edges hit the cap: %v", c.name, err)
+		}
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzCompactCSREquivalence pins the two offset representations to each
-// other: the same edge multiset built compact (int32 offsets, the
-// default), built wide through the DisableCompactCSR ablation, and
-// adopted wide through FromCSR64 must agree on every accessor — vertex
-// and edge counts, degrees, neighbor lists, pairwise edge weights — and
+// FuzzCompactCSREquivalence pins the int32-offset CSR to a naive
+// adjacency-map model of the same edge multiset: the graph built by the
+// Builder and the same CSR arrays adopted through FromCSR must agree with
+// the model on every accessor — vertex and edge counts, degrees,
+// weighted degrees, sorted neighbor lists, pairwise edge weights — and
 // on the cut of a fixed bisection, which is what the refinement
 // algorithms ultimately compute from them.
 func FuzzCompactCSREquivalence(f *testing.F) {
@@ -22,84 +22,92 @@ func FuzzCompactCSREquivalence(f *testing.F) {
 			return
 		}
 		n := int(data[0])%64 + 2
-		type triple struct{ u, v, w int32 }
-		var edges []triple
+		b := NewBuilder(n)
+		// The model: merged weights per unordered pair, one map per vertex.
+		adj := make([]map[int32]int32, n)
+		for v := range adj {
+			adj[v] = map[int32]int32{}
+		}
 		for rest := data[1:]; len(rest) >= 3; rest = rest[3:] {
 			u := int32(rest[0]) % int32(n)
 			v := int32(rest[1]) % int32(n)
 			if u == v {
 				continue
 			}
-			edges = append(edges, triple{u, v, int32(rest[2])%7 + 1})
+			w := int32(rest[2])%7 + 1
+			b.AddWeightedEdge(u, v, w)
+			adj[u][v] += w
+			adj[v][u] += w
 		}
-		build := func(wide bool) *Graph {
-			saved := DisableCompactCSR
-			DisableCompactCSR = wide
-			defer func() { DisableCompactCSR = saved }()
-			b := NewBuilder(n)
-			for _, e := range edges {
-				b.AddWeightedEdge(e.u, e.v, e.w)
-			}
-			g, err := b.Build()
-			if err != nil {
-				t.Fatalf("Build(wide=%v): %v", wide, err)
-			}
-			return g
-		}
-		compact := build(false)
-		wide := build(true)
-		if !compact.Compact() || wide.Compact() {
-			t.Fatalf("representations: compact.Compact()=%v wide.Compact()=%v", compact.Compact(), wide.Compact())
-		}
-		// Third form: the compact graph's own CSR arrays adopted wide.
-		adopted, err := FromCSR64(widenOffsets(compact.off), append([]Edge(nil), compact.edges...), nil)
+		built, err := b.Build()
 		if err != nil {
-			t.Fatalf("FromCSR64: %v", err)
+			t.Fatalf("Build: %v", err)
 		}
-		for _, g := range []*Graph{compact, wide, adopted} {
-			if err := g.Validate(); err != nil {
-				t.Fatalf("Validate: %v", err)
+		adopted, err := FromCSR(append([]int32(nil), built.off...), append([]Edge(nil), built.edges...), nil)
+		if err != nil {
+			t.Fatalf("FromCSR: %v", err)
+		}
+		var m int
+		var ew, maxWDeg int64
+		var maxDeg int
+		var cut int64
+		for u, row := range adj {
+			var wd int64
+			for v, w := range row {
+				wd += int64(w)
+				if int32(u) < v {
+					m++
+					ew += int64(w)
+					if u&1 != int(v&1) {
+						cut += int64(w)
+					}
+				}
 			}
+			maxDeg = max(maxDeg, len(row))
+			maxWDeg = max(maxWDeg, wd)
 		}
-		check := func(name string, a, b *Graph) {
-			t.Helper()
-			if a.N() != b.N() || a.M() != b.M() || a.TotalEdgeWeight() != b.TotalEdgeWeight() ||
-				a.MaxDegree() != b.MaxDegree() || a.MaxWeightedDegree() != b.MaxWeightedDegree() {
-				t.Fatalf("%s: aggregate mismatch: %v vs %v", name, a, b)
+		for name, g := range map[string]*Graph{"built": built, "adopted": adopted} {
+			if err := g.Validate(); err != nil {
+				t.Fatalf("%s: Validate: %v", name, err)
+			}
+			if g.N() != n || g.M() != m || g.TotalEdgeWeight() != ew ||
+				g.MaxDegree() != maxDeg || g.MaxWeightedDegree() != maxWDeg {
+				t.Fatalf("%s: aggregates %v, model n=%d m=%d ew=%d maxdeg=%d maxwdeg=%d", name, g, n, m, ew, maxDeg, maxWDeg)
 			}
 			for v := int32(0); int(v) < n; v++ {
-				if a.Degree(v) != b.Degree(v) || a.WeightedDegree(v) != b.WeightedDegree(v) {
-					t.Fatalf("%s: degree mismatch at %d", name, v)
+				nb := g.Neighbors(v)
+				if len(nb) != len(adj[v]) || g.Degree(v) != len(adj[v]) {
+					t.Fatalf("%s: degree of %d is %d, model %d", name, v, len(nb), len(adj[v]))
 				}
-				na, nb := a.Neighbors(v), b.Neighbors(v)
-				if len(na) != len(nb) {
-					t.Fatalf("%s: neighbor count mismatch at %d", name, v)
+				var wd int64
+				for i, e := range nb {
+					if i > 0 && nb[i-1].To >= e.To {
+						t.Fatalf("%s: neighbors of %d not strictly sorted", name, v)
+					}
+					if adj[v][e.To] != e.W {
+						t.Fatalf("%s: edge {%d,%d} weight %d, model %d", name, v, e.To, e.W, adj[v][e.To])
+					}
+					wd += int64(e.W)
 				}
-				for i := range na {
-					if na[i] != nb[i] {
-						t.Fatalf("%s: neighbors of %d differ at slot %d: %v vs %v", name, v, i, na[i], nb[i])
+				if g.WeightedDegree(v) != wd {
+					t.Fatalf("%s: weighted degree of %d is %d, want %d", name, v, g.WeightedDegree(v), wd)
+				}
+				for u := int32(0); int(u) < n; u++ {
+					if g.EdgeWeight(v, u) != adj[v][u] {
+						t.Fatalf("%s: EdgeWeight(%d,%d) = %d, model %d", name, v, u, g.EdgeWeight(v, u), adj[v][u])
 					}
 				}
 			}
-			for u := int32(0); int(u) < n; u++ {
-				for v := int32(0); int(v) < n; v++ {
-					if a.EdgeWeight(u, v) != b.EdgeWeight(u, v) {
-						t.Fatalf("%s: EdgeWeight(%d,%d) differs", name, u, v)
-					}
-				}
-			}
-			if ca, cb := fixedCut(a), fixedCut(b); ca != cb {
-				t.Fatalf("%s: fixed-bisection cut differs: %d vs %d", name, ca, cb)
-			}
-			var ea, eb bytes.Buffer
-			a.Edges(func(u, v, w int32) { fmt.Fprintf(&ea, "%d %d %d\n", u, v, w) })
-			b.Edges(func(u, v, w int32) { fmt.Fprintf(&eb, "%d %d %d\n", u, v, w) })
-			if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
-				t.Fatalf("%s: Edges enumeration differs", name)
+			if c := fixedCut(g); c != cut {
+				t.Fatalf("%s: fixed-bisection cut %d, model %d", name, c, cut)
 			}
 		}
-		check("compact-vs-wide", compact, wide)
-		check("compact-vs-adopted", compact, adopted)
+		var eb, ea bytes.Buffer
+		built.Edges(func(u, v, w int32) { fmt.Fprintf(&eb, "%d %d %d\n", u, v, w) })
+		adopted.Edges(func(u, v, w int32) { fmt.Fprintf(&ea, "%d %d %d\n", u, v, w) })
+		if !bytes.Equal(eb.Bytes(), ea.Bytes()) {
+			t.Fatal("Edges enumeration differs between built and adopted graphs")
+		}
 	})
 }
 

@@ -82,7 +82,10 @@ func FromCSR(off []int32, edges []Edge, vw []int32) (*Graph, error) {
 	}
 	n := len(off) - 1
 	if n > MaxVertices {
-		return nil, fmt.Errorf("graph: vertex count %d exceeds limit %d", n, MaxVertices)
+		return nil, tooLarge("vertex count", uint64(n), MaxVertices)
+	}
+	if len(edges) > 2*MaxEdges {
+		return nil, tooLarge("half-edge count", uint64(len(edges)), 2*MaxEdges)
 	}
 	if off[0] != 0 {
 		return nil, fmt.Errorf("graph: FromCSR offsets start at %d, not 0", off[0])
@@ -99,15 +102,6 @@ func FromCSR(off []int32, edges []Edge, vw []int32) (*Graph, error) {
 		SortEdges(edges[off[v]:off[v+1]])
 	}
 	g := &Graph{}
-	if DisableCompactCSR {
-		// Ablation: widen the offsets and land on the int64
-		// representation; everything else (validation, aggregates,
-		// results) is identical.
-		if err := g.resetCSR64(widenOffsets(off), edges, vw); err != nil {
-			return nil, err
-		}
-		return g, checkSymmetry(g)
-	}
 	if err := g.ResetCSR(off, edges, vw); err != nil {
 		return nil, err
 	}
@@ -115,6 +109,19 @@ func FromCSR(off []int32, edges []Edge, vw []int32) (*Graph, error) {
 	// cross-row invariant left. Checking every half-edge's mirror covers
 	// both missing and weight-mismatched reverse entries.
 	return g, checkSymmetry(g)
+}
+
+// checkSymmetry verifies the one cross-row invariant the per-row sweeps
+// cannot: every half-edge's mirror exists with equal weight.
+func checkSymmetry(g *Graph) error {
+	for u := int32(0); int(u) < g.n; u++ {
+		for _, e := range g.Neighbors(u) {
+			if w := g.EdgeWeight(e.To, u); w != e.W {
+				return fmt.Errorf("graph: asymmetric edge {%d,%d}: %d vs %d", u, e.To, e.W, w)
+			}
+		}
+	}
+	return nil
 }
 
 // ResetCSR re-initializes g in place from CSR arrays whose rows are
@@ -136,7 +143,7 @@ func (g *Graph) ResetCSR(off []int32, edges []Edge, vw []int32) error {
 	}
 	n := len(off) - 1
 	if n > MaxVertices {
-		return fmt.Errorf("graph: vertex count %d exceeds limit %d", n, MaxVertices)
+		return tooLarge("vertex count", uint64(n), MaxVertices)
 	}
 	if off[0] != 0 {
 		return fmt.Errorf("graph: ResetCSR offsets start at %d, not 0", off[0])
@@ -214,7 +221,6 @@ func (g *Graph) ResetCSR(off []int32, edges []Edge, vw []int32) error {
 	}
 	g.n = n
 	g.off = off
-	g.off64 = nil
 	g.edges = edges
 	g.vw = vw
 	g.m = m

@@ -24,14 +24,16 @@ import (
 //	[0:8)   magic "BCSRG1\x00\x00"
 //	[8:16)  n — vertex count
 //	[16:24) m — undirected edge count (the file stores 2m half-edges)
-//	[24:32) flags: bit 0 = wide (int64) offsets, bit 1 = vertex weights
+//	[24:32) flags: bit 1 = vertex weights (bit 0 once marked int64
+//	        offsets; MaxEdges made them unnecessary and such files are
+//	        refused)
 //	[32:40) total edge weight (int64)
 //	[40:48) total vertex weight (int64)
 //	[48:56) maximum degree
 //	[56:64) maximum weighted degree (int64)
 //	[64:72) maximum vertex weight (int64)
 //	--- sections, in order, each padded to an 8-byte boundary ---
-//	off    (n+1) × 4 bytes (compact) or × 8 bytes (wide)
+//	off    (n+1) × 4 bytes (int32)
 //	edges  2m × 8 bytes (int32 head, int32 weight — the in-memory Edge)
 //	vw     n × 4 bytes, only when flag bit 1 is set
 //	wdeg   n × 8 bytes (per-vertex weighted degree, int64)
@@ -69,7 +71,6 @@ func bcsrErrf(format string, args ...any) error {
 const (
 	csrMagic      = "BCSRG1\x00\x00"
 	csrHeaderSize = 72
-	csrFlagWide   = 1 << 0
 	csrFlagVW     = 1 << 1
 )
 
@@ -88,20 +89,15 @@ var hostLittleEndian = func() bool {
 func pad8(n int64) int64 { return (n + 7) &^ 7 }
 
 // csrLayout computes the byte offsets of each section for a graph with
-// n vertices, 2m half-edges, and the given representation flags.
+// n vertices, 2m half-edges, and optional vertex weights.
 type csrLayout struct {
 	offPos, edgePos, vwPos, wdegPos, total int64
-	wide, hasVW                            bool
 }
 
-func layoutCSR(n, m int64, wide, hasVW bool) csrLayout {
-	l := csrLayout{wide: wide, hasVW: hasVW}
+func layoutCSR(n, m int64, hasVW bool) csrLayout {
+	var l csrLayout
 	l.offPos = csrHeaderSize
-	offBytes := (n + 1) * 4
-	if wide {
-		offBytes = (n + 1) * 8
-	}
-	l.edgePos = l.offPos + pad8(offBytes)
+	l.edgePos = l.offPos + pad8((n+1)*4)
 	l.vwPos = l.edgePos + 2*m*8
 	l.wdegPos = l.vwPos
 	if hasVW {
@@ -118,16 +114,12 @@ func WriteCSRFile(w io.Writer, g *Graph) error {
 	if !hostLittleEndian {
 		return fmt.Errorf("graph: BCSR requires a little-endian host")
 	}
-	wide := !g.Compact()
 	hasVW := g.vw != nil
 	var hdr [csrHeaderSize]byte
 	copy(hdr[0:8], csrMagic)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.n))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(g.m))
 	var flags uint64
-	if wide {
-		flags |= csrFlagWide
-	}
 	if hasVW {
 		flags |= csrFlagVW
 	}
@@ -152,13 +144,7 @@ func WriteCSRFile(w io.Writer, g *Graph) error {
 		}
 		return nil
 	}
-	var offBytes []byte
-	if wide {
-		offBytes = int64Bytes(g.off64)
-	} else {
-		offBytes = int32Bytes(g.off)
-	}
-	if err := writePadded(offBytes); err != nil {
+	if err := writePadded(int32Bytes(g.off)); err != nil {
 		return err
 	}
 	if err := writePadded(edgeBytes(g.edges)); err != nil {
@@ -258,21 +244,17 @@ func parseCSRInto(g *Graph, data []byte) error {
 	maxDeg := binary.LittleEndian.Uint64(data[48:56])
 	maxWDeg := int64(binary.LittleEndian.Uint64(data[56:64]))
 	maxVW := int64(binary.LittleEndian.Uint64(data[64:72]))
-	if flags&^(csrFlagWide|csrFlagVW) != 0 {
+	if flags&^csrFlagVW != 0 {
 		return bcsrErrf("BCSR flags %#x unsupported", flags)
 	}
-	wide := flags&csrFlagWide != 0
 	hasVW := flags&csrFlagVW != 0
 	if n > MaxVertices {
-		return bcsrErrf("BCSR vertex count %d exceeds limit %d", n, MaxVertices)
+		return fmt.Errorf("%w: %w", tooLarge("BCSR vertex count", n, MaxVertices), ErrCorruptBCSR)
 	}
-	if m > 1<<40 {
-		return bcsrErrf("BCSR edge count %d implausible", m)
+	if m > MaxEdges {
+		return fmt.Errorf("%w: %w", tooLarge("BCSR edge count", m, MaxEdges), ErrCorruptBCSR)
 	}
-	if !wide && 2*m > maxCompactHalfEdges {
-		return bcsrErrf("BCSR declares compact offsets for %d half-edges", 2*m)
-	}
-	l := layoutCSR(int64(n), int64(m), wide, hasVW)
+	l := layoutCSR(int64(n), int64(m), hasVW)
 	if int64(len(data)) != l.total {
 		return bcsrErrf("BCSR size %d, want %d for n=%d m=%d", len(data), l.total, n, m)
 	}
@@ -281,13 +263,7 @@ func parseCSRInto(g *Graph, data []byte) error {
 	}
 
 	nn, half := int(n), int(2*m)
-	var off []int32
-	var off64 []int64
-	if wide {
-		off64 = sliceOf[int64](data[l.offPos:], nn+1)
-	} else {
-		off = sliceOf[int32](data[l.offPos:], nn+1)
-	}
+	off := sliceOf[int32](data[l.offPos:], nn+1)
 	edges := sliceOf[Edge](data[l.edgePos:], half)
 	var vw []int32
 	if hasVW {
@@ -295,20 +271,8 @@ func parseCSRInto(g *Graph, data []byte) error {
 	}
 	wdeg := sliceOf[int64](data[l.wdegPos:], nn)
 
-	var first int64
-	if wide {
-		first = off64[0]
-	} else {
-		first = int64(off[0])
-	}
-	if first != 0 {
-		return bcsrErrf("BCSR offsets start at %d, not 0", first)
-	}
-	rowEnd := func(v int) int64 {
-		if wide {
-			return off64[v+1]
-		}
-		return int64(off[v+1])
+	if off[0] != 0 {
+		return bcsrErrf("BCSR offsets start at %d, not 0", off[0])
 	}
 	var (
 		m2       int64
@@ -316,10 +280,10 @@ func parseCSRInto(g *Graph, data []byte) error {
 		maxDeg2  int
 		maxWDeg2 int64
 	)
-	lo := int64(0)
+	lo := int32(0)
 	for v := 0; v < nn; v++ {
-		hi := rowEnd(v)
-		if hi < lo || hi > int64(half) {
+		hi := off[v+1]
+		if hi < lo || int(hi) > half {
 			return bcsrErrf("BCSR offsets invalid at vertex %d", v)
 		}
 		if d := int(hi - lo); d > maxDeg2 {
@@ -356,7 +320,7 @@ func parseCSRInto(g *Graph, data []byte) error {
 		}
 		lo = hi
 	}
-	if lo != int64(half) {
+	if int(lo) != half {
 		return bcsrErrf("BCSR offsets cover %d half-edges, file stores %d", lo, half)
 	}
 	if m2 != int64(m) || ew2 != ew || maxDeg2 != int(maxDeg) || maxWDeg2 != maxWDeg {
@@ -382,7 +346,7 @@ func parseCSRInto(g *Graph, data []byte) error {
 	}
 
 	*g = Graph{
-		n: nn, off: off, off64: off64, edges: edges, vw: vw, wdeg: wdeg,
+		n: nn, off: off, edges: edges, vw: vw, wdeg: wdeg,
 		m: int(m), ew: ew, vwUp: vwUp,
 		maxDeg: int(maxDeg), maxWDeg: maxWDeg, maxVW: maxVW2,
 	}

@@ -131,8 +131,8 @@ func TestCSRFileRoundTripGenerators(t *testing.T) {
 }
 
 // TestCSRFileRoundTripVariants covers the representation corners the
-// generator families don't hit: weighted vertices and edges, the wide
-// (int64-offset) form, tiny graphs, and an isolated vertex.
+// generator families don't hit: weighted vertices and edges, tiny
+// graphs, and an isolated vertex.
 func TestCSRFileRoundTripVariants(t *testing.T) {
 	weighted := func() *graph.Graph {
 		b := graph.NewBuilder(6)
@@ -150,15 +150,6 @@ func TestCSRFileRoundTripVariants(t *testing.T) {
 		return g
 	}
 	t.Run("weighted", func(t *testing.T) { roundTrip(t, "weighted", weighted()) })
-	t.Run("wide", func(t *testing.T) {
-		defer func(v bool) { graph.DisableCompactCSR = v }(graph.DisableCompactCSR)
-		graph.DisableCompactCSR = true
-		g := weighted()
-		if g.Compact() {
-			t.Fatal("expected wide representation under DisableCompactCSR")
-		}
-		roundTrip(t, "wide", g)
-	})
 	t.Run("tiny", func(t *testing.T) {
 		b := graph.NewBuilder(2)
 		b.AddEdge(0, 1)

@@ -24,6 +24,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -39,17 +40,12 @@ type Edge struct {
 // Graph is an immutable weighted undirected simple graph. Construct one
 // with a Builder or a generator from internal/gen.
 //
-// Two CSR offset representations exist behind the same accessors: the
-// compact one (int32 offsets, half the index memory, the default
-// whenever the half-edge count fits) and the wide one (int64 offsets,
-// required once a graph carries 2³¹ or more half-edges). Exactly one of
-// off/off64 is non-nil on a built graph; every accessor branches on
-// that, so algorithms never see the difference. DisableCompactCSR
-// forces the wide representation for ablation and equivalence testing.
+// Adjacency is stored as CSR with int32 offsets: MaxEdges keeps every
+// graph's half-edge count within int32 range, so one representation
+// serves every size the package accepts.
 type Graph struct {
 	n     int
-	off   []int32 // compact CSR offsets: v's half-edges are edges[off[v]:off[v+1]]
-	off64 []int64 // wide CSR offsets; nil when the compact form is in use
+	off   []int32 // CSR offsets: v's half-edges are edges[off[v]:off[v+1]]
 	edges []Edge  // all half-edges, each list sorted by To
 	vw    []int32
 	wdeg  []int64 // cached weighted degree per vertex
@@ -74,17 +70,8 @@ func (g *Graph) TotalEdgeWeight() int64 { return g.ew }
 // TotalVertexWeight returns the sum of all vertex weights.
 func (g *Graph) TotalVertexWeight() int64 { return g.vwUp }
 
-// Compact reports whether the graph uses the compact (int32-offset) CSR
-// representation. The empty graph counts as compact.
-func (g *Graph) Compact() bool { return g.off64 == nil }
-
 // Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int32) int {
-	if g.off != nil {
-		return int(g.off[v+1] - g.off[v])
-	}
-	return int(g.off64[v+1] - g.off64[v])
-}
+func (g *Graph) Degree(v int32) int { return int(g.off[v+1] - g.off[v]) }
 
 // WeightedDegree returns the sum of edge weights incident to v (cached at
 // Build time; O(1)).
@@ -104,19 +91,12 @@ func (g *Graph) MaxVertexWeight() int32 { return g.maxVW }
 // returned slice aliases the graph's CSR storage and must not be
 // modified.
 func (g *Graph) Neighbors(v int32) []Edge {
-	if g.off != nil {
-		return g.edges[g.off[v]:g.off[v+1]:g.off[v+1]]
-	}
-	return g.edges[g.off64[v]:g.off64[v+1]:g.off64[v+1]]
+	return g.edges[g.off[v]:g.off[v+1]:g.off[v+1]]
 }
 
-// rowBounds returns the half-edge index range of v's row in whichever
-// offset representation the graph uses.
+// rowBounds returns the half-edge index range of v's row.
 func (g *Graph) rowBounds(v int32) (lo, hi int) {
-	if g.off != nil {
-		return int(g.off[v]), int(g.off[v+1])
-	}
-	return int(g.off64[v]), int(g.off64[v+1])
+	return int(g.off[v]), int(g.off[v+1])
 }
 
 // VertexWeight returns the weight of v (1 for plain graphs).
@@ -196,7 +176,6 @@ func (g *Graph) Edges(fn func(u, v int32, w int32)) {
 func (g *Graph) Clone() *Graph {
 	c := *g
 	c.off = append([]int32(nil), g.off...)
-	c.off64 = append([]int64(nil), g.off64...)
 	c.edges = append([]Edge(nil), g.edges...)
 	c.wdeg = append([]int64(nil), g.wdeg...)
 	if g.vw != nil {
@@ -210,14 +189,7 @@ func (g *Graph) Clone() *Graph {
 // weights, and consistent cached totals. It returns the first violation
 // found.
 func (g *Graph) Validate() error {
-	if g.off != nil && g.off64 != nil {
-		return fmt.Errorf("graph: both compact and wide offset arrays populated")
-	}
-	if g.off64 != nil {
-		if len(g.off64) != g.n+1 {
-			return fmt.Errorf("graph: wide offset array has %d entries for %d vertices", len(g.off64), g.n)
-		}
-	} else if len(g.off) != g.n+1 && !(g.n == 0 && len(g.off) == 0) {
+	if len(g.off) != g.n+1 && !(g.n == 0 && len(g.off) == 0) {
 		return fmt.Errorf("graph: offset array has %d entries for %d vertices", len(g.off), g.n)
 	}
 	var m int
@@ -316,10 +288,23 @@ type Builder struct {
 // exhausting memory; it admits the 10^7-vertex instances the scale
 // bench drives while staying well below every int32 limit on the
 // construction path — vertex ids and bucket links stay exact through
-// 2³¹−1, and compact CSR offsets are guarded separately by
-// maxCompactHalfEdges (graphs beyond 2³¹−1 half-edges take the wide
-// int64-offset representation automatically).
+// 2³¹−1.
 const MaxVertices = 1 << 27
+
+// MaxEdges bounds the undirected edge count of every graph: Builder,
+// FromCSR, the text parsers (against the header, before the body is
+// read) and the BCSR loaders all refuse more. Its 2·MaxEdges half-edges
+// are the most int32 CSR offsets can index — 8 GiB of edge storage.
+const MaxEdges = 1<<30 - 1
+
+// ErrTooLarge is wrapped by every refusal of a graph beyond MaxVertices
+// or MaxEdges, whichever construction or parsing path met it.
+var ErrTooLarge = errors.New("graph exceeds size limit")
+
+// tooLarge reports a count over its limit, wrapping ErrTooLarge.
+func tooLarge(what string, got, limit uint64) error {
+	return fmt.Errorf("graph: %s %d exceeds limit %d: %w", what, got, limit, ErrTooLarge)
+}
 
 // NewBuilder returns a Builder for a graph on n vertices with unit vertex
 // weights.
@@ -328,7 +313,7 @@ func NewBuilder(n int) *Builder {
 		return &Builder{err: fmt.Errorf("graph: negative vertex count %d", n)}
 	}
 	if n > MaxVertices {
-		return &Builder{err: fmt.Errorf("graph: vertex count %d exceeds limit %d", n, MaxVertices)}
+		return &Builder{err: tooLarge("vertex count", uint64(n), MaxVertices)}
 	}
 	return &Builder{n: n}
 }
@@ -424,28 +409,18 @@ func (b *Builder) Build() (*Graph, error) {
 		deg[u]++
 		deg[v]++
 	}
+	if len(merged) > MaxEdges {
+		return nil, tooLarge("edge count", uint64(len(merged)), MaxEdges)
+	}
 	// CSR offsets by prefix sum, then scatter the half-edges with a
-	// per-vertex cursor. The compact (int32) offsets are used whenever
-	// the half-edge count fits; DisableCompactCSR (or 2³¹+ half-edges)
-	// selects the wide (int64) representation, which every accessor
-	// serves through the same code paths.
-	if DisableCompactCSR || 2*len(merged) > maxCompactHalfEdges {
-		g.off64 = make([]int64, b.n+1)
-		for v := 0; v < b.n; v++ {
-			g.off64[v+1] = g.off64[v] + int64(deg[v])
-		}
-	} else {
-		g.off = make([]int32, b.n+1)
-		for v := 0; v < b.n; v++ {
-			g.off[v+1] = g.off[v] + deg[v]
-		}
+	// per-vertex cursor.
+	g.off = make([]int32, b.n+1)
+	for v := 0; v < b.n; v++ {
+		g.off[v+1] = g.off[v] + deg[v]
 	}
 	g.edges = make([]Edge, 2*len(merged))
-	cur := make([]int64, b.n)
-	for v := 0; v < b.n; v++ {
-		lo, _ := g.rowBounds(int32(v))
-		cur[v] = int64(lo)
-	}
+	cur := make([]int32, b.n)
+	copy(cur, g.off)
 	for _, t := range merged {
 		g.edges[cur[t.u]] = Edge{To: t.v, W: t.w}
 		cur[t.u]++

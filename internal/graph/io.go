@@ -25,13 +25,6 @@ import (
 	"strings"
 )
 
-// MaxEdges bounds the edge count a parser will accept from a header
-// before reading the body, so hostile headers fail fast. 2²⁹ ≈ 537M
-// edges keeps the text parsers usable up to MaxVertices-sized sparse
-// instances (mean degree ~8 at 2²⁷ vertices); anything denser at that
-// scale should ship as BCSR, whose own plausibility cap is separate.
-const MaxEdges = 1 << 29
-
 // parseID parses a vertex id (or any value that must fit in int32)
 // without silent truncation: values outside [0, int32 max] — including
 // 64-bit values that would wrap into range when converted — are errors.
@@ -111,8 +104,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad edge count: %v", line, err)
 			}
-			if m < 0 || m > MaxEdges {
-				return nil, fmt.Errorf("graph: line %d: edge count %d out of range [0,%d]", line, m, MaxEdges)
+			if m < 0 {
+				return nil, fmt.Errorf("graph: line %d: negative edge count %d", line, m)
+			}
+			if m > MaxEdges {
+				return nil, tooLarge("edge count", uint64(m), MaxEdges)
 			}
 			declaredM = m
 			b = NewBuilder(n)
@@ -247,8 +243,11 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: bad METIS edge count: %v", err)
 			}
-			if m < 0 || m > MaxEdges {
-				return nil, fmt.Errorf("graph: METIS edge count %d out of range [0,%d]", m, MaxEdges)
+			if m < 0 {
+				return nil, fmt.Errorf("graph: negative METIS edge count %d", m)
+			}
+			if m > MaxEdges {
+				return nil, tooLarge("METIS edge count", uint64(m), MaxEdges)
 			}
 			if len(fields) >= 3 {
 				switch fields[2] {

@@ -10,11 +10,12 @@ import (
 )
 
 // TestScanVariantsIdentical is the correctness half of the KL-scan
-// ablation: the stamped-scratch fast path, the adjacency-probe fallback
-// (DisableScratch), and the unpruned full scan (DisablePruning) must
-// select exactly the same pairs. The first two must also examine
-// exactly the same candidates (same ScannedPairs); the full scan
-// examines at least as many.
+// ablation: the production pass (stamped scratch, flat B-side replay),
+// the plain oracle of oracle_test.go (cursor walk, adjacency probe, every
+// selection checked against a brute-force pair scan), and the unpruned
+// full scan (DisablePruning) must select exactly the same pairs. The
+// first two must also examine exactly the same candidates (same
+// ScannedPairs); the full scan examines at least as many.
 func TestScanVariantsIdentical(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.NewFib(seed)
@@ -34,19 +35,20 @@ func TestScanVariantsIdentical(t *testing.T) {
 			return b, st
 		}
 		fast, fastSt := run(Options{})
-		probe, probeSt := run(Options{DisableScratch: true})
 		full, fullSt := run(Options{DisablePruning: true})
+		plain := base.Clone()
+		plainSt := plainRefine(t, plain, Options{}, true)
 
-		if fast.Cut() != probe.Cut() || fast.Cut() != full.Cut() {
-			t.Fatalf("cuts diverge: scratch=%d probe=%d full=%d", fast.Cut(), probe.Cut(), full.Cut())
+		if fast.Cut() != plain.Cut() || fast.Cut() != full.Cut() {
+			t.Fatalf("cuts diverge: production=%d oracle=%d full=%d", fast.Cut(), plain.Cut(), full.Cut())
 		}
 		for v := int32(0); int(v) < n; v++ {
-			if fast.Side(v) != probe.Side(v) || fast.Side(v) != full.Side(v) {
+			if fast.Side(v) != plain.Side(v) || fast.Side(v) != full.Side(v) {
 				t.Fatalf("side[%d] diverges across scan variants", v)
 			}
 		}
-		if fastSt.ScannedPairs != probeSt.ScannedPairs {
-			t.Fatalf("ScannedPairs diverge: scratch=%d probe=%d", fastSt.ScannedPairs, probeSt.ScannedPairs)
+		if fastSt != plainSt {
+			t.Fatalf("stats diverge: production=%+v oracle=%+v", fastSt, plainSt)
 		}
 		if fullSt.ScannedPairs < fastSt.ScannedPairs {
 			t.Fatalf("full scan examined fewer pairs (%d) than the pruned scan (%d)",

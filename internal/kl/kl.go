@@ -19,11 +19,13 @@
 // Hot-path engineering (none of it changes results): before the B-side
 // candidates of a given a are scanned, a's incident edge weights are
 // stamped into an epoch-versioned scratch array, so each scanned pair
-// costs an O(1) array read instead of an adjacency probe; and all pass
-// state (the two gain-bucket structures, the swap log, the scratch
-// stamps) lives in a reusable Refiner workspace, so steady-state passes
-// allocate nothing. Both fast paths can be disabled via Options for the
-// ablation benchmarks, again with identical results.
+// costs an O(1) array read instead of an adjacency probe; the B-side
+// candidate sequence is memoized into a flat array as the bucket cursor
+// first produces it; and all pass state (the two gain-bucket structures,
+// the swap log, the scratch stamps) lives in a reusable Refiner
+// workspace, so steady-state passes allocate nothing. The plain pass —
+// linked-bucket walk, adjacency probe per pair — lives on only as the
+// test oracle in oracle_test.go, which pins this one to it.
 package kl
 
 import (
@@ -47,17 +49,6 @@ type Options struct {
 	// pair scan. Results are identical; only running time changes. Used by
 	// the KL-scan ablation.
 	DisablePruning bool
-	// DisableScratch turns off the stamped-scratch connectivity lookup in
-	// the pair scan and probes the graph's adjacency for every scanned
-	// pair instead. Results (including the ScannedPairs stat) are
-	// identical; only running time changes. Used by the KL-scan ablation.
-	DisableScratch bool
-	// DisableBlockedScan turns off the cache-blocked pair scan that
-	// memoizes the descending B-side sequence into a flat array and
-	// walks the linked gain buckets for every candidate pair instead.
-	// Results (including ScannedPairs) are identical; only running time
-	// changes. Used by the KL-scan ablation.
-	DisableBlockedScan bool
 	// ParallelDegree, when > 1, shards the pass over a worker pool of
 	// that degree for graphs with at least ParallelMinVertices vertices:
 	// the two gain-bucket structures are filled concurrently (one worker
@@ -68,11 +59,6 @@ type Options struct {
 	// (see docs/PERFORMANCE.md). The pool attaches to the Workspace;
 	// reuse one (and Close it) to amortize.
 	ParallelDegree int
-	// DisableParallelGains keeps the per-swap neighbor gain updates and
-	// bucket repositions serial even when ParallelDegree engages the
-	// pool. Results are identical; only running time changes. Used by
-	// the parallel-refinement ablation benchmark.
-	DisableParallelGains bool
 	// Workspace, when non-nil, supplies the reusable pass state (gain
 	// buckets, swap log, scratch stamps) so repeated runs allocate
 	// nothing. A nil Workspace makes Run/Refine/Pass allocate a private
@@ -332,8 +318,7 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 			buckets[b.Side(v)].Add(v, b.Gain(v))
 		}
 	}
-	useGains := useParallel && !opts.DisableParallelGains
-	if useGains {
+	if useParallel {
 		w.mover.Bind(w.pool, b, buckets[0], buckets[1])
 	}
 	steps := buckets[0].Len()
@@ -363,7 +348,7 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 		// Tentative exchange; lock both.
 		buckets[b.Side(a)].Remove(a)
 		buckets[b.Side(bv)].Remove(bv)
-		if useGains && len(g.Neighbors(a))+len(g.Neighbors(bv)) >= ParallelMinDegree {
+		if useParallel && len(g.Neighbors(a))+len(g.Neighbors(bv)) >= ParallelMinDegree {
 			w.mover.Swap(a, bv)
 		} else {
 			b.Swap(a, bv)
@@ -400,13 +385,13 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 
 	// Roll back everything after the best prefix.
 	for i := len(swaps) - 1; i >= bestK; i-- {
-		if useGains && len(g.Neighbors(swaps[i].a))+len(g.Neighbors(swaps[i].bv)) >= ParallelMinDegree {
+		if useParallel && len(g.Neighbors(swaps[i].a))+len(g.Neighbors(swaps[i].bv)) >= ParallelMinDegree {
 			w.mover.SwapNoBuckets(swaps[i].a, swaps[i].bv)
 		} else {
 			b.Swap(swaps[i].a, swaps[i].bv)
 		}
 	}
-	if useGains {
+	if useParallel {
 		w.mover.Unbind()
 	}
 	w.swaps = swaps[:0] // keep the grown capacity for the next pass
@@ -427,74 +412,19 @@ func emitMoveBatch(obs trace.Observer, b *partition.Bisection, batchIdx, moves i
 // selectPair returns the unlocked opposite-side pair with maximum swap
 // gain, or a = −1 if either side is exhausted.
 //
-// The candidate order, the pruning decisions, and therefore the selected
-// pair and the scanned count are identical whether the connecting weight
-// comes from the stamped scratch (the default O(1) lookup) or from an
-// adjacency probe (DisableScratch) — only the per-pair cost differs.
+// The B-side candidate sequence is memoized into a flat packed array as
+// the bucket cursor first produces it: later A-candidates replay their
+// (pruned) prefix from contiguous memory instead of re-chasing the gain
+// buckets' linked entries. The candidate order — and with it every
+// pruning decision, the selected pair, and the scanned count — is
+// exactly the cursor walk's; bucket gains fit int32 (the bucket span is
+// capped far below that), so the (gain, vertex) packing is lossless.
 func (w *Refiner) selectPair(b *partition.Bisection, buckets [2]*partition.GainBuckets, opts Options) (a, bv int32, gain int64, scanned int64) {
 	if buckets[0].Len() == 0 || buckets[1].Len() == 0 {
 		return -1, -1, 0, 0
 	}
-	if !opts.DisableBlockedScan {
-		return w.selectPairBlocked(b, buckets, opts)
-	}
 	g := b.Graph()
 	noPrune := opts.DisablePruning
-	useScratch := !opts.DisableScratch
-	_, maxB, _ := buckets[1].Max()
-	first := true
-	var bestA, bestB int32
-	var best int64
-	scratch := w.scratch
-	for ca := buckets[0].Cursor(); ca.Valid(); ca.Next() {
-		av, ga := ca.V(), ca.Gain()
-		if !noPrune && !first && ga+maxB <= best {
-			break // no a beyond this point can beat best
-		}
-		var cur uint64
-		if useScratch {
-			cur = uint64(w.stamp(g, av)) << 32
-		}
-		for cb := buckets[1].Cursor(); cb.Valid(); cb.Next() {
-			bvv, gb := cb.V(), cb.Gain()
-			if !noPrune && !first && ga+gb <= best {
-				break
-			}
-			scanned++
-			var ew int64
-			if useScratch {
-				if q := scratch[bvv]; q&^0xFFFFFFFF == cur {
-					ew = int64(int32(uint32(q)))
-				}
-			} else {
-				ew = int64(g.EdgeWeight(av, bvv))
-			}
-			pg := ga + gb - 2*ew
-			if first || pg > best {
-				first = false
-				best = pg
-				bestA, bestB = av, bvv
-			}
-		}
-	}
-	if first {
-		return -1, -1, 0, scanned
-	}
-	return bestA, bestB, best, scanned
-}
-
-// selectPairBlocked is selectPair with the B-side candidate sequence
-// memoized into a flat packed array as the bucket cursor first produces
-// it: later A-candidates replay their (pruned) prefix from contiguous
-// memory instead of re-chasing the gain buckets' linked entries. The
-// candidate order — and with it every pruning decision, the selected
-// pair, and the scanned count — is exactly the cursor path's; bucket
-// gains fit int32 (the bucket span is capped far below that), so the
-// (gain, vertex) packing is lossless.
-func (w *Refiner) selectPairBlocked(b *partition.Bisection, buckets [2]*partition.GainBuckets, opts Options) (a, bv int32, gain int64, scanned int64) {
-	g := b.Graph()
-	noPrune := opts.DisablePruning
-	useScratch := !opts.DisableScratch
 	_, maxB, _ := buckets[1].Max()
 	first := true
 	var bestA, bestB int32
@@ -507,10 +437,7 @@ func (w *Refiner) selectPairBlocked(b *partition.Bisection, buckets [2]*partitio
 		if !noPrune && !first && ga+maxB <= best {
 			break // no a beyond this point can beat best
 		}
-		var cur uint64
-		if useScratch {
-			cur = uint64(w.stamp(g, av)) << 32
-		}
+		cur := uint64(w.stamp(g, av)) << 32
 		for i := 0; ; i++ {
 			if i == len(bseq) {
 				if !cb.Valid() {
@@ -527,12 +454,8 @@ func (w *Refiner) selectPairBlocked(b *partition.Bisection, buckets [2]*partitio
 			}
 			scanned++
 			var ew int64
-			if useScratch {
-				if s := scratch[bvv]; s&^0xFFFFFFFF == cur {
-					ew = int64(int32(uint32(s)))
-				}
-			} else {
-				ew = int64(g.EdgeWeight(av, bvv))
+			if s := scratch[bvv]; s&^0xFFFFFFFF == cur {
+				ew = int64(int32(uint32(s)))
 			}
 			pg := ga + gb - 2*ew
 			if first || pg > best {

@@ -1,0 +1,159 @@
+package kl
+
+import (
+	"testing"
+
+	"repro/internal/partition"
+)
+
+// plainRefine is the test oracle for Refine: KL passes written the plain
+// way — every candidate pair read off the linked gain buckets through
+// their cursors, every connecting weight probed from the adjacency, no
+// scratch stamps, no flat B-side replay, no sharded kernels. It must make
+// exactly the decisions the production pass makes, so its sides and
+// Stats are the reference that pass is pinned to.
+//
+// With bruteMax set, every selected pair is additionally checked against
+// a full scan of all unlocked opposite-side pairs whose gains are
+// recomputed from the adjacency (the networkx formulation: D(a) + D(b) −
+// 2·w(a,b) over dictionaries of external-minus-internal costs), which
+// shares nothing with the incremental gain machinery.
+func plainRefine(t testing.TB, b *partition.Bisection, opts Options, bruteMax bool) Stats {
+	t.Helper()
+	st := Stats{InitialCut: b.Cut(), FinalCut: b.Cut()}
+	limit := opts.MaxPasses
+	if limit <= 0 {
+		limit = safetyPassCap
+	}
+	for p := 0; p < limit; p++ {
+		improved, swaps, scanned := plainPass(t, b, opts, bruteMax)
+		st.Passes++
+		st.Swaps += swaps
+		st.ScannedPairs += scanned
+		st.FinalCut = b.Cut()
+		if improved <= 0 {
+			break
+		}
+	}
+	return st
+}
+
+// plainPass is one Figure 2 pass of the oracle.
+func plainPass(t testing.TB, b *partition.Bisection, opts Options, bruteMax bool) (improvement int64, kept int, scanned int64) {
+	g := b.Graph()
+	n := g.N()
+	if n == 0 {
+		return 0, 0, 0
+	}
+	var buckets [2]partition.GainBuckets
+	for s := range buckets {
+		if err := buckets[s].Reset(n, g.MaxWeightedDegree()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := int32(0); int(v) < n; v++ {
+		buckets[b.Side(v)].Add(v, b.Gain(v))
+	}
+	locked := make([]bool, n)
+	steps := min(buckets[0].Len(), buckets[1].Len())
+	var swaps [][2]int32
+	var cum, bestCum int64
+	bestK := 0
+	for i := 0; i < steps; i++ {
+		a, bv, gain, sc := plainSelect(b, &buckets, opts.DisablePruning)
+		scanned += sc
+		if a < 0 {
+			break
+		}
+		if bruteMax {
+			if want := bruteMaxSwapGain(b, locked); gain != want {
+				t.Fatalf("step %d: selected pair (%d,%d) gains %d, best unlocked pair gains %d", i, a, bv, gain, want)
+			}
+		}
+		buckets[b.Side(a)].Remove(a)
+		buckets[b.Side(bv)].Remove(bv)
+		locked[a], locked[bv] = true, true
+		b.Swap(a, bv)
+		for _, v := range [2]int32{a, bv} {
+			for _, e := range g.Neighbors(v) {
+				buckets[b.Side(e.To)].UpdateIfPresent(e.To, b.Gain(e.To))
+			}
+		}
+		swaps = append(swaps, [2]int32{a, bv})
+		cum += gain
+		if cum > bestCum {
+			bestCum, bestK = cum, len(swaps)
+		}
+	}
+	for i := len(swaps) - 1; i >= bestK; i-- {
+		b.Swap(swaps[i][0], swaps[i][1])
+	}
+	return bestCum, bestK, scanned
+}
+
+// plainSelect walks both bucket cursors in descending gain order with
+// the admissible pruning of selectPair, probing g for each pair weight.
+func plainSelect(b *partition.Bisection, buckets *[2]partition.GainBuckets, noPrune bool) (a, bv int32, gain int64, scanned int64) {
+	if buckets[0].Len() == 0 || buckets[1].Len() == 0 {
+		return -1, -1, 0, 0
+	}
+	g := b.Graph()
+	_, maxB, _ := buckets[1].Max()
+	first := true
+	for ca := buckets[0].Cursor(); ca.Valid(); ca.Next() {
+		av, ga := ca.V(), ca.Gain()
+		if !noPrune && !first && ga+maxB <= gain {
+			break
+		}
+		for cb := buckets[1].Cursor(); cb.Valid(); cb.Next() {
+			bvv, gb := cb.V(), cb.Gain()
+			if !noPrune && !first && ga+gb <= gain {
+				break
+			}
+			scanned++
+			if pg := ga + gb - 2*int64(g.EdgeWeight(av, bvv)); first || pg > gain {
+				first = false
+				gain, a, bv = pg, av, bvv
+			}
+		}
+	}
+	if first {
+		return -1, -1, 0, scanned
+	}
+	return a, bv, gain, scanned
+}
+
+// bruteMaxSwapGain returns max D(a) + D(b) − 2·w(a,b) over unlocked
+// pairs a ∈ side 0, b ∈ side 1, with D recomputed from the adjacency.
+func bruteMaxSwapGain(b *partition.Bisection, locked []bool) int64 {
+	g := b.Graph()
+	n := g.N()
+	d := make([]int64, n)
+	w := make(map[[2]int32]int64)
+	for v := int32(0); int(v) < n; v++ {
+		for _, e := range g.Neighbors(v) {
+			if b.Side(e.To) != b.Side(v) {
+				d[v] += int64(e.W)
+			} else {
+				d[v] -= int64(e.W)
+			}
+			w[[2]int32{v, e.To}] = int64(e.W)
+		}
+	}
+	first := true
+	var best int64
+	for x := int32(0); int(x) < n; x++ {
+		if locked[x] || b.Side(x) != 0 {
+			continue
+		}
+		for y := int32(0); int(y) < n; y++ {
+			if locked[y] || b.Side(y) != 1 {
+				continue
+			}
+			if pg := d[x] + d[y] - 2*w[[2]int32{x, y}]; first || pg > best {
+				first, best = false, pg
+			}
+		}
+	}
+	return best
+}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/rng"
 )
 
-// TestParallelInitAndBlockedScanIdentity pins the two hot-path variants
-// to the serial reference: parallel bucket filling and the blocked pair
-// scan must reproduce the exact same refinement — same sides, same cut,
-// same pass/swap/scanned statistics.
+// TestParallelInitAndBlockedScanIdentity pins the blocked pair scan, at
+// one thread and with parallel bucket filling, to the plain oracle of
+// oracle_test.go: the exact same refinement — same sides, same cut, same
+// pass/swap/scanned statistics.
 func TestParallelInitAndBlockedScanIdentity(t *testing.T) {
 	saved := ParallelMinVertices
 	ParallelMinVertices = 1
@@ -32,11 +32,12 @@ func TestParallelInitAndBlockedScanIdentity(t *testing.T) {
 		}
 		return b.Sides(), st
 	}
-	refSides, refStats := run(Options{DisableBlockedScan: true})
+	ref := partition.NewRandom(g, rng.NewFib(41))
+	refStats := plainRefine(t, ref, Options{}, false)
+	refSides := ref.Sides()
 	for name, opts := range map[string]Options{
-		"blocked":        {},
-		"parallel":       {ParallelDegree: 4, Workspace: NewRefiner()},
-		"parallel-plain": {ParallelDegree: 2, DisableBlockedScan: true, Workspace: NewRefiner()},
+		"blocked":  {},
+		"parallel": {ParallelDegree: 4, Workspace: NewRefiner()},
 	} {
 		sides, stats := run(opts)
 		if stats != refStats {

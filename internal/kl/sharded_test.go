@@ -20,8 +20,7 @@ func lowerGates(t *testing.T) {
 
 // TestShardedSwapIdentity pins the sharded pass body — parallel init
 // plus sharded swap gain updates/repositions — to the serial reference
-// at several pool degrees, and the DisableParallelGains ablation to the
-// same result.
+// at several pool degrees.
 func TestShardedSwapIdentity(t *testing.T) {
 	lowerGates(t)
 	g, err := gen.GNP(800, 10.0/799, rng.NewFib(9))
@@ -44,7 +43,6 @@ func TestShardedSwapIdentity(t *testing.T) {
 		{ParallelDegree: 2},
 		{ParallelDegree: 4},
 		{ParallelDegree: 8},
-		{ParallelDegree: 4, DisableParallelGains: true},
 	} {
 		opts.Workspace = NewRefiner()
 		sides, stats := run(opts)

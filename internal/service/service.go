@@ -610,6 +610,10 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g, err := parseGraphBody(r.URL.Query().Get("format"), data)
+	if errors.Is(err, graph.ErrTooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, codeTooLarge, err.Error())
+		return
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return

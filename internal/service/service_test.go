@@ -442,6 +442,7 @@ func TestErrorContract(t *testing.T) {
 		{"bad graph ref", "GET", "/v1/graphs/xyzzy", nil, 400, codeBadRequest},
 		{"bad format", "POST", "/v1/graphs?format=yaml", []byte("0 1\n"), 400, codeBadRequest},
 		{"unparsable graph", "POST", "/v1/graphs", []byte("not an edge list"), 400, codeBadRequest},
+		{"graph over the size cap", "POST", "/v1/graphs", []byte("graph 4 2000000000\n"), 413, codeTooLarge},
 		{"bad spec json", "POST", "/v1/jobs", []byte("{"), 400, codeBadRequest},
 		{"unknown spec field", "POST", "/v1/jobs",
 			[]byte(`{"graph":"` + ref + `","algorithm":"kl","bogus":1}`), 400, codeBadRequest},

@@ -79,8 +79,8 @@ go test -count=1 -run 'TestChaos' ./internal/service/ -chaos-seed "${CHAOS_SEED:
 # Parser robustness: a short fuzz smoke per reader. Malformed input must
 # error — never panic, never wrap ids into range, never OOM (go test
 # runs the seed corpora; the smoke explores a little beyond them).
-# FuzzReadBCSR covers the binary header boundaries of the lifted vertex
-# cap: hostile n/m counts and int32-offset overflows into the wide path.
+# FuzzReadBCSR covers the binary header boundaries of the size caps:
+# hostile n/m counts and edge counts past the int32-offset limit.
 for target in FuzzReadEdgeList FuzzReadMETIS FuzzUnmarshalGraph FuzzCompactCSREquivalence FuzzReadBCSR; do
   echo "==> go test -fuzz=$target -fuzztime=10s ./internal/graph/"
   go test -run "^$target\$" -fuzz="^$target\$" -fuzztime=10s ./internal/graph/
