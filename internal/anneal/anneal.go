@@ -66,8 +66,8 @@ type Options struct {
 	// smaller = slower, higher-quality cooling). Ignored for geometric
 	// cooling.
 	Delta float64
-	// Workspace, when non-nil, supplies the reusable run state (cached
-	// vertex weights, the undo log, the best-state buffer) so repeated
+	// Workspace, when non-nil, supplies the reusable run state (vertex
+	// records, acceptance memo, undo log, best-state buffer) so repeated
 	// runs allocate nothing. A nil Workspace makes Run/Refine allocate
 	// a private one. Workspaces are not safe for concurrent use; give
 	// each goroutine its own (see core.ParallelBestOf).
@@ -173,20 +173,14 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 	if n == 0 {
 		return st, nil
 	}
-	w.ensure(g)
+	w.ensure(b)
 
-	// The trial loop reads partition state through live references and
-	// maintains the side-weight difference itself, so a trial costs a
-	// few array loads instead of accessor and closure calls. The float
-	// arithmetic in deltaCost/costAt is operation-identical to the
-	// closures this replaced; nothing below may change a result.
-	// Re-slicing everything to the shared length n lets one range test
-	// on the drawn vertex discharge the bounds checks of all four
-	// indexed loads in the trial loop.
-	sides := b.SidesRef()[:n]
-	gains := b.GainsRef()[:n]
-	wf := w.wf[:n]
-	wi := w.wi[:n]
+	// The trial loop works on the workspace's vertex records alone and
+	// maintains cut and side-weight difference itself; b is untouched
+	// until SetSides rebuilds it from the best sides at run end. The
+	// float arithmetic in deltaCost/costAt is operation-identical to the
+	// plain Figure 1 code; nothing below may change a result.
+	recs := w.recs
 	alpha := o.Alpha
 	sideDiff := b.SideWeight(0) - b.SideWeight(1)
 	// d and d2 shadow float64(sideDiff) and its square; they are
@@ -219,31 +213,31 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 		runStart = time.Now()
 	}
 
-	temp := w.calibrateStartTemp(b, o, &ws)
+	temp := w.calibrateStartTemp(o, sideDiff, &ws)
 	st.StartTemp = temp
 
 	// The trial loop manages the stream's block cursor in locals (wbuf
 	// never changes identity across refills; draw-through mode keeps it
-	// nil so every draw takes the refill path). Stores into sides/gains
+	// nil so every draw takes the refill path). Stores into the records
 	// would otherwise force the compiler to re-load the cursor field —
 	// and re-check bounds — on every draw. ws.pos is synced back before
 	// anything else touches the stream.
 	wbuf := ws.buf
 	wpos := ws.pos
 
-	// Best-state tracking. The sides are snapshot once, then every
-	// accepted move is recorded in the undo log; an improvement costs
-	// O(1) (remember the log position), and the snapshot is brought up
-	// to date at most once per temperature by replaying the log's prefix
-	// parity — O(accepted) per temperature, against an O(n) full-state
-	// copy per improvement for the clone-on-improvement scheme the test
-	// oracle (oracle_test.go) keeps.
+	// Best-state tracking. ensure copied the starting sides into
+	// bestSides; every accepted move is then appended to the undo log,
+	// and an improvement costs O(1): remember the log position. When the
+	// log fills (2n entries) and at run end, the marked state is folded
+	// into bestSides in O(n) and the log restarts — O(1) amortized per
+	// accepted move and O(n) memory, against an O(n) full-state copy per
+	// improvement for the clone-on-improvement scheme the test oracle
+	// (oracle_test.go) keeps.
 	bestCost := costAt(curCut, d2, alpha)
 	bestCut := curCut
-	copy(w.bestSides, sides)
-	if trials := int(o.SizeFactor) * n; cap(w.log) < trials {
-		w.log = make([]int32, 0, trials)
-	}
+	log := w.log
+	logN := 0
+	bestMark := -1
 
 	frozen := 0
 	trialsPerTemp := int64(o.SizeFactor) * int64(n)
@@ -255,6 +249,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 			// cancelled run ends exactly like a frozen one, just earlier.
 			break
 		}
+		w.memo.reset(temp)
 		var accepted int64
 		improvedBest := false
 		var tempStart time.Time
@@ -262,12 +257,6 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 		if obs != nil {
 			tempStart = time.Now()
 		}
-		// The undo log is written by index through a local slice so the
-		// hot loop never touches the workspace's slice header; capacity
-		// was pre-sized to trialsPerTemp, which bounds accepted moves.
-		log := w.log[:cap(w.log)]
-		logN := 0
-		bestMark := -1
 		// Running cost statistics for the adaptive schedule.
 		cur := costAt(curCut, d2, alpha)
 		var costSum, costSumSq float64
@@ -290,27 +279,17 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 				}
 			}
 			vi := int(v)
-			if uint(vi) >= uint(n) {
+			if uint(vi) >= uint(len(recs)) {
 				// Unreachable — hi = ⌊word·n/2⁶⁴⌋ < n — but the range
-				// test is what lets the compiler drop the bounds checks
-				// on every vi-indexed load below.
+				// test is what lets the compiler drop the bounds check
+				// on the record load below.
 				continue
 			}
-			side := sides[vi]
-			dE := deltaCost(d, d2, side, wf[vi], gains[vi], alpha)
+			rv := &recs[vi]
+			dE := deltaCost(d, d2, *rv, alpha)
 			accept := dE <= 0
 			if !accept {
 				if metropolis {
-					// The bracket test, open-coded (the logic of
-					// expProbeScaled/acceptUphill) so the probe's own
-					// branches ARE the decision — a function returning a
-					// tri-state would make the caller re-branch on the
-					// same unpredictable data and double the mispredict
-					// cost. Rejection is tested first because at all but
-					// the hottest temperatures it is the common outcome.
-					// Comparing the raw 53-bit draw fw against pre-scaled
-					// edges defers u = fw/2⁵³ — exact, so free to defer —
-					// to the paths that need u itself.
 					var word uint64
 					if wpos < len(wbuf) {
 						word = wbuf[wpos]
@@ -320,48 +299,46 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 						word = ws.refill()
 						wpos = ws.pos
 					}
-					fw, x := float64(word>>11), dE/temp
-					if x < expTableMaxX {
-						i := int(x*expTableInvStep) & (expTableSize - 1)
-						if fw >= expEdgeScaled[i] {
-							// rejected: u ≥ exp(−i·δ) ≥ exp(−x)
-						} else if fw < expEdgeScaled[i+1] {
-							accept = true
-						} else {
-							accept = acceptUphillExact(fw/(1<<53), x)
-						}
-					} else if fw < expTailScaled {
-						accept = acceptUphillExact(fw/(1<<53), x)
+					// w.memo.threshold(dE), open-coded so the hit path
+					// inlines.
+					e, ok := w.memo.lookup(dE)
+					if !ok {
+						w.memo.fill(e, dE)
 					}
+					accept = float64(word>>11) < e.thr
 				} else {
 					accept = dE < temp
 				}
 			}
 			if accept {
-				// Apply the flip through the live references —
-				// partition.Move's arithmetic, minus the call and the
-				// cut/side-weight fields, which stay shadowed in
-				// curCut/sideDiff until SetSides rebuilds the bisection
-				// from the best sides at run end.
-				gv := gains[vi]
+				if logN == len(log) {
+					if bestMark >= 0 {
+						w.foldBest(log[bestMark:logN])
+					}
+					logN, bestMark = 0, -1
+				}
+				// Apply the flip — partition.Move's arithmetic on the
+				// records, with cut and side-weight difference kept in
+				// curCut/sideDiff. A neighbor's gain falls by 2·w(e) if
+				// it now sits on v's side and rises by 2·w(e) otherwise;
+				// m selects the sign without a branch (m = −1 when the
+				// sign bits agree, negating d).
+				gv := rv.gain
 				curCut -= gv
-				gains[vi] = -gv
-				nsv := side ^ 1
-				sides[vi] = nsv
+				rv.gain = -gv
+				sw := rv.sw
+				rv.sw = -sw
+				nb := math.Float64bits(-sw)
 				for _, e := range g.Neighbors(v) {
 					d := int64(e.W) << 1
-					m := int64(sides[e.To]^nsv) - 1
-					gains[e.To] += (d ^ m) - m
+					u := &recs[e.To]
+					m := int64((math.Float64bits(u.sw)^nb)>>63) - 1
+					u.gain += (d ^ m) - m
 				}
 				log[logN] = v
 				logN++
-				// Flipping v off side s moves its weight to the other
-				// side, so the difference w(V₀)−w(V₁) shifts by 2·w(v).
-				if side == 0 {
-					sideDiff -= 2 * wi[vi]
-				} else {
-					sideDiff += 2 * wi[vi]
-				}
+				// sw = ±2·w(v) is exactly the change of w(V₀)−w(V₁).
+				sideDiff -= int64(sw)
 				d = float64(sideDiff)
 				d2 = d * d
 				cur += dE
@@ -420,16 +397,6 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 				ElapsedNS: time.Since(tempStart).Nanoseconds(),
 			})
 		}
-		if bestMark >= 0 {
-			// Materialize the best state seen this temperature: start
-			// from the current sides and undo the log's tail (the moves
-			// accepted after the best). A vertex flipped twice cancels,
-			// so applying each entry's flip is exactly the tail's parity.
-			copy(w.bestSides, sides)
-			for i := logN - 1; i >= bestMark; i-- {
-				w.bestSides[log[i]] ^= 1
-			}
-		}
 		if adaptive {
 			mean := costSum / float64(trialsPerTemp)
 			variance := costSumSq/float64(trialsPerTemp) - mean*mean
@@ -451,6 +418,9 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 	// Hand the stream cursor back before the deferred finish rewinds the
 	// unconsumed tail.
 	ws.pos = wpos
+	if bestMark >= 0 {
+		w.foldBest(log[bestMark:logN])
+	}
 
 	// Adopt the best state seen and rebalance it exactly. Only the best
 	// sides are kept; SetSides rebuilds gains and cut in O(m) — once per
@@ -493,45 +463,38 @@ func Run(g *graph.Graph, opts Options, r *rng.Rand) (*partition.Bisection, Stats
 // Calibration runs before every start — each of the N chains of a
 // parallel campaign — so it gets the same treatment as the trial loop:
 // delta sampling is pure (it never moves a vertex, so there is no state
-// to clone or restore), reads the partition through live references and
-// the workspace's cached weights, draws words through the same
-// block-prefetching stream with the same open-coded Lemire/Float64
-// arithmetic as the trial loop, and decides acceptance through the
-// bracket table. With a warm workspace it allocates nothing. The draw
-// sequence (one Intn per sample, one Float64 per uphill sample) and
-// every produced float are identical to the closure-based version.
-func (w *Refiner) calibrateStartTemp(b *partition.Bisection, o Options, ws *wordStream) float64 {
-	n := b.N()
-	sides := b.SidesRef()
-	gains := b.GainsRef()
-	wf := w.wf
+// to clone or restore), reads the workspace's records, draws words
+// through the same block-prefetching stream with the same open-coded
+// Lemire/Float64 arithmetic as the trial loop, and decides acceptance
+// through the memo, reset for each trial temperature. With a warm
+// workspace it allocates nothing. The draw sequence (one Intn per
+// sample, one Float64 per uphill sample) and every produced float are
+// identical to the plain version in the test oracle.
+func (w *Refiner) calibrateStartTemp(o Options, sideDiff int64, ws *wordStream) float64 {
+	recs := w.recs
+	n := len(recs)
 	alpha := o.Alpha
-	sideDiff := b.SideWeight(0) - b.SideWeight(1)
 	// Calibration never moves a vertex, so the hoisted d/d2 are fixed.
 	d := float64(sideDiff)
 	d2 := d * d
 	un := uint64(n)
 	unThresh := -un % un
-	samples := 64 + 4*n
-	if samples > 4096 {
-		samples = 4096
-	}
-	var upSum float64
-	var upCount int
-	for i := 0; i < samples; i++ {
-		var v int32
+	draw := func() vertexRec {
 		for {
 			word, ok := ws.tryNext()
 			if !ok {
 				word = ws.refill()
 			}
-			hi, lo := bits.Mul64(word, un)
-			if lo >= unThresh {
-				v = int32(hi)
-				break
+			if hi, lo := bits.Mul64(word, un); lo >= unThresh {
+				return recs[hi]
 			}
 		}
-		if dE := deltaCost(d, d2, sides[v], wf[v], gains[v], alpha); dE > 0 {
+	}
+	samples := min(64+4*n, 4096)
+	var upSum float64
+	var upCount int
+	for i := 0; i < samples; i++ {
+		if dE := deltaCost(d, d2, draw(), alpha); dE > 0 {
 			upSum += dE
 			upCount++
 		}
@@ -542,21 +505,10 @@ func (w *Refiner) calibrateStartTemp(b *partition.Bisection, o Options, ws *word
 	}
 	temp := (upSum / float64(upCount)) / math.Log(1/o.InitProb)
 	for iter := 0; iter < 30; iter++ {
+		w.memo.reset(temp)
 		acc := 0
 		for i := 0; i < samples; i++ {
-			var v int32
-			for {
-				word, ok := ws.tryNext()
-				if !ok {
-					word = ws.refill()
-				}
-				hi, lo := bits.Mul64(word, un)
-				if lo >= unThresh {
-					v = int32(hi)
-					break
-				}
-			}
-			dE := deltaCost(d, d2, sides[v], wf[v], gains[v], alpha)
+			dE := deltaCost(d, d2, draw(), alpha)
 			if dE <= 0 {
 				acc++
 				continue
@@ -565,8 +517,7 @@ func (w *Refiner) calibrateStartTemp(b *partition.Bisection, o Options, ws *word
 			if !ok {
 				word = ws.refill()
 			}
-			u := float64(word>>11) / (1 << 53)
-			if acceptUphill(u, dE/temp) {
+			if float64(word>>11) < w.memo.threshold(dE) {
 				acc++
 			}
 		}

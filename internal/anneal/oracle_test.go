@@ -7,16 +7,17 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 // plainRefine is the test oracle for Refine: Figure 1 of the paper
 // written the plain way. It draws through the rng.Rand methods, moves
 // vertices with partition.Move, decides every uphill Metropolis trial
 // with math.Exp, and clones the whole bisection each time the best cost
-// improves. Refine's prefetched word stream, exp bracket table, and undo
-// log must reproduce it exactly, so its final sides and Stats are the
-// reference the fast path is pinned to. Control and Observer are not
-// modelled.
+// improves. Refine's prefetched word stream, vertex records, acceptance
+// memo, and bounded undo log must reproduce it exactly, so its final
+// sides and Stats are the reference the fast path is pinned to. Control
+// and Observer are not modelled.
 func plainRefine(b *partition.Bisection, opts Options, r *rng.Rand) Stats {
 	o := opts.withDefaults()
 	g := b.Graph()
@@ -147,6 +148,23 @@ func TestPlainOracleMatchesRefine(t *testing.T) {
 		{SizeFactor: 2, TempFactor: 0.8, FreezeLim: 2, MaxTemps: 30, Acceptance: AcceptThreshold},
 	} {
 		checkOracle(t, "weighted", wg, opts, uint64(100+i))
+	}
+
+	// At the default SizeFactor the hot temperatures accept several
+	// times n moves each, past the undo log's 2n cap, so the log folds
+	// its marked best into bestSides and restarts mid-temperature. The
+	// temp_done events show that it does.
+	rec := trace.NewRecorder(0)
+	opts := Options{TempFactor: 0.8, FreezeLim: 2, MaxTemps: 30, Observer: rec}
+	checkOracle(t, "log-overflow", wg, opts, 200)
+	var maxAccepted int64
+	for _, e := range rec.Events() {
+		if e.Type == trace.TypeTempDone {
+			maxAccepted = max(maxAccepted, e.Accepted)
+		}
+	}
+	if maxAccepted <= int64(2*wg.N()) {
+		t.Fatalf("log-overflow case accepted at most %d moves in a temperature, want more than the log's %d", maxAccepted, 2*wg.N())
 	}
 }
 

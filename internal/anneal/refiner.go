@@ -3,222 +3,177 @@ package anneal
 import (
 	"math"
 
-	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/rng"
 )
 
-// The quantized acceptance table. A Metropolis trial accepts an uphill
-// move when u < exp(−x) for u = Float64() and x = Δ/T > 0. Computing
-// math.Exp per trial is the single most expensive instruction sequence
-// in the annealing inner loop, so the hot path brackets exp(−x) with a
-// precomputed table instead and only falls back to the exact value when
-// the bracket cannot decide.
+// acceptMemo decides uphill Metropolis trials exactly, at the cost of
+// one L1 lookup and one compare per trial. A trial accepts when
+// u < exp(−ΔE/T) for u = Float64() = fw/2⁵³, fw = float64(word>>11).
+// Both fw and the scaling are exact (fw < 2⁵³ is an integer, and
+// multiplying exp's result, at most 1, by 2⁵³ only shifts its exponent),
+// so the decision is exactly
 //
-// The table holds exp at the bucket edges: expEdge[i] = exp(−i·δ) for
-// δ = expTableMaxX / expTableSize. Because exp(−x) is monotone
-// decreasing, for x in bucket i (i·δ ≤ x < (i+1)·δ):
+//	fw < math.Exp(−ΔE/T)·2⁵³
 //
-//	expEdge[i+1] ≤ exp(−x) ≤ expEdge[i]
-//
-// so u < expEdge[i+1] proves acceptance, u ≥ expEdge[i] proves
-// rejection, and only a u inside the bracket — a gap of width
-// expEdge[i]·(1 − e^(−δ)) ≤ 1 − e^(−δ) < δ ≈ 3.1% — needs math.Exp.
-// The decision is therefore *exactly* the naive u < exp(−x) for every
-// input, which is what keeps cuts and traces bit-identical to the
-// pre-table implementation (TestExpTableBracketsExp pins the bound and
-// the agreement).
-//
-// δ is exactly 2⁻⁵, so x·expTableInvStep is a power-of-two scaling —
-// exact in floating point — and the computed bucket index is always the
-// true one: the bracket never mis-indexes at a bucket edge.
-//
-// Sizing: the table is probed at an effectively random index every
-// uphill trial, so it must stay resident in L1 next to the trial loop's
-// side/gain/weight arrays — 1024 entries (8KB) do; a 4096-entry version
-// measured slower from cache misses than the math.Exp it was replacing.
-// The wider δ only widens the undecided sliver (≤ 1 − e^(−δ) ≈ 3.1% of
-// uphill trials take the exact fallback), it never changes a decision.
+// and the right side is a pure function of ΔE's bits and T. Within one
+// temperature ΔE takes few distinct values — its gain and weight terms
+// are small integers, and the imbalance term moves only on an accepted
+// flip — so a small table keyed by the full bit pattern of ΔE, filled
+// by math.Exp on a miss and reset whenever T changes, answers nearly
+// every trial from L1. A hit is only ever an exact key match, so
+// collisions, underflow to 0, subnormal thresholds and T = 0 (ΔE/T =
+// +Inf) all decide exactly as the naive comparison does
+// (TestAcceptMemoExact).
+type acceptMemo struct {
+	temp  float64 // T since the last reset
+	slots [memoSize]memoEntry
+}
+
+type memoEntry struct {
+	key uint64  // math.Float64bits(ΔE), or memoEmpty
+	thr float64 // math.Exp(−ΔE/T)·2⁵³
+}
+
 const (
-	expTableSize    = 1024
-	expTableMaxX    = 32.0
-	expTableInvStep = expTableSize / expTableMaxX // = 32, exactly
+	memoBits = 9
+	memoSize = 1 << memoBits // 8KB: L1-resident beside the trial loop's records
+	// memoEmpty marks an unused slot. It is a NaN bit pattern, which no
+	// finite ΔE has; the slot's threshold of 0 rejects, which is also the
+	// naive decision for a NaN ΔE (u < NaN is false), so even a NaN that
+	// carried this pattern would decide exactly.
+	memoEmpty = ^uint64(0)
 )
 
-var expEdge [expTableSize + 1]float64
-
-// expEdgeScaled[i] = expEdge[i]·2⁵³. The trial loop's u is
-// float64(word>>11)/2⁵³, where both the conversion (≤53 significant
-// bits) and the power-of-two division are exact, so
-//
-//	u < expEdge[i]  ⟺  float64(word>>11) < expEdge[i]·2⁵³
-//
-// with the scaling itself exact (an exponent shift; expEdge values lie
-// in [e⁻³², 1], far from overflow and subnormals). Probing against the
-// scaled edges lets the hot path defer u's division until a trial
-// actually reaches the exact fallback.
-var expEdgeScaled [expTableSize + 1]float64
-
-func init() {
-	for i := range expEdge {
-		expEdge[i] = math.Exp(-float64(i) / expTableInvStep)
-		expEdgeScaled[i] = expEdge[i] * (1 << 53)
+// reset empties the memo for temperature temp. Every change of
+// temperature goes through here.
+func (m *acceptMemo) reset(temp float64) {
+	m.temp = temp
+	for i := range m.slots {
+		m.slots[i] = memoEntry{key: memoEmpty}
 	}
 }
 
-// expProbe results: the bracket proved the decision, or u landed in the
-// undecided sliver (or x was beyond the table) and the caller must fall
-// back to the exact test.
-const (
-	probeReject    int8 = 0
-	probeAccept    int8 = 1
-	probeUndecided int8 = -1
-)
-
-// expProbe decides u < exp(−x) from the bracket table alone when it
-// can. It contains no calls — one scaled conversion, two loads, two
-// compares — so it inlines into the annealing trial loop; keeping the
-// exact fallback at the call site is what fits it in the budget. The
-// `& (expTableSize − 1)` is a numeric no-op — x < maxX already implies
-// i ≤ expTableSize−1 — stated so the compiler can drop both bounds
-// checks.
-func expProbe(u, x float64) int8 {
-	// u·2⁵³ is exact (power-of-two scaling, u < 1 so no overflow), so
-	// delegating to the scaled probe preserves every decision.
-	return expProbeScaled(u*(1<<53), x)
-}
-
-// expTailScaled bounds the tail: for any x ≥ expTableMaxX,
-// exp(−x) ≤ e⁻³² < 2e⁻³² = expTailScaled/2⁵³ — the factor of two
-// swallows math.Exp's sub-ulp rounding with six orders of magnitude to
-// spare — so u ≥ expTailScaled/2⁵³ proves u < exp(−x) false no matter
-// which exact value the fallback would compute. Cold, frozen-phase
-// temperatures put most uphill trials in this tail (x = Δ/T grows as T
-// shrinks); without the tail test every one of them would pay the
-// math.Exp fallback just to reject a u that is nowhere near e⁻³².
-var expTailScaled = 2 * math.Exp(-expTableMaxX) * (1 << 53)
-
-// expProbeScaled is expProbe with u pre-scaled by 2⁵³ (fw = u·2⁵³ —
-// in the trial loop, the raw 53-bit draw before its division into
-// [0,1)). Comparing against expEdgeScaled spares the hot path that
-// division; see the expEdgeScaled comment for the exactness argument.
-func expProbeScaled(fw, x float64) int8 {
-	if x < expTableMaxX {
-		i := int(x*expTableInvStep) & (expTableSize - 1)
-		if fw < expEdgeScaled[i+1] {
-			return probeAccept
-		}
-		if fw >= expEdgeScaled[i] {
-			return probeReject
-		}
-	} else if fw >= expTailScaled {
-		// Beyond the table (including x = +Inf from an underflowed
-		// temperature): reject unless u is so small the exact test
-		// must arbitrate (probability ≈ 2e-14·2⁵³/2⁵³ — effectively
-		// never).
-		return probeReject
+// threshold returns math.Exp(−dE/T)·2⁵³ for the memo's temperature T.
+func (m *acceptMemo) threshold(dE float64) float64 {
+	e, ok := m.lookup(dE)
+	if !ok {
+		m.fill(e, dE)
 	}
-	return probeUndecided
+	return e.thr
 }
 
-// acceptUphill reports u < exp(−x) for x > 0, via the bracket table
-// with the exact math.Exp fallback. The trial loop open-codes this
-// dispatch so the probe inlines; calibration and the tests use this
-// form.
-func acceptUphill(u, x float64) bool {
-	switch expProbe(u, x) {
-	case probeAccept:
-		return true
-	case probeReject:
-		return false
-	}
-	return acceptUphillExact(u, x)
+// lookup returns dE's slot, picked by Fibonacci hashing of ΔE's bits,
+// and whether it holds dE's threshold. It is threshold's hit path,
+// small enough to inline into the trial loop, which open-codes
+// threshold around it.
+func (m *acceptMemo) lookup(dE float64) (*memoEntry, bool) {
+	k := math.Float64bits(dE)
+	e := &m.slots[(k*0x9E3779B97F4A7C15)>>(64-memoBits)]
+	return e, e.key == k
 }
 
-// acceptUphillExact is the exact decision u < exp(−x). math.Exp(−Inf)
-// is 0, so an underflowed temperature rejects every uphill move, as it
-// should. Kept out of line so acceptUphill's fast path stays within the
-// inlining budget; this cold path runs for under 1% of uphill trials.
+// fill stores dE's threshold in its slot e. Misses are rare, so it stays
+// out of line to keep the math.Exp call out of the trial loop's body.
 //
 //go:noinline
-func acceptUphillExact(u, x float64) bool {
-	return u < math.Exp(-x)
+func (m *acceptMemo) fill(e *memoEntry, dE float64) {
+	e.key = math.Float64bits(dE)
+	e.thr = math.Exp(-dE/m.temp) * (1 << 53)
 }
 
-// deltaCost returns the cost change of flipping v, given d =
-// float64(sideDiff) and d2 = d·d for the current side-weight difference
-// sideDiff = w(V₀) − w(V₁), v's current side, float weight, and gain.
-// Callers hoist d and d2 and refresh them — always by converting the
-// exact integer sideDiff, never by float accumulation — when a move is
-// accepted, so the per-trial conversion and squaring of a value that
-// changes only on acceptance are off the hot path. The arithmetic —
-// operation by operation, including association — is the delta closure
-// this code replaces, so the produced float64 is bit-identical; only
-// the closure call, the accessor calls, and the per-call side-weight
-// subtraction are gone.
-func deltaCost(d, d2 float64, side uint8, wv float64, gain int64, alpha float64) float64 {
-	var nd float64
-	if side == 0 {
-		nd = d - 2*wv
-	} else {
-		nd = d + 2*wv
-	}
-	return -float64(gain) + alpha*(nd*nd-d2)
+// vertexRec is the trial loop's whole view of a vertex: its gain and
+// the signed doubled weight sw = +2·w(v) on side 0, −2·w(v) on side 1.
+// Vertex weights are positive (every graph constructor refuses others),
+// so the sign bit of sw is v's side, a trial is one 16-byte load, and
+// an accepted flip rewrites one record per neighbor.
+type vertexRec struct {
+	gain int64
+	sw   float64
+}
+
+// side returns the side the record's sign bit carries.
+func (r vertexRec) side() uint8 { return uint8(math.Float64bits(r.sw) >> 63) }
+
+// deltaCost returns the cost change of flipping the vertex of r, given
+// d = float64(sideDiff) and d2 = d·d for the current side-weight
+// difference sideDiff = w(V₀) − w(V₁). Callers hoist d and d2 and
+// refresh them — always by converting the exact integer sideDiff, never
+// by float accumulation — when a move is accepted. d − sw is d ∓ 2·w(v)
+// exactly (IEEE subtraction of −x is addition of x), so every produced
+// float is the plain Figure 1 delta's, bit for bit.
+func deltaCost(d, d2 float64, r vertexRec, alpha float64) float64 {
+	nd := d - r.sw
+	return -float64(r.gain) + alpha*(nd*nd-d2)
 }
 
 // costAt returns the annealing cost cut + α·(w(V₀)−w(V₁))² from the
-// hoisted square d2, with the exact arithmetic shape of the cost
-// closure it replaces.
+// hoisted square d2.
 func costAt(cut int64, d2 float64, alpha float64) float64 {
 	return float64(cut) + alpha*d2
 }
 
-// Refiner is the reusable workspace for annealing runs: the cached
-// float64 vertex weights the trial loop's delta needs, the undo log of
-// accepted moves, and the best-state side buffer the log materializes
-// into. A zero Refiner is ready to use; it sizes itself to each graph it
-// sees and is reused across runs without further allocation (a warm
-// Refiner makes an entire Refine allocation-free — asserted by
-// TestRefineSteadyStateZeroAlloc). Refiners carry no algorithm state
-// between calls — using one never changes results — but they are not
-// safe for concurrent use; give each goroutine its own (see
+// Refiner is the reusable workspace for annealing runs: the per-vertex
+// records the trial loop reads and updates, the acceptance memo, the
+// undo log of accepted moves, and the best-state side buffer the log
+// materializes into. A zero Refiner is ready to use; it sizes itself to
+// each graph it sees and is reused across runs without further
+// allocation (a warm Refiner makes an entire Refine allocation-free —
+// asserted by TestRefineSteadyStateZeroAlloc). Refiners carry no
+// algorithm state between calls — using one never changes results — but
+// they are not safe for concurrent use; give each goroutine its own (see
 // core.ParallelBestOf).
 type Refiner struct {
-	wf        []float64 // float64(VertexWeight(v)), refreshed per run
-	wi        []int64   // VertexWeight(v), for incremental side-diff updates
-	bestSides []uint8   // best state seen, materialized from the log
-	log       []int32   // accepted moves this temperature (undo log)
-	words     []uint64  // wordStream prefetch block (graph-independent)
+	recs      []vertexRec // the run's live state; b is rebuilt from bestSides at the end
+	bestSides []uint8     // best state seen, materialized from the log
+	log       []int32     // accepted moves since the last fold (undo log), 2n entries
+	words     []uint64    // wordStream prefetch block (graph-independent)
+	memo      acceptMemo
 }
 
 // NewRefiner returns an empty workspace. Equivalent to new(Refiner);
 // provided for call-site clarity.
 func NewRefiner() *Refiner { return new(Refiner) }
 
-// ensure sizes the workspace for g and refreshes the cached vertex
-// weights (the same workspace serves different graphs in turn — e.g.
-// the coarse and fine levels of a compacted run). Once the workspace
-// has seen a graph at least as large, this performs no allocation.
-func (w *Refiner) ensure(g *graph.Graph) {
+// ensure sizes the workspace for b's graph and loads b's state into it:
+// the records, and the best-state buffer as the current sides (the same
+// workspace serves different graphs in turn — e.g. the coarse and fine
+// levels of a compacted run). Once the workspace has seen a graph at
+// least as large, this performs no allocation.
+func (w *Refiner) ensure(b *partition.Bisection) {
+	g := b.Graph()
 	n := g.N()
-	if cap(w.wf) < n {
-		w.wf = make([]float64, 0, n)
-	}
-	w.wf = w.wf[:n]
-	if cap(w.wi) < n {
-		w.wi = make([]int64, 0, n)
-	}
-	w.wi = w.wi[:n]
-	for v := int32(0); int(v) < n; v++ {
-		wv := g.VertexWeight(v)
-		w.wi[v] = int64(wv)
-		w.wf[v] = float64(wv)
-	}
-	if cap(w.bestSides) < n {
+	if cap(w.recs) < n {
+		w.recs = make([]vertexRec, n)
 		w.bestSides = make([]uint8, n)
+		w.log = make([]int32, 2*n)
 	}
-	w.bestSides = w.bestSides[:n]
+	w.recs, w.bestSides, w.log = w.recs[:n], w.bestSides[:n], w.log[:2*n]
+	sides, gains := b.SidesRef()[:n], b.GainsRef()[:n]
+	for v := range w.recs {
+		sw := 2 * float64(g.VertexWeight(int32(v)))
+		if sides[v] != 0 {
+			sw = -sw
+		}
+		w.recs[v] = vertexRec{gain: gains[v], sw: sw}
+	}
+	copy(w.bestSides, sides)
 	if w.words == nil {
 		w.words = make([]uint64, wordStreamBlock)
+	}
+}
+
+// foldBest rewrites bestSides as the state the undo log marked best: the
+// current sides, read off the records' signs, with the moves logged
+// after the mark (tail) undone. A vertex flipped twice cancels, so
+// flipping each tail entry is exactly the tail's parity.
+func (w *Refiner) foldBest(tail []int32) {
+	best := w.bestSides[:len(w.recs)]
+	for v, r := range w.recs {
+		best[v] = r.side()
+	}
+	for _, v := range tail {
+		best[v] ^= 1
 	}
 }
 
@@ -289,15 +244,6 @@ func (s *wordStream) refill() uint64 {
 	s.rw.Fill(s.buf)
 	s.pos = 1
 	return s.buf[0]
-}
-
-// next is tryNext/refill in one call, for paths where inlining the
-// fast path does not matter.
-func (s *wordStream) next() uint64 {
-	if w, ok := s.tryNext(); ok {
-		return w
-	}
-	return s.refill()
 }
 
 // finish returns the prefetched-but-unconsumed words to the source,

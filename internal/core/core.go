@@ -334,8 +334,9 @@ func (a FM) WithWorkspace() Bisector {
 }
 
 // WithWorkspace implements Reusable for SA: the annealing workspace
-// (cached vertex weights, undo log, best-state buffer) is reused across
-// starts, making every run after the first allocation-free.
+// (vertex records, acceptance memo, undo log, best-state buffer) is
+// reused across starts, making every run after the first
+// allocation-free.
 func (a SA) WithWorkspace() Bisector {
 	a.Opts.Workspace = anneal.NewRefiner()
 	return a

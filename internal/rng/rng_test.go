@@ -284,6 +284,16 @@ func BenchmarkFibonacciUint64(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkFibonacciFill512 times one block of the annealing word
+// stream's size.
+func BenchmarkFibonacciFill512(b *testing.B) {
+	f := NewFibonacci(1)
+	buf := make([]uint64, 512)
+	for i := 0; i < b.N; i++ {
+		f.Fill(buf)
+	}
+}
+
 func BenchmarkRandIntn(b *testing.B) {
 	r := NewFib(1)
 	var sink int
@@ -334,11 +344,14 @@ func TestFillerStreamIdentical(t *testing.T) {
 }
 
 // TestFibonacciFillMatchesUint64 pins Fill's block generation to the
-// scalar sequence, including across block boundaries and odd lengths.
+// scalar sequence, including across block boundaries and odd lengths:
+// blocks inside the ring's 55 words, blocks whose tail is computed
+// straight over dst (56 and up, with the annealing block of 512 and
+// odd sizes past two lag spans), and scalar draws after each block.
 func TestFibonacciFillMatchesUint64(t *testing.T) {
 	scalar := NewFibonacci(7)
 	block := NewFibonacci(7)
-	for _, size := range []int{1, 3, 55, 64, 7, 100, 2} {
+	for _, size := range []int{1, 3, 55, 64, 7, 100, 2, 512, 56, 1000, 137, 512, 54} {
 		dst := make([]uint64, size)
 		block.Fill(dst)
 		for k, v := range dst {
@@ -346,16 +359,22 @@ func TestFibonacciFillMatchesUint64(t *testing.T) {
 				t.Fatalf("Fill block size %d, word %d: got %d want %d", size, k, v, want)
 			}
 		}
+		if got, want := block.Uint64(), scalar.Uint64(); got != want {
+			t.Fatalf("scalar draw after a %d-word Fill: got %d want %d", size, got, want)
+		}
 	}
 }
 
 // TestFibonacciUnread pins the rewind contract: after Unread(k), the
 // generator replays exactly the last k words and then continues the
 // original sequence, for rewinds spanning several 55-word state wraps.
+// It then rewinds the way the annealing word stream does: Fill a
+// 512-word block, consume part of it, Unread the rest, and continue
+// with scalar draws.
 func TestFibonacciUnread(t *testing.T) {
 	f := NewFibonacci(13)
 	ref := NewFibonacci(13)
-	want := make([]uint64, 1000)
+	want := make([]uint64, 10000)
 	for i := range want {
 		want[i] = ref.Uint64()
 	}
@@ -373,6 +392,18 @@ func TestFibonacciUnread(t *testing.T) {
 		f.Unread(k)
 		pos -= k
 		advance(k + 10)
+	}
+	block := make([]uint64, 512)
+	for _, used := range []int{0, 1, 54, 55, 56, 200, 457, 458, 511, 512} {
+		f.Fill(block)
+		for k := 0; k < used; k++ {
+			if block[k] != want[pos] {
+				t.Fatalf("block word %d (%d used): got %d want %d", pos, used, block[k], want[pos])
+			}
+			pos++
+		}
+		f.Unread(len(block) - used)
+		advance(100)
 	}
 }
 

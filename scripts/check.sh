@@ -128,14 +128,21 @@ go run ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl+spec -starts 1 -threads 
 cmp "$smokedir/sides.spec.t1" "$smokedir/sides.spec.t4" \
   || { echo "FAIL: -threads changed the spectral bisection (sides.spec.t1 != sides.spec.t4)"; exit 1; }
 
-# The compaction arena's zero-alloc contract: matching, contraction,
-# and the full warm compact/project cycle must not touch the heap in
-# steady state — including the sharded parallel matching and parallel
-# contraction paths (TestParallelMatchSteadyAllocs and
-# TestParallelContractSteadyAllocs match the same pattern). The bench
-# gate below checks the same property from the benchmark side.
-echo "==> go test -run 'SteadyAllocs' ./internal/coarsen/ ./internal/matching/ ./internal/partition/ ./internal/fm/ ./internal/kl/ ./internal/spectral/ (alloc contract, serial + sharded)"
-go test -count=1 -run 'SteadyAllocs' ./internal/coarsen/ ./internal/matching/ ./internal/partition/ ./internal/fm/ ./internal/kl/ ./internal/spectral/
+# The zero-alloc contracts: matching, contraction, and the full warm
+# compact/project cycle must not touch the heap in steady state —
+# including the sharded parallel matching and parallel contraction paths
+# (TestParallelMatchSteadyAllocs and TestParallelContractSteadyAllocs
+# match the same pattern) — and neither may a warm SA Refiner's whole
+# run (TestRefineSteadyStateZeroAlloc, and its KL/FM counterparts). The
+# bench gate below checks the same property from the benchmark side.
+echo "==> go test -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/partition/ ./internal/fm/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/ (alloc contract, serial + sharded)"
+go test -count=1 -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/partition/ ./internal/fm/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/
+
+# cmd/benchmark is a module of its own, so `go test ./...` above never
+# reaches it. Its test runs every workload at tiny scale and certifies
+# every result.
+echo "==> (cd cmd/benchmark && go test .) (tiny-scale certified run of every workload)"
+(cd cmd/benchmark && go test -count=1 .)
 
 echo "==> go run ./cmd/bench -quick  (snapshot -> $out)"
 go run ./cmd/bench -quick -o "$out"
@@ -159,4 +166,4 @@ if [ -n "$baseline" ]; then
   go run ./cmd/benchdiff "$baseline" "$out"
 fi
 
-echo "OK: vet, build, race tests, daemon load smoke, kill-and-resume, fault/chaos gates, fuzz smoke, and quick benchmarks all passed"
+echo "OK: vet, build, race tests, daemon load smoke, kill-and-resume, fault/chaos gates, fuzz smoke, alloc contracts, the benchmark's tiny run, and quick benchmarks all passed"
