@@ -19,24 +19,24 @@ import (
 // one kl, fm, and mlkl configuration each run at thread counts 1, 2, 4,
 // and 8 must produce the identical cut, side assignment, and trace
 // event stream. Every parallel gate is lowered so the sharded kernels —
-// matching handshake, coarsen contraction, KL/FM gain updates, and the
-// FM proposal reduce — all actually engage; degree 1 runs the same
+// matching handshake, coarsen contraction, the KL/FM bucket fill, FM
+// gain updates, and the FM proposal reduce — all actually engage; degree 1 runs the same
 // code paths inline, which is what makes `-threads` a pure performance
 // knob. ElapsedNS is wall-clock and is zeroed before hashing; every
 // other event field is covered.
 func TestDeterminismMatrix(t *testing.T) {
 	savedC, savedM := coarsen.ParallelMinVertices, matching.ParallelMinVertices
 	savedK, savedF := kl.ParallelMinVertices, fm.ParallelMinVertices
-	savedKD, savedFD := kl.ParallelMinDegree, fm.ParallelMinDegree
+	savedFD := fm.ParallelMinDegree
 	savedS := spectral.ParallelMinVertices
 	coarsen.ParallelMinVertices, matching.ParallelMinVertices = 1, 1
 	kl.ParallelMinVertices, fm.ParallelMinVertices = 1, 1
-	kl.ParallelMinDegree, fm.ParallelMinDegree = 1, 1
+	fm.ParallelMinDegree = 1
 	spectral.ParallelMinVertices = 1
 	t.Cleanup(func() {
 		coarsen.ParallelMinVertices, matching.ParallelMinVertices = savedC, savedM
 		kl.ParallelMinVertices, fm.ParallelMinVertices = savedK, savedF
-		kl.ParallelMinDegree, fm.ParallelMinDegree = savedKD, savedFD
+		fm.ParallelMinDegree = savedFD
 		spectral.ParallelMinVertices = savedS
 	})
 

@@ -10,25 +10,31 @@ import (
 
 // TestPassSteadyStateZeroAlloc locks in the workspace contract: once a
 // Refiner has seen a graph, further passes on graphs of that size
-// allocate nothing at all.
+// allocate nothing at all, with the serial or the parallel bucket fill.
 func TestPassSteadyStateZeroAlloc(t *testing.T) {
+	saved := ParallelMinVertices
+	ParallelMinVertices = 1
+	defer func() { ParallelMinVertices = saved }()
 	r := rng.NewFib(11)
 	g, err := gen.GNP(300, 4.0/299, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := partition.NewRandom(g, r)
-	w := NewRefiner()
-	if _, _, _, err := w.Pass(b, Options{}); err != nil {
-		t.Fatal(err) // warm-up sizes the workspace
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, _, err := w.Pass(b, Options{}); err != nil {
-			t.Error(err)
+	for _, opts := range []Options{{}, {ParallelDegree: 2}} {
+		w := NewRefiner()
+		if _, _, _, err := w.Pass(b, opts); err != nil {
+			t.Fatal(err) // warm-up sizes the workspace and starts the pool
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state KL pass allocated %.1f times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, _, err := w.Pass(b, opts); err != nil {
+				t.Error(err)
+			}
+		})
+		w.Close()
+		if allocs != 0 {
+			t.Fatalf("steady-state KL pass (ParallelDegree %d) allocated %.1f times per run, want 0", opts.ParallelDegree, allocs)
+		}
 	}
 }
 

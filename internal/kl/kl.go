@@ -6,8 +6,15 @@
 // maximizing the swap gain g_ab = g_a + g_b − 2·w(a,b), tentatively
 // exchanges it, locks both vertices, and updates the gains of their
 // neighbors. After min(|A|,|B|) tentative exchanges, the prefix k with
-// maximum cumulative gain is kept and the rest rolled back. Passes repeat
-// until one yields no improvement (or a pass limit is reached).
+// maximum cumulative gain is interchanged. Passes repeat until one yields
+// no improvement (or a pass limit is reached).
+//
+// As in the paper, a tentative exchange changes only the gains of the
+// unlocked vertices, and those live in the gain buckets: each swap adds
+// its ±2·w deltas to the neighbors' bucket entries and then re-slots the
+// entries whose gain changed. The bisection is read when a pass starts
+// and written once when it ends, with the k kept swaps; nothing is
+// rolled back.
 //
 // Pair selection uses the classical admissible pruning: scanning
 // candidates a and b in non-increasing gain order, every pair satisfies
@@ -24,8 +31,10 @@
 // first produces it; and all pass state (the two gain-bucket structures,
 // the swap log, the scratch stamps) lives in a reusable Refiner
 // workspace, so steady-state passes allocate nothing. The plain pass —
-// linked-bucket walk, adjacency probe per pair — lives on only as the
-// test oracle in oracle_test.go, which pins this one to it.
+// linked-bucket walk, adjacency probe per pair, every tentative swap
+// made in the bisection and rolled back past k — lives on only as the
+// test oracle in oracle_test.go, which pins this one to it, trace events
+// included.
 package kl
 
 import (
@@ -49,15 +58,12 @@ type Options struct {
 	// pair scan. Results are identical; only running time changes. Used by
 	// the KL-scan ablation.
 	DisablePruning bool
-	// ParallelDegree, when > 1, shards the pass over a worker pool of
-	// that degree for graphs with at least ParallelMinVertices vertices:
-	// the two gain-bucket structures are filled concurrently (one worker
-	// per side), and each committed swap's neighbor gain updates and
-	// bucket repositions are sharded when the pair's combined degree
-	// reaches ParallelMinDegree. Results are identical at any degree —
-	// every kernel reproduces the serial decision sequence bit-exactly
-	// (see docs/PERFORMANCE.md). The pool attaches to the Workspace;
-	// reuse one (and Close it) to amortize.
+	// ParallelDegree, when > 1, fills the two gain-bucket structures
+	// concurrently (one worker per side) for graphs with at least
+	// ParallelMinVertices vertices. Results are identical at any degree:
+	// each side's fill keeps the serial insertion order (see
+	// docs/PERFORMANCE.md). The pool attaches to the Workspace; reuse one
+	// (and Close it) to amortize.
 	ParallelDegree int
 	// Workspace, when non-nil, supplies the reusable pass state (gain
 	// buckets, swap log, scratch stamps) so repeated runs allocate
@@ -93,10 +99,7 @@ type Stats struct {
 	ScannedPairs int64 // candidate pairs examined during selection
 }
 
-type swapRec struct {
-	a, bv int32
-	gain  int64
-}
+type swapRec struct{ a, bv int32 }
 
 // Refiner is the reusable workspace for KL passes: the two gain-bucket
 // structures, the swap log, and the epoch-stamped neighbor-weight scratch
@@ -117,28 +120,18 @@ type Refiner struct {
 	// one selectPair, packed gain-high/vertex-low, so replays for later
 	// A-candidates read a flat array instead of chasing bucket links.
 	bseq []uint64
-	// Worker pool for the parallel pass kernels (Options.ParallelDegree),
+	// Worker pool for the parallel bucket fill (Options.ParallelDegree),
 	// created lazily, released by Close; pb carries the bisection to the
 	// pre-bound shard closure.
 	pool   *par.Pool
 	initFn func(int)
 	pb     *partition.Bisection
-	// mover shards the per-swap neighbor gain updates and bucket
-	// repositions (see partition.ShardedMover).
-	mover partition.ShardedMover
 }
 
-// ParallelMinVertices is the graph size below which the pass stays
-// serial even when Options.ParallelDegree asks for workers. A variable
-// only so tests can lower it.
+// ParallelMinVertices is the graph size below which the bucket fill
+// stays serial even when Options.ParallelDegree asks for workers. A
+// variable only so tests can lower it.
 var ParallelMinVertices = 1 << 15
-
-// ParallelMinDegree is the combined degree of a swapped pair below
-// which the swap's neighbor updates stay serial even on a parallel
-// pass: the fork-join barriers cost on the order of a microsecond, so
-// sharding only pays once a swap touches enough neighbors. A variable
-// only so tests can lower it.
-var ParallelMinDegree = 64
 
 // Close releases the pool created for parallel bucket filling (if any).
 // The Refiner remains usable afterwards.
@@ -303,8 +296,7 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 		return 0, 0, 0, err
 	}
 	buckets := [2]*partition.GainBuckets{&w.buckets[0], &w.buckets[1]}
-	useParallel := opts.ParallelDegree > 1 && n >= ParallelMinVertices
-	if useParallel {
+	if opts.ParallelDegree > 1 && n >= ParallelMinVertices {
 		if w.pool == nil || w.pool.Degree() < opts.ParallelDegree {
 			w.pool.Close()
 			w.pool = par.New(opts.ParallelDegree)
@@ -318,93 +310,105 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 			buckets[b.Side(v)].Add(v, b.Gain(v))
 		}
 	}
-	if useParallel {
-		w.mover.Bind(w.pool, b, buckets[0], buckets[1])
-	}
-	steps := buckets[0].Len()
-	if l := buckets[1].Len(); l < steps {
-		steps = l
-	}
+	steps := min(buckets[0].Len(), buckets[1].Len())
 
+	// The tentative exchanges never touch b: an unlocked vertex keeps its
+	// starting side, and its live gain is its bucket entry's.
+	side := b.SidesRef()
 	swaps := w.swaps[:0]
 	var cum, bestCum int64
 	bestK := 0
 
 	// Intra-pass tracing state; untouched (and unallocated) when no
-	// observer is attached.
+	// observer is attached. diff is the tentative w(side 0) − w(side 1).
 	obs := opts.Observer
-	var startCut, batchMaxGain int64
+	var startCut, diff, batchMaxGain int64
 	batchFill, batchIdx := 0, 0
 	if obs != nil {
 		startCut = b.Cut()
+		diff = b.SideWeight(0) - b.SideWeight(1)
 	}
 
 	for i := 0; i < steps; i++ {
-		a, bv, g2, sc := w.selectPair(b, buckets, opts)
+		a, bv, g2, sc := w.selectPair(g, buckets, opts)
 		scanned += sc
 		if a < 0 {
 			break // no opposite-side pair remains (disconnected corner case)
 		}
-		// Tentative exchange; lock both.
-		buckets[b.Side(a)].Remove(a)
-		buckets[b.Side(bv)].Remove(bv)
-		if useParallel && len(g.Neighbors(a))+len(g.Neighbors(bv)) >= ParallelMinDegree {
-			w.mover.Swap(a, bv)
-		} else {
-			b.Swap(a, bv)
-			// Neighbor gains changed; refresh bucket entries of unlocked
-			// neighbors.
-			for _, e := range g.Neighbors(a) {
-				buckets[b.Side(e.To)].UpdateIfPresent(e.To, b.Gain(e.To))
-			}
-			for _, e := range g.Neighbors(bv) {
-				buckets[b.Side(e.To)].UpdateIfPresent(e.To, b.Gain(e.To))
-			}
+		// Tentative exchange of a (side 0) and bv (side 1); lock both.
+		// Moving x across changes an unlocked neighbor u's gain by
+		// +2·w(x,u) if u starts on x's side and −2·w(x,u) otherwise. All
+		// of both deltas land before any entry moves, and the entries
+		// then move in N(a)-then-N(bv) order: exactly the repositions of
+		// swapping in the bisection and refreshing each neighbor from its
+		// gain, so the LIFO bucket layout is the same.
+		buckets[0].Remove(a)
+		buckets[1].Remove(bv)
+		na, nb := g.Neighbors(a), g.Neighbors(bv)
+		shiftGains(na, side, buckets, 0)
+		shiftGains(nb, side, buckets, 1)
+		for _, e := range na {
+			buckets[side[e.To]&1].Settle(e.To)
 		}
-		swaps = append(swaps, swapRec{a: a, bv: bv, gain: g2})
+		for _, e := range nb {
+			buckets[side[e.To]&1].Settle(e.To)
+		}
+		swaps = append(swaps, swapRec{a: a, bv: bv})
 		cum += g2
 		if cum > bestCum {
 			bestCum = cum
 			bestK = len(swaps)
 		}
 		if obs != nil {
+			diff -= 2 * int64(g.VertexWeight(a)-g.VertexWeight(bv))
 			if batchFill == 0 || g2 > batchMaxGain {
 				batchMaxGain = g2
 			}
 			batchFill++
 			if batchFill == trace.MoveBatchSize {
-				emitMoveBatch(obs, b, batchIdx, len(swaps), startCut, cum, bestCum, batchMaxGain, scanned)
+				emitMoveBatch(obs, batchIdx, len(swaps), startCut, cum, bestCum, diff, batchMaxGain, scanned)
 				batchFill = 0
 				batchIdx++
 			}
 		}
 	}
 	if obs != nil && batchFill > 0 {
-		emitMoveBatch(obs, b, batchIdx, len(swaps), startCut, cum, bestCum, batchMaxGain, scanned)
+		emitMoveBatch(obs, batchIdx, len(swaps), startCut, cum, bestCum, diff, batchMaxGain, scanned)
 	}
 
-	// Roll back everything after the best prefix.
-	for i := len(swaps) - 1; i >= bestK; i-- {
-		if useParallel && len(g.Neighbors(swaps[i].a))+len(g.Neighbors(swaps[i].bv)) >= ParallelMinDegree {
-			w.mover.SwapNoBuckets(swaps[i].a, swaps[i].bv)
-		} else {
-			b.Swap(swaps[i].a, swaps[i].bv)
-		}
-	}
-	if useParallel {
-		w.mover.Unbind()
+	// Interchange the kept prefix (Figure 2, step 10).
+	for _, s := range swaps[:bestK] {
+		b.Swap(s.a, s.bv)
 	}
 	w.swaps = swaps[:0] // keep the grown capacity for the next pass
 	return bestCum, bestK, scanned, nil
 }
 
+// shiftGains adds to the live gain of every unlocked neighbor u of a
+// vertex x with adjacency nbrs the change that moving x off side sx
+// makes: +2·w(x,u) when u is on sx, −2·w(x,u) otherwise. Neighbor sides
+// are close to coin flips, so the sign is applied without a branch, as
+// in Bisection.Move. Sides are 0 or 1; masking them with &1 here and in
+// Pass only lets the compiler drop the bounds check on buckets.
+func shiftGains(nbrs []graph.Edge, side []uint8, buckets [2]*partition.GainBuckets, sx uint8) {
+	for _, e := range nbrs {
+		su := side[e.To] & 1
+		d := int64(e.W) << 1
+		m := -int64(su ^ sx)
+		buckets[su].AddGain(e.To, (d^m)-m)
+	}
+}
+
 // emitMoveBatch reports an intra-pass progress sample: the cut of the
-// tentative state, the cut the best prefix so far would yield, and the
-// batch's largest single swap gain.
-func emitMoveBatch(obs trace.Observer, b *partition.Bisection, batchIdx, moves int, startCut, cum, bestCum, maxGain int64, scanned int64) {
+// tentative state, the cut the best prefix so far would yield, the
+// tentative imbalance |diff|, and the batch's largest single swap gain.
+func emitMoveBatch(obs trace.Observer, batchIdx, moves int, startCut, cum, bestCum, diff, maxGain int64, scanned int64) {
+	if diff < 0 {
+		diff = -diff
+	}
 	obs.Observe(trace.Event{
 		Type: trace.TypeMoveBatch, Algo: "kl", Index: batchIdx,
-		Cut: b.Cut(), BestCut: startCut - bestCum, Imbalance: b.Imbalance(),
+		Cut: startCut - cum, BestCut: startCut - bestCum, Imbalance: diff,
 		Gain: cum, MaxGain: maxGain, Moves: moves, Scanned: scanned,
 	})
 }
@@ -419,11 +423,10 @@ func emitMoveBatch(obs trace.Observer, b *partition.Bisection, batchIdx, moves i
 // pruning decision, the selected pair, and the scanned count — is
 // exactly the cursor walk's; bucket gains fit int32 (the bucket span is
 // capped far below that), so the (gain, vertex) packing is lossless.
-func (w *Refiner) selectPair(b *partition.Bisection, buckets [2]*partition.GainBuckets, opts Options) (a, bv int32, gain int64, scanned int64) {
+func (w *Refiner) selectPair(g *graph.Graph, buckets [2]*partition.GainBuckets, opts Options) (a, bv int32, gain int64, scanned int64) {
 	if buckets[0].Len() == 0 || buckets[1].Len() == 0 {
 		return -1, -1, 0, 0
 	}
-	g := b.Graph()
 	noPrune := opts.DisablePruning
 	_, maxB, _ := buckets[1].Max()
 	first := true

@@ -4,14 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/partition"
+	"repro/internal/trace"
 )
 
 // plainRefine is the test oracle for Refine: KL passes written the plain
 // way — every candidate pair read off the linked gain buckets through
 // their cursors, every connecting weight probed from the adjacency, no
-// scratch stamps, no flat B-side replay, no sharded kernels. It must make
-// exactly the decisions the production pass makes, so its sides and
-// Stats are the reference that pass is pinned to.
+// scratch stamps, no flat B-side replay. Every tentative swap is made in
+// the bisection, every neighbor's bucket entry is refreshed from the
+// bisection's gain, and all swaps past the best prefix are rolled back.
+// It must make exactly the decisions the production pass makes, so its
+// sides, Stats and events are the reference that pass is pinned to: the
+// move_batch cut and imbalance are read off the oracle's live bisection.
 //
 // With bruteMax set, every selected pair is additionally checked against
 // a full scan of all unlocked opposite-side pairs whose gains are
@@ -25,15 +29,30 @@ func plainRefine(t testing.TB, b *partition.Bisection, opts Options, bruteMax bo
 	if limit <= 0 {
 		limit = safetyPassCap
 	}
+	obs := opts.Observer
 	for p := 0; p < limit; p++ {
 		improved, swaps, scanned := plainPass(t, b, opts, bruteMax)
 		st.Passes++
 		st.Swaps += swaps
 		st.ScannedPairs += scanned
 		st.FinalCut = b.Cut()
+		if obs != nil {
+			obs.Observe(trace.Event{
+				Type: trace.TypePassDone, Algo: "kl", Index: p,
+				Cut: b.Cut(), BestCut: b.Cut(), Imbalance: b.Imbalance(),
+				Gain: improved, Moves: swaps, Scanned: scanned,
+			})
+		}
 		if improved <= 0 {
 			break
 		}
+	}
+	if obs != nil {
+		obs.Observe(trace.Event{
+			Type: trace.TypeRunDone, Algo: "kl", Index: st.Passes,
+			Cut: b.Cut(), BestCut: b.Cut(), Imbalance: b.Imbalance(),
+			Gain: st.InitialCut - st.FinalCut, Moves: st.Swaps, Scanned: st.ScannedPairs,
+		})
 	}
 	return st
 }
@@ -45,22 +64,29 @@ func plainPass(t testing.TB, b *partition.Bisection, opts Options, bruteMax bool
 	if n == 0 {
 		return 0, 0, 0
 	}
-	var buckets [2]partition.GainBuckets
-	for s := range buckets {
-		if err := buckets[s].Reset(n, g.MaxWeightedDegree()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for v := int32(0); int(v) < n; v++ {
-		buckets[b.Side(v)].Add(v, b.Gain(v))
-	}
+	buckets := bucketsOf(t, b)
 	locked := make([]bool, n)
 	steps := min(buckets[0].Len(), buckets[1].Len())
 	var swaps [][2]int32
 	var cum, bestCum int64
 	bestK := 0
+	obs := opts.Observer
+	startCut := b.Cut()
+	var batch []int64 // swap gains since the last move_batch
+	emit := func() {
+		ev := trace.Event{
+			Type: trace.TypeMoveBatch, Algo: "kl", Index: (len(swaps) - 1) / trace.MoveBatchSize,
+			Cut: b.Cut(), BestCut: startCut - bestCum, Imbalance: b.Imbalance(),
+			Gain: cum, MaxGain: batch[0], Moves: len(swaps), Scanned: scanned,
+		}
+		for _, x := range batch {
+			ev.MaxGain = max(ev.MaxGain, x)
+		}
+		obs.Observe(ev)
+		batch = batch[:0]
+	}
 	for i := 0; i < steps; i++ {
-		a, bv, gain, sc := plainSelect(b, &buckets, opts.DisablePruning)
+		a, bv, gain, sc := plainSelect(b, buckets, opts.DisablePruning)
 		scanned += sc
 		if a < 0 {
 			break
@@ -84,6 +110,14 @@ func plainPass(t testing.TB, b *partition.Bisection, opts Options, bruteMax bool
 		if cum > bestCum {
 			bestCum, bestK = cum, len(swaps)
 		}
+		if obs != nil {
+			if batch = append(batch, gain); len(batch) == trace.MoveBatchSize {
+				emit()
+			}
+		}
+	}
+	if obs != nil && len(batch) > 0 {
+		emit()
 	}
 	for i := len(swaps) - 1; i >= bestK; i-- {
 		b.Swap(swaps[i][0], swaps[i][1])

@@ -11,28 +11,36 @@ import "fmt"
 // Within a bucket, vertices are kept in LIFO order, the tie-breaking rule
 // of the original FM paper.
 //
-// Per-vertex state is packed into two flat arrays of 64-bit words — the
-// (next, prev) list links in one, the (bucket index, gain) pair in the
-// other — so every list operation touches one cache line per vertex
-// instead of four. The packed gain is an int32, which the maxBucketSpan
+// Each vertex's state — its list links, the bucket it sits in, and its
+// gain — is one 16-byte record, so every list operation touches one
+// cache line per vertex. The gain is an int32, which the maxBucketSpan
 // cap guarantees is exact.
+//
+// A present vertex's gain can also be changed in two steps: AddGain
+// accumulates deltas into the recorded gain while the vertex stays in
+// its bucket, and Settle then moves it to the bucket of that gain. The
+// KL pass uses this to apply both halves of a swap before re-slotting
+// any neighbor. Between the two steps, Max and the cursors still report
+// the bucket a vertex sits in.
 type GainBuckets struct {
 	maxGain int64
-	head    []int32  // bucket index -> first vertex, or -1
-	links   []uint64 // vertex -> packed (next, prev), each an int32, -1 sentinels
-	slots   []uint64 // vertex -> packed (bucket index or -1, gain)
-	maxIdx  int      // highest possibly-non-empty bucket (lazily lowered)
+	head    []int32 // bucket index -> first vertex, or -1
+	ents    []entry // vertex -> its record
+	maxIdx  int     // highest possibly-non-empty bucket (lazily lowered)
 	size    int
+}
+
+// entry is one vertex's record in a GainBuckets.
+type entry struct {
+	next, prev int32 // bucket list links, -1 sentinels
+	bucket     int32 // bucket index, or -1 when absent
+	gain       int32 // gain; differs from the bucket's only between AddGain and Settle
 }
 
 // maxBucketSpan bounds the allocated bucket array; 2·span+1 int32 heads.
 // Weighted degrees beyond this would indicate misuse (the repository's
 // graphs stay in the low thousands).
 const maxBucketSpan = 1 << 24
-
-func packPair(lo, hi int32) uint64 { return uint64(uint32(lo)) | uint64(uint32(hi))<<32 }
-func unpackLo(p uint64) int32      { return int32(uint32(p)) }
-func unpackHi(p uint64) int32      { return int32(uint32(p >> 32)) }
 
 // NewGainBuckets returns an empty structure for n vertices with gains in
 // [−maxGain, maxGain].
@@ -64,15 +72,12 @@ func (gb *GainBuckets) Reset(n int, maxGain int64) error {
 	for i := range gb.head {
 		gb.head[i] = -1
 	}
-	if cap(gb.links) < n {
-		gb.links = make([]uint64, n)
-		gb.slots = make([]uint64, n)
+	if cap(gb.ents) < n {
+		gb.ents = make([]entry, n)
 	}
-	gb.links = gb.links[:n]
-	gb.slots = gb.slots[:n]
-	absent := packPair(-1, 0)
-	for i := range gb.slots {
-		gb.slots[i] = absent
+	gb.ents = gb.ents[:n]
+	for i := range gb.ents {
+		gb.ents[i].bucket = -1
 	}
 	gb.maxGain = maxGain
 	gb.maxIdx = -1
@@ -84,10 +89,10 @@ func (gb *GainBuckets) Reset(n int, maxGain int64) error {
 func (gb *GainBuckets) Len() int { return gb.size }
 
 // Contains reports whether v is present.
-func (gb *GainBuckets) Contains(v int32) bool { return unpackLo(gb.slots[v]) >= 0 }
+func (gb *GainBuckets) Contains(v int32) bool { return gb.ents[v].bucket >= 0 }
 
-// GainOf returns the stored gain of v; v must be present.
-func (gb *GainBuckets) GainOf(v int32) int64 { return int64(unpackHi(gb.slots[v])) }
+// GainOf returns the recorded gain of v; v must be present.
+func (gb *GainBuckets) GainOf(v int32) int64 { return int64(gb.ents[v].gain) }
 
 func (gb *GainBuckets) idx(gain int64) int32 {
 	if gain < -gb.maxGain || gain > gb.maxGain {
@@ -98,53 +103,34 @@ func (gb *GainBuckets) idx(gain int64) int32 {
 
 // Add inserts v with the given gain. v must not be present.
 func (gb *GainBuckets) Add(v int32, gain int64) {
-	if unpackLo(gb.slots[v]) >= 0 {
+	e := &gb.ents[v]
+	if e.bucket >= 0 {
 		panic("partition: Add of vertex already present")
 	}
-	i := gb.idx(gain)
-	gb.slots[v] = packPair(i, int32(gain))
-	h := gb.head[i]
-	gb.links[v] = packPair(h, -1)
-	if h >= 0 {
-		gb.links[h] = packPair(unpackLo(gb.links[h]), v)
-	}
-	gb.head[i] = v
-	if int(i) > gb.maxIdx {
-		gb.maxIdx = int(i)
-	}
+	gb.place(v, e, gain)
 	gb.size++
 }
 
 // Remove deletes v. v must be present.
 func (gb *GainBuckets) Remove(v int32) {
-	i := unpackLo(gb.slots[v])
-	if i < 0 {
+	e := &gb.ents[v]
+	if e.bucket < 0 {
 		panic("partition: Remove of absent vertex")
 	}
-	lv := gb.links[v]
-	next, prev := unpackLo(lv), unpackHi(lv)
-	if prev >= 0 {
-		gb.links[prev] = packPair(next, unpackHi(gb.links[prev]))
-	} else {
-		gb.head[i] = next
-	}
-	if next >= 0 {
-		gb.links[next] = packPair(unpackLo(gb.links[next]), prev)
-	}
-	gb.slots[v] = packPair(-1, unpackHi(gb.slots[v]))
+	gb.unlink(e)
+	e.bucket = -1
 	gb.size--
 }
 
 // Update changes v's gain (no-op if unchanged). v must be present.
 func (gb *GainBuckets) Update(v int32, gain int64) {
-	s := gb.slots[v]
-	if unpackLo(s) < 0 {
+	e := &gb.ents[v]
+	if e.bucket < 0 {
 		panic("partition: Update of absent vertex")
 	}
-	if int64(unpackHi(s)) == gain {
-		return
+	if int64(e.gain) != gain {
+		gb.place(v, e, gain)
 	}
-	gb.reposition(v, unpackLo(s), gain)
 }
 
 // UpdateIfPresent is Contains + Update fused into a single presence
@@ -153,34 +139,53 @@ func (gb *GainBuckets) Update(v int32, gain int64) {
 // gain re-inserts v at the front of its new bucket; an unchanged gain
 // leaves its position alone.
 func (gb *GainBuckets) UpdateIfPresent(v int32, gain int64) {
-	s := gb.slots[v]
-	if unpackLo(s) < 0 || int64(unpackHi(s)) == gain {
-		return
+	if e := &gb.ents[v]; e.bucket >= 0 && int64(e.gain) != gain {
+		gb.place(v, e, gain)
 	}
-	gb.reposition(v, unpackLo(s), gain)
 }
 
-// reposition moves the present vertex v from bucket old to the front of
-// gain's bucket: Remove followed by Add, fused so v's slot word is
-// written once and the size bookkeeping cancels out. LIFO semantics are
-// identical to the unfused sequence.
-func (gb *GainBuckets) reposition(v, old int32, gain int64) {
-	lv := gb.links[v]
-	next, prev := unpackLo(lv), unpackHi(lv)
-	if prev >= 0 {
-		gb.links[prev] = packPair(next, unpackHi(gb.links[prev]))
-	} else {
-		gb.head[old] = next
+// AddGain adds delta to the recorded gain of v if v is present, and does
+// nothing otherwise. v stays where it is until Settle.
+func (gb *GainBuckets) AddGain(v int32, delta int64) {
+	if e := &gb.ents[v]; e.bucket >= 0 {
+		e.gain += int32(delta)
 	}
-	if next >= 0 {
-		gb.links[next] = packPair(unpackLo(gb.links[next]), prev)
+}
+
+// Settle moves v to the front of its recorded gain's bucket if v is
+// present and sits in another bucket. After AddGain calls, Settling each
+// touched vertex is exactly UpdateIfPresent with the summed gains: deltas
+// that cancel leave v in its LIFO place, and a vertex settled twice moves
+// at most once.
+func (gb *GainBuckets) Settle(v int32) {
+	if e := &gb.ents[v]; e.bucket >= 0 && int64(e.bucket) != int64(e.gain)+gb.maxGain {
+		gb.place(v, e, int64(e.gain))
+	}
+}
+
+// unlink takes the present vertex with record e out of its bucket list.
+func (gb *GainBuckets) unlink(e *entry) {
+	if e.prev >= 0 {
+		gb.ents[e.prev].next = e.next
+	} else {
+		gb.head[e.bucket] = e.next
+	}
+	if e.next >= 0 {
+		gb.ents[e.next].prev = e.prev
+	}
+}
+
+// place puts v, whose record is e, at the front of gain's bucket, taking
+// it out of the bucket it sits in first if it is present.
+func (gb *GainBuckets) place(v int32, e *entry, gain int64) {
+	if e.bucket >= 0 {
+		gb.unlink(e)
 	}
 	i := gb.idx(gain)
-	gb.slots[v] = packPair(i, int32(gain))
 	h := gb.head[i]
-	gb.links[v] = packPair(h, -1)
+	*e = entry{next: h, prev: -1, bucket: i, gain: int32(gain)}
 	if h >= 0 {
-		gb.links[h] = packPair(unpackLo(gb.links[h]), v)
+		gb.ents[h].prev = v
 	}
 	gb.head[i] = v
 	if int(i) > gb.maxIdx {
@@ -261,7 +266,7 @@ func (c *Cursor) Gain() int64 { return c.gain }
 
 // Next advances to the next vertex in non-increasing gain order.
 func (c *Cursor) Next() {
-	if next := unpackLo(c.gb.links[c.v]); next >= 0 {
+	if next := c.gb.ents[c.v].next; next >= 0 {
 		c.v = next
 		return
 	}
@@ -329,7 +334,7 @@ func (c *RangeCursor) Gain() int64 { return c.gain }
 // Next advances to the next vertex of the segment in non-increasing
 // gain order.
 func (c *RangeCursor) Next() {
-	if next := unpackLo(c.gb.links[c.v]); next >= 0 {
+	if next := c.gb.ents[c.v].next; next >= 0 {
 		c.v = next
 		return
 	}

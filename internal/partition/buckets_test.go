@@ -165,8 +165,15 @@ func TestGainBucketsErrors(t *testing.T) {
 	}
 }
 
+// TestGainBucketsStress drives random adds, removes, updates and delta
+// steps against a reference map, mirrored on a second structure. A delta
+// step is a list of (vertex, delta) pairs — some vertices twice, some
+// with deltas that cancel, some absent — applied to gb as UpdateIfPresent
+// with each vertex's summed gain, in list order, and to twin as AddGain
+// for every pair and then Settle in the same order: the KL pass's two
+// sweeps. After every step both must agree on Len, Max and the full
+// cursor order, which pins LIFO placement.
 func TestGainBucketsStress(t *testing.T) {
-	// Random adds/removes/updates against a reference map.
 	r := rng.NewFib(33)
 	const n = 200
 	const bound = 50
@@ -174,30 +181,91 @@ func TestGainBucketsStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	twin, err := NewGainBuckets(n, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref := map[int32]int64{}
+	type delta struct {
+		v int32
+		d int64
+	}
+	var steps []delta
+	var seqA, seqB []int64
 	for step := 0; step < 20000; step++ {
 		v := int32(r.Intn(n))
-		switch r.Intn(3) {
+		switch r.Intn(4) {
 		case 0:
 			if _, in := ref[v]; !in {
 				g := int64(r.Intn(2*bound+1) - bound)
 				gb.Add(v, g)
+				twin.Add(v, g)
 				ref[v] = g
 			}
 		case 1:
 			if _, in := ref[v]; in {
 				gb.Remove(v)
+				twin.Remove(v)
 				delete(ref, v)
 			}
 		case 2:
 			if _, in := ref[v]; in {
 				g := int64(r.Intn(2*bound+1) - bound)
 				gb.Update(v, g)
+				twin.Update(v, g)
 				ref[v] = g
 			}
+		case 3:
+			// Up to four vertices, each split into two deltas that land
+			// at random places in the list. A present vertex moves to a
+			// random in-range gain, or nowhere (the deltas cancel); an
+			// absent vertex gets arbitrary deltas that must be ignored.
+			steps = steps[:0]
+			target := map[int32]int64{}
+			for k := 1 + r.Intn(4); k > 0; k-- {
+				u := int32(r.Intn(n))
+				if _, dup := target[u]; dup {
+					continue
+				}
+				g, in := ref[u]
+				next := g
+				if !in {
+					next = int64(r.Intn(7) - 3)
+				} else if r.Intn(3) > 0 {
+					next = int64(r.Intn(2*bound+1) - bound)
+				}
+				target[u] = next
+				first := int64(r.Intn(2*bound+1) - bound)
+				i, j := r.Intn(len(steps)+1), r.Intn(len(steps)+2)
+				steps = append(steps[:i], append([]delta{{u, first}}, steps[i:]...)...)
+				steps = append(steps[:j], append([]delta{{u, next - g - first}}, steps[j:]...)...)
+			}
+			for _, s := range steps {
+				twin.AddGain(s.v, s.d)
+			}
+			for _, s := range steps {
+				twin.Settle(s.v)
+				gb.UpdateIfPresent(s.v, target[s.v])
+			}
+			for u, g := range target {
+				if _, in := ref[u]; in {
+					ref[u] = g
+				}
+			}
 		}
-		if gb.Len() != len(ref) {
-			t.Fatalf("step %d: size %d != ref %d", step, gb.Len(), len(ref))
+		if gb.Len() != len(ref) || twin.Len() != len(ref) {
+			t.Fatalf("step %d: sizes %d, %d != ref %d", step, gb.Len(), twin.Len(), len(ref))
+		}
+		av, ag, aok := gb.Max()
+		bv, bg, bok := twin.Max()
+		if av != bv || ag != bg || aok != bok {
+			t.Fatalf("step %d: Max (%d,%d,%v) vs twin (%d,%d,%v)", step, av, ag, aok, bv, bg, bok)
+		}
+		seqA, seqB = cursorSeq(gb, seqA), cursorSeq(twin, seqB)
+		for i := range seqA {
+			if seqA[i] != seqB[i] {
+				t.Fatalf("step %d: cursor order diverges at %d", step, i)
+			}
 		}
 	}
 	// Final check: max agrees with reference.

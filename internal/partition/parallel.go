@@ -2,9 +2,9 @@ package partition
 
 import "repro/internal/par"
 
-// This file parallelizes the per-move neighbor work of the refinement
-// pass body — the dominant cost of a KL/FM pass at high degree — while
-// reproducing the serial move sequence bit-exactly at any shard count.
+// This file parallelizes the per-move neighbor work of the FM pass
+// body — its dominant cost at high degree — while reproducing the serial
+// move sequence bit-exactly at any shard count.
 //
 // A committed move of vertex v costs two sweeps over N(v):
 //
@@ -27,12 +27,12 @@ import "repro/internal/par"
 //     (and every later selection decision) is byte-identical to serial.
 //
 // The kernel only pays off when N(v) is large enough to amortize the
-// pool's fork-join barriers; the refiners gate it per move on the
-// vertex degree (see kl/fm ParallelMinDegree).
+// pool's fork-join barriers; the FM refiner gates it per move on the
+// vertex degree (see fm.ParallelMinDegree).
 
 // ShardedMover applies committed refinement moves with the neighbor
 // gain updates and bucket repositions sharded over a par.Pool. It is
-// embedded in the kl/fm Refiner workspaces; Bind rebinds it to a pass's
+// embedded in the fm Refiner workspace; Bind rebinds it to a pass's
 // bisection and buckets without allocating (the shard closures are
 // constructed once and reused), so steady-state passes stay zero-alloc.
 // Results are bit-identical to the serial Move/UpdateIfPresent sequence
@@ -42,10 +42,9 @@ type ShardedMover struct {
 	b       *Bisection
 	bk      [2]*GainBuckets
 	gshards int
-	// Per-move state read by the pre-bound shard closures.
-	cur    int32    // vertex whose neighbor gains the gain phase updates
-	moved  [2]int32 // vertices whose neighbors the reposition phase re-slots
-	nmoved int
+	// Per-move state read by the pre-bound shard closures: the moved
+	// vertex, whose neighbors both phases visit.
+	cur    int32
 	gainFn func(int)
 	posFn  func(int)
 }
@@ -82,52 +81,12 @@ func (m *ShardedMover) Move(v int32) {
 	m.b.moveScalar(v)
 	m.cur = v
 	m.pool.Run(m.gshards, m.gainFn)
-	m.moved[0] = v
-	m.nmoved = 1
 	m.pool.Run(2, m.posFn)
 }
 
 // MoveNoBuckets is the sharded equivalent of b.Move(v) alone — the
 // rollback loop's form, after the pass has stopped maintaining buckets.
 func (m *ShardedMover) MoveNoBuckets(v int32) {
-	m.b.moveScalar(v)
-	m.cur = v
-	m.pool.Run(m.gshards, m.gainFn)
-}
-
-// Swap is the sharded equivalent of
-//
-//	b.Swap(a, v)
-//	for each neighbor u of a: buckets[side(u)].UpdateIfPresent(u, gain(u))
-//	for each neighbor u of v: buckets[side(u)].UpdateIfPresent(u, gain(u))
-//
-// with identical results (including the double reposition of shared
-// neighbors, the second of which is a no-op). Like Bisection.Swap it
-// panics if a and v share a side.
-func (m *ShardedMover) Swap(a, v int32) {
-	m.swapGains(a, v)
-	m.moved[0], m.moved[1] = a, v
-	m.nmoved = 2
-	m.pool.Run(2, m.posFn)
-}
-
-// SwapNoBuckets is the sharded equivalent of b.Swap(a, v) alone — the
-// KL rollback form.
-func (m *ShardedMover) SwapNoBuckets(a, v int32) {
-	m.swapGains(a, v)
-}
-
-// swapGains applies both moves of a swap: scalar part then sharded
-// neighbor gain deltas for a, then the same for v — the exact order of
-// the serial Move(a); Move(v) sequence, so a gain[v] already adjusted
-// by a's sweep is negated before v's own sweep, as in serial.
-func (m *ShardedMover) swapGains(a, v int32) {
-	if m.b.side[a] == m.b.side[v] {
-		panic("partition: Swap on same-side vertices")
-	}
-	m.b.moveScalar(a)
-	m.cur = a
-	m.pool.Run(m.gshards, m.gainFn)
 	m.b.moveScalar(v)
 	m.cur = v
 	m.pool.Run(m.gshards, m.gainFn)
@@ -150,18 +109,16 @@ func (m *ShardedMover) gainShard(s int) {
 	}
 }
 
-// posShard re-slots the moved vertices' unlocked neighbors on side s —
+// posShard re-slots the moved vertex's unlocked neighbors on side s —
 // the serial reposition order restricted to one side, against a bucket
 // structure only this shard writes.
 func (m *ShardedMover) posShard(s int) {
 	b, bk := m.b, m.bk[s]
 	side, gain := b.side, b.gain
 	us := uint8(s)
-	for _, v := range m.moved[:m.nmoved] {
-		for _, e := range b.g.Neighbors(v) {
-			if side[e.To] == us {
-				bk.UpdateIfPresent(e.To, gain[e.To])
-			}
+	for _, e := range b.g.Neighbors(m.cur) {
+		if side[e.To] == us {
+			bk.UpdateIfPresent(e.To, gain[e.To])
 		}
 	}
 }

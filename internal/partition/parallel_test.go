@@ -17,7 +17,7 @@ func cursorSeq(gb *GainBuckets, buf []int64) []int64 {
 	return buf
 }
 
-// TestShardedMoverMatchesSerial drives identical move/swap sequences
+// TestShardedMoverMatchesSerial drives identical move sequences
 // through the serial Move/UpdateIfPresent path and through ShardedMover
 // at several pool degrees (including the nil inline pool), comparing
 // cut, side weights, gains, and the exact bucket layouts after every
@@ -93,39 +93,11 @@ func TestShardedMoverMatchesSerial(t *testing.T) {
 			mover.Move(v)
 			check("move")
 		}
-		// Swaps with bucket maintenance.
-		for i := 0; i < 40; i++ {
-			a, bv := int32(mr.Intn(g.N())), int32(mr.Intn(g.N()))
-			if ref.Side(a) == ref.Side(bv) {
-				continue
-			}
-			if !refBk[ref.Side(a)].Contains(a) || !refBk[ref.Side(bv)].Contains(bv) {
-				continue
-			}
-			refBk[ref.Side(a)].Remove(a)
-			refBk[ref.Side(bv)].Remove(bv)
-			gotBk[got.Side(a)].Remove(a)
-			gotBk[got.Side(bv)].Remove(bv)
-			ref.Swap(a, bv)
-			for _, e := range g.Neighbors(a) {
-				refBk[ref.Side(e.To)].UpdateIfPresent(e.To, ref.Gain(e.To))
-			}
-			for _, e := range g.Neighbors(bv) {
-				refBk[ref.Side(e.To)].UpdateIfPresent(e.To, ref.Gain(e.To))
-			}
-			mover.Swap(a, bv)
-			check("swap")
-		}
-		// Bucket-free rollback forms.
+		// The bucket-free rollback form.
 		for i := 0; i < 30; i++ {
 			v := int32(mr.Intn(g.N()))
 			ref.Move(v)
 			mover.MoveNoBuckets(v)
-			a, bv := int32(mr.Intn(g.N())), int32(mr.Intn(g.N()))
-			if ref.Side(a) != ref.Side(bv) {
-				ref.Swap(a, bv)
-				mover.SwapNoBuckets(a, bv)
-			}
 		}
 		check("rollback")
 		if err := got.Validate(); err != nil {

@@ -22,16 +22,16 @@ import (
 func TestJobSpectralInitIdenticalResults(t *testing.T) {
 	savedC, savedM := coarsen.ParallelMinVertices, matching.ParallelMinVertices
 	savedK, savedF := kl.ParallelMinVertices, fm.ParallelMinVertices
-	savedKD, savedFD := kl.ParallelMinDegree, fm.ParallelMinDegree
+	savedFD := fm.ParallelMinDegree
 	savedS := spectral.ParallelMinVertices
 	coarsen.ParallelMinVertices, matching.ParallelMinVertices = 1, 1
 	kl.ParallelMinVertices, fm.ParallelMinVertices = 1, 1
-	kl.ParallelMinDegree, fm.ParallelMinDegree = 1, 1
+	fm.ParallelMinDegree = 1
 	spectral.ParallelMinVertices = 1
 	t.Cleanup(func() {
 		coarsen.ParallelMinVertices, matching.ParallelMinVertices = savedC, savedM
 		kl.ParallelMinVertices, fm.ParallelMinVertices = savedK, savedF
-		kl.ParallelMinDegree, fm.ParallelMinDegree = savedKD, savedFD
+		fm.ParallelMinDegree = savedFD
 		spectral.ParallelMinVertices = savedS
 	})
 

@@ -86,13 +86,15 @@ for target in FuzzReadEdgeList FuzzReadMETIS FuzzUnmarshalGraph FuzzCompactCSREq
   go test -run "^$target\$" -fuzz="^$target\$" -fuzztime=10s ./internal/graph/
 done
 
-# The sharded refinement pass body (per-move gain updates, the FM
-# proposal reduce, the parallel rollback) across goroutine
-# interleavings: GOMAXPROCS=2 forces real preemption between shard
-# workers on any host, and -count=2 varies the schedule.
-echo "==> GOMAXPROCS=2 go test -race -count=2 (sharded pass kernels + determinism matrix)"
+# The parallel refinement kernels across goroutine interleavings: FM's
+# sharded pass body (per-move gain updates, the proposal reduce, the
+# parallel rollback) and the two-sided KL/FM bucket fill (KL's only
+# parallel kernel; its pass makes no per-swap bisection updates to
+# shard). GOMAXPROCS=2 forces real preemption between shard workers on
+# any host, and -count=2 varies the schedule.
+echo "==> GOMAXPROCS=2 go test -race -count=2 (parallel refinement kernels + determinism matrix)"
 GOMAXPROCS=2 go test -race -count=2 \
-  -run 'TestSharded|TestDeterminismMatrix|TestRangeCursor' \
+  -run 'TestSharded|TestParallelInit|TestDeterminismMatrix|TestRangeCursor' \
   ./internal/partition/ ./internal/fm/ ./internal/kl/ ./internal/core/ ./internal/spectral/
 
 # Million-vertex pipeline smoke at 10^5 scale: generate a BCSR file,
