@@ -29,11 +29,8 @@ const (
 // still giving every kernel multi-million half-edge arrays to chew on.
 const scaleDeg = 4.0
 
-// scaleHighDeg is the degree of the dense refinement instance: with a
-// mean degree past fm.ParallelMinDegree the per-move sharded
-// gain-update kernel engages on most committed moves, so the d64
-// thread series measures the parallel pass body itself rather than
-// the gated serial fallback.
+// scaleHighDeg is the degree of the dense refinement instance, where
+// every committed FM move updates dozens of neighbor gains.
 const scaleHighDeg = 64.0
 
 // scaleSuffix names an instance size the way row names embed it:
@@ -46,13 +43,14 @@ func scaleSuffix(n int) string {
 }
 
 // addScaleRows registers the -scale benchmark rows: generation,
-// loading (text parse vs binary read vs mmap), and the sharded
-// matching/contraction/refinement kernels at thread degrees 1/2/4/8
-// (the _t<k> suffix is the thread-series convention cmd/benchdiff
-// understands). Rows share one generated instance of n vertices; the
-// load rows go through real files in dir. The d64 refinement series
-// always runs at 10⁶ vertices regardless of n, so its rows stay
-// comparable across snapshots that vary -scale-n.
+// loading (text parse vs binary read vs mmap), matching, the sharded
+// contraction at thread degrees 1/2/4/8 (the _t<k> suffix is the
+// thread-series convention cmd/benchdiff understands), and FM
+// refinement. Matching and FM are serial; their rows keep the _t1 name
+// so the snapshot trajectory continues. Rows share one generated
+// instance of n vertices; the load rows go through real files in dir.
+// The d64 refinement row always runs at 10⁶ vertices regardless of n,
+// so it stays comparable across snapshots that vary -scale-n.
 func addScaleRows(add func(name string, metric float64, fn func(b *testing.B)), dir string, scaleN int) error {
 	sfx := scaleSuffix(scaleN)
 	p := scaleDeg / float64(scaleN-1)
@@ -129,24 +127,17 @@ func addScaleRows(add func(name string, metric float64, fn func(b *testing.B)), 
 		}
 	})
 
-	// Matching thread series. t1 is the serial greedy sweep; t2+ is the
-	// deterministic handshake kernel sharded over the degree (a different
-	// algorithm by design — degrees ≥ 2 agree with each other, not with
-	// t1).
-	for _, threads := range []int{1, 2, 4, 8} {
-		threads := threads
+	// Matching: the serial greedy sweep on a warm workspace.
+	add("scale_match_gnp"+sfx+"_t1", 0, func(b *testing.B) {
 		w := matching.NewWorkspace()
-		w.SetParallel(threads)
-		add(fmt.Sprintf("scale_match_gnp%s_t%d", sfx, threads), 0, func(b *testing.B) {
-			r := rng.NewFib(7)
-			w.RandomMaximal(g, r) // warm the arena
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.RandomMaximal(g, r)
-			}
-		})
-	}
+		r := rng.NewFib(7)
+		w.RandomMaximal(g, r) // warm the arena
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.RandomMaximal(g, r)
+		}
+	})
 
 	// Contraction thread series: identical work at every degree — the
 	// sharded row-count/row-write kernel is byte-identical to the serial
@@ -172,61 +163,36 @@ func addScaleRows(add func(name string, metric float64, fn func(b *testing.B)), 
 		})
 	}
 
-	// Refinement thread series: one steady-state FM pass on a warmed
-	// refiner. At mean degree 4 almost every moved vertex falls below
-	// fm.ParallelMinDegree, so t2+ here measures the parallel bucket
-	// initialization plus the gated serial fallback of the pass body —
-	// the honest sparse-instance picture.
-	for _, threads := range []int{1, 2, 4, 8} {
-		opts := fm.Options{ParallelDegree: threads}
-		w := fm.NewRefiner()
-		bis := partition.NewRandom(g, rng.NewFib(9))
-		if _, _, err := w.Pass(bis, opts); err != nil {
-			return err
-		}
-		add(fmt.Sprintf("scale_fm_pass_gnp%s_t%d", sfx, threads), 0, func(b *testing.B) {
-			defer w.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := w.Pass(bis, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	// Dense refinement thread series: the same steady-state pass on a
-	// degree-64 million-vertex instance, where nearly every committed
-	// move clears fm.ParallelMinDegree and the sharded gain-update
-	// kernel carries the pass body. This is the series that shows
-	// multi-core speedup; on a single-core host the _t<k> rows measure
-	// only the sharding overhead at degree k (see num_cpu in the
-	// snapshot header).
+	// Refinement: one steady-state FM pass on a warmed refiner, on the
+	// sparse instance and on a degree-64 million-vertex one.
 	g64, err := gen.GNP(scaleDefaultN, scaleHighDeg/float64(scaleDefaultN-1), rng.NewFib(43))
 	if err != nil {
 		return err
 	}
-	for _, threads := range []int{1, 2, 4, 8} {
-		opts := fm.Options{ParallelDegree: threads}
+	for _, row := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"scale_fm_pass_gnp" + sfx + "_t1", g},
+		{"scale_fm_pass_gnp1m_d64_t1", g64},
+	} {
 		w := fm.NewRefiner()
-		bis := partition.NewRandom(g64, rng.NewFib(9))
-		if _, _, err := w.Pass(bis, opts); err != nil {
+		bis := partition.NewRandom(row.g, rng.NewFib(9))
+		if _, _, err := w.Pass(bis, fm.Options{}); err != nil {
 			return err
 		}
-		add(fmt.Sprintf("scale_fm_pass_gnp1m_d64_t%d", threads), 0, func(b *testing.B) {
-			defer w.Close()
+		add(row.name, 0, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := w.Pass(bis, opts); err != nil {
+				if _, _, err := w.Pass(bis, fm.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
 
-	// Spectral Fiedler-solver rows: Lanczos vs power matvec counts and
-	// the sharded-matvec thread series (see scenarios.go).
+	// Spectral Fiedler-solver rows: Lanczos vs power matvec counts (see
+	// scenarios.go).
 	return addSpectralScaleRows(add, scaleN)
 }

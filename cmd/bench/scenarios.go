@@ -95,9 +95,9 @@ func spectralPowerOpts() spectral.Options {
 //     iterate-change criterion "converges" thousands of matvecs later
 //     on a vector that is still far from it (see docs/PERFORMANCE.md).
 //
-// The _t<k> thread series runs the Lanczos solve at degrees 1/2/4/8 on
-// the BReg instance; its metric (matvecs) is identical at every degree
-// because the sharded kernels are bit-deterministic.
+// The _t1 row runs the Lanczos solve on the BReg instance on a warm
+// workspace; the solver is serial, and the row keeps the _t1 name of
+// the earlier thread series.
 func addSpectralScaleRows(add func(name string, metric float64, fn func(b *testing.B)), scaleN int) error {
 	if scaleN < 10_000 {
 		return nil // planted structure too small to be meaningful
@@ -134,24 +134,7 @@ func addSpectralScaleRows(add func(name string, metric float64, fn func(b *testi
 	add("scale_spectral_lanczos_breg"+sfx, float64(sl.MatVecs), solverRowOn(g, spectralLanczosOpts()))
 	add("scale_spectral_power_breg"+sfx, float64(sp.MatVecs), solverRowOn(g, spectralPowerOpts()))
 
-	for _, threads := range []int{1, 2, 4, 8} {
-		threads := threads
-		w := spectral.NewWorkspace()
-		w.SetParallel(threads)
-		opts := spectralLanczosOpts()
-		opts.Workspace = w
-		add(fmt.Sprintf("scale_spectral_fiedler_breg%s_t%d", sfx, threads), float64(sl.MatVecs), func(b *testing.B) {
-			defer w.Close()
-			r := rng.NewFib(7)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := spectral.Fiedler(g, opts, r); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	add("scale_spectral_fiedler_breg"+sfx+"_t1", float64(sl.MatVecs), solverRowOn(g, spectralLanczosOpts()))
 
 	// The fixed-size small-gap pair. Both solvers run the default Tol by
 	// their own criteria; the matvec count is the metric, the cuts they

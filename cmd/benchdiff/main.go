@@ -31,8 +31,8 @@
 // does not trip the empty-intersection error.
 //
 // Thread-scaling series (a "_t<k>" suffix: the same kernel at -threads
-// 1/2/4/8, e.g. scale_match_gnp1m_t4 or scale_spectral_fiedler_breg1m_t4)
-// get that treatment only for ns/op when k > 1: wall-clock depends on
+// 1/2/4/8, e.g. scale_contract_gnp1m_t4) get that treatment only for
+// ns/op when k > 1: wall-clock depends on
 // how many cores the host actually has, so it is reported and
 // summarized as a parallel-efficiency table (speedup over the _t1 row
 // divided by k) but never gated on. Their result metrics and allocation

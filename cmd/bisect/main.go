@@ -10,10 +10,10 @@
 //
 // Binary CSR inputs (.csr, written by gengraph -format csr) are
 // memory-mapped rather than parsed, so million-vertex graphs load in
-// milliseconds. -threads shards the matching, contraction, and
-// gain-bucket kernels within each run; results are identical for every
-// thread count ≥ 2 (and for 1 vs many on graphs below the parallel
-// threshold).
+// milliseconds. -threads shards only two kernels within each run, on
+// graphs of at least 2¹⁵ vertices: the contraction of the compacted and
+// multilevel algorithms, and the KL gain-bucket fill. It does nothing
+// for fm, spectral and sa. Results are identical at every thread count.
 //
 // The output file (if requested) has one line per vertex: "<id> <side>".
 // -trace streams per-pass/per-temperature/per-level events ("-" =
@@ -63,7 +63,7 @@ func run() (interrupted bool, err error) {
 	alg := flag.String("alg", "ckl", "algorithm: "+strings.Join(bisect.BisectorNames(), ", "))
 	starts := flag.Int("starts", 2, "number of random starts (best kept)")
 	seed := flag.Uint64("seed", 1989, "random seed")
-	threads := flag.Int("threads", 1, "goroutines for within-run kernels (matching, contraction, refinement pass body); results are identical at any value")
+	threads := flag.Int("threads", 1, "goroutines for within-run kernels: shards only contraction and the KL bucket fill, and does nothing for fm, spectral and sa; results are identical at any value")
 	out := flag.String("out", "", "write per-vertex side assignment to this file")
 	validate := flag.Bool("validate", false, "re-verify the result from scratch before reporting")
 	timeout := flag.Duration("timeout", 0, "stop at the next checkpoint after this long, keeping the best-so-far result (0 = none)")

@@ -162,20 +162,27 @@ func TestProjectMatchesFreshPath(t *testing.T) {
 // random stream identically to the package function, so switching a
 // driver to an arena can never move any downstream draw.
 func TestWorkspaceMatchingStream(t *testing.T) {
-	gs := allocGraph(t)
-	w := NewWorkspace()
-	r1 := rng.NewFib(99)
-	r2 := rng.NewFib(99)
-	for round := 0; round < 3; round++ {
-		a := matching.RandomMaximal(gs.g, r1)
-		b := w.RandomMaximal(gs.g, r2)
-		for v := range a {
-			if a[v] != b[v] {
-				t.Fatalf("round %d: mate[%d] differs: %d vs %d", round, v, a[v], b[v])
+	// The Gbreg(40000, 64, 3) instance has more than 2¹⁵ vertices, like
+	// the finer levels of a multilevel run.
+	large, err := gen.BReg(40000, 64, 3, rng.NewFib(15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{allocGraph(t).g, large} {
+		w := NewWorkspace()
+		r1 := rng.NewFib(99)
+		r2 := rng.NewFib(99)
+		for round := 0; round < 3; round++ {
+			a := matching.RandomMaximal(g, r1)
+			b := w.RandomMaximal(g, r2)
+			for v := range a {
+				if a[v] != b[v] {
+					t.Fatalf("n=%d round %d: mate[%d] differs: %d vs %d", g.N(), round, v, a[v], b[v])
+				}
 			}
-		}
-		if r1.Uint64() != r2.Uint64() {
-			t.Fatalf("round %d: streams diverged after matching", round)
+			if r1.Uint64() != r2.Uint64() {
+				t.Fatalf("n=%d round %d: streams diverged after matching", g.N(), round)
+			}
 		}
 	}
 }

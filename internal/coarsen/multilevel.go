@@ -46,12 +46,11 @@ type MultilevelOptions struct {
 	// workspace must not be shared across goroutines; nil allocates an
 	// ephemeral arena per run.
 	Workspace *Workspace
-	// ParallelDegree, when > 1, runs the matching and contraction phases
-	// on that many goroutines within a single run for graphs with at
-	// least ParallelMinVertices vertices (results are identical at any
-	// degree; see parallel.go and matching/parallel.go). 0 or 1 keeps
-	// every phase serial. The pool attaches to the Workspace, so reuse a
-	// Workspace across runs to amortize it.
+	// ParallelDegree, when > 1, runs the contraction phase on that many
+	// goroutines within a single run for graphs with at least
+	// ParallelMinVertices vertices (results are identical at any degree;
+	// see parallel.go). Matching is always serial. The pool attaches to
+	// the Workspace, so reuse a Workspace across runs to amortize it.
 	ParallelDegree int
 	// SpectralInit seeds the coarsest-level solve from the spectral
 	// median split (see internal/spectral) instead of the initial
@@ -117,14 +116,7 @@ func Multilevel(g *graph.Graph, opts *MultilevelOptions, initial InitialFunc, re
 	w := o.Workspace
 	if w == nil {
 		w = NewWorkspace()
-		if o.ParallelDegree > 1 {
-			defer w.Close() // release the ephemeral pool's parked goroutines
-			if opts == nil || opts.Match == nil {
-				// Route the default matching through the ephemeral
-				// workspace so the pool covers the match phase too.
-				o.Match = w.RandomMaximal
-			}
-		}
+		defer w.Close() // release the ephemeral pool's parked goroutines
 	}
 	if o.ParallelDegree > 0 {
 		w.SetParallel(o.ParallelDegree)

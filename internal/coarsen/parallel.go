@@ -29,36 +29,23 @@ import (
 // dominates under it. A variable only so tests can lower it.
 var ParallelMinVertices = 1 << 15
 
-// SetParallel attaches a pool of the given degree to the workspace and
-// shares it with the embedded matching workspace, so one set of parked
-// workers serves both the match and contract phases. Degree ≤ 1
-// detaches. Idempotent per degree; Close releases the pool.
+// SetParallel attaches a pool of the given degree to the workspace for
+// the sharded contraction. Degree ≤ 1 detaches. Idempotent per degree;
+// Close releases the pool.
 func (w *Workspace) SetParallel(degree int) {
 	if degree == w.poolDeg {
 		return
 	}
-	w.releasePool()
+	w.Close()
 	w.pool = par.New(degree)
 	w.poolDeg = degree
-	w.match.SetPool(w.pool)
-	if w.spec != nil {
-		w.spec.SetPool(w.pool)
-	}
 }
 
 // Close releases the workspace's pool (parked goroutines). The
 // workspace remains usable serially afterwards.
-func (w *Workspace) Close() { w.releasePool() }
-
-func (w *Workspace) releasePool() {
-	if w.pool != nil {
-		w.match.SetPool(nil)
-		if w.spec != nil {
-			w.spec.SetPool(nil)
-		}
-		w.pool.Close()
-		w.pool = nil
-	}
+func (w *Workspace) Close() {
+	w.pool.Close()
+	w.pool = nil
 	w.poolDeg = 0
 }
 

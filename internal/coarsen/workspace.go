@@ -37,11 +37,10 @@ type Workspace struct {
 	side   []uint8 // projection scratch, sized to the largest fine graph seen
 
 	// spec is the lazily created spectral solver workspace for
-	// MultilevelOptions.SpectralInit coarsest-level seeding. It shares
-	// the arena's pool (attached on creation and by SetParallel).
+	// MultilevelOptions.SpectralInit coarsest-level seeding.
 	spec *spectral.Workspace
 
-	// Sharded-contraction state (see parallel.go): the shared pool, one
+	// Sharded-contraction state (see parallel.go): the pool, one
 	// epoch-stamped dedup map per shard, per-shard error slots, and the
 	// pre-bound phase closures plus per-run parameters that keep the
 	// parallel kernel allocation-free.
@@ -448,8 +447,8 @@ func (w *Workspace) multilevel(g *graph.Graph, o MultilevelOptions, initial Init
 
 // coarsestSolve produces the coarsest-level bisection: the spectral
 // median split when SpectralInit is set, the initial bisector
-// otherwise. The spectral solver reuses a workspace owned by the arena
-// (sharing its pool), so repeated runs don't re-grow solver buffers. A
+// otherwise. The spectral solver reuses a workspace owned by the arena,
+// so repeated runs don't re-grow solver buffers. A
 // solver that stops at its matvec budget still seeds with the
 // best-effort split; a hard solver failure falls back to initial so
 // Multilevel never loses a result to its own seeding heuristic.
@@ -459,7 +458,6 @@ func (w *Workspace) coarsestSolve(cur *graph.Graph, o MultilevelOptions, initial
 	}
 	if w.spec == nil {
 		w.spec = spectral.NewWorkspace()
-		w.spec.SetPool(w.pool)
 	}
 	b, err := spectral.Bisect(cur, spectral.Options{Workspace: w.spec}, r)
 	if err != nil && !spectral.IsNotConverged(err) {

@@ -256,9 +256,9 @@ func (a Spectral) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, err
 }
 
 // WithWorkspace implements Reusable for Spectral: the solver workspace
-// (Lanczos basis slab, matvec buffers, tridiagonal scratch, reduction
-// partials) is reused across runs, so every warm solve allocates only
-// the returned bisection.
+// (Lanczos basis slab, matvec buffers, tridiagonal scratch) is reused
+// across runs, so every warm solve allocates only the returned
+// bisection.
 func (a Spectral) WithWorkspace() Bisector {
 	a.Opts.Workspace = spectral.NewWorkspace()
 	return a
@@ -281,10 +281,9 @@ type Compacted struct {
 	// match/contract/project pipeline runs in (see coarsen.Workspace);
 	// WithWorkspace sets it. Results are identical with or without one.
 	Workspace *coarsen.Workspace
-	// ParallelDegree, when > 1, shards the matching and contraction
-	// phases across that many goroutines for large graphs; WithParallel
-	// sets it (and parallelizes Inner). Results are identical at any
-	// degree.
+	// ParallelDegree, when > 1, shards the contraction across that many
+	// goroutines for large graphs; WithParallel sets it (and
+	// parallelizes Inner). Results are identical at any degree.
 	ParallelDegree int
 }
 
@@ -562,8 +561,9 @@ func (b BestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error
 		starts = 1
 	}
 	// One reusable workspace shared by all the sequential starts (a no-op
-	// for inner bisectors without reusable state).
+	// for inner bisectors without reusable state), released at the end.
 	base := WithWorkspace(b.Inner)
+	defer Release(base)
 	var best *partition.Bisection
 	var stopErr error
 	for i := 0; i < starts; i++ {

@@ -6,38 +6,25 @@ import (
 	"testing"
 
 	"repro/internal/coarsen"
-	"repro/internal/fm"
 	"repro/internal/gen"
 	"repro/internal/kl"
-	"repro/internal/matching"
 	"repro/internal/rng"
-	"repro/internal/spectral"
 	"repro/internal/trace"
 )
 
 // TestDeterminismMatrix is the repo-wide thread-count invariance gate:
 // one kl, fm, and mlkl configuration each run at thread counts 1, 2, 4,
 // and 8 must produce the identical cut, side assignment, and trace
-// event stream. Every parallel gate is lowered so the sharded kernels —
-// matching handshake, coarsen contraction, the KL/FM bucket fill, FM
-// gain updates, and the FM proposal reduce — all actually engage; degree 1 runs the same
-// code paths inline, which is what makes `-threads` a pure performance
-// knob. ElapsedNS is wall-clock and is zeroed before hashing; every
-// other event field is covered.
+// event stream. Both parallel gates are lowered so the sharded kernels —
+// coarsen contraction and the KL bucket fill — actually engage; degree
+// 1 runs the same code paths inline, which is what makes `-threads` a
+// pure performance knob. ElapsedNS is wall-clock and is zeroed before
+// hashing; every other event field is covered.
 func TestDeterminismMatrix(t *testing.T) {
-	savedC, savedM := coarsen.ParallelMinVertices, matching.ParallelMinVertices
-	savedK, savedF := kl.ParallelMinVertices, fm.ParallelMinVertices
-	savedFD := fm.ParallelMinDegree
-	savedS := spectral.ParallelMinVertices
-	coarsen.ParallelMinVertices, matching.ParallelMinVertices = 1, 1
-	kl.ParallelMinVertices, fm.ParallelMinVertices = 1, 1
-	fm.ParallelMinDegree = 1
-	spectral.ParallelMinVertices = 1
+	savedC, savedK := coarsen.ParallelMinVertices, kl.ParallelMinVertices
+	coarsen.ParallelMinVertices, kl.ParallelMinVertices = 1, 1
 	t.Cleanup(func() {
-		coarsen.ParallelMinVertices, matching.ParallelMinVertices = savedC, savedM
-		kl.ParallelMinVertices, fm.ParallelMinVertices = savedK, savedF
-		fm.ParallelMinDegree = savedFD
-		spectral.ParallelMinVertices = savedS
+		coarsen.ParallelMinVertices, kl.ParallelMinVertices = savedC, savedK
 	})
 
 	g, err := gen.GNP(3000, 8.0/2999, rng.NewFib(47))
@@ -72,9 +59,8 @@ func TestDeterminismMatrix(t *testing.T) {
 		return cell{cut: b.Cut(), sidesHash: sh.Sum64(), traceHash: th.Sum64(), events: rec.Len()}
 	}
 
-	// "mlkl+spec" adds the sharded spectral solver to the matrix: the
-	// coarsest-level Fiedler solve (sharded matvec + fixed-block
-	// reductions) must not perturb the split at any thread count.
+	// "mlkl+spec" adds the coarsest-level Fiedler solve to the matrix:
+	// it must not perturb the split at any thread count.
 	for _, name := range []string{"kl", "fm", "mlkl", "mlkl+spec"} {
 		ref := run(name, 1)
 		if ref.events == 0 {

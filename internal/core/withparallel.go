@@ -5,14 +5,14 @@ import (
 )
 
 // Parallelizable is a Bisector that can use several goroutines WITHIN a
-// single run — sharded matching and contraction in the compaction
-// pipeline, concurrent gain-bucket filling in the refiners — as opposed
-// to ParallelBestOf, which parallelizes ACROSS independent runs. The
-// contract is strict determinism: a parallelizable bisector returns the
-// same bisection at every degree ≥ 2 (the parallel kernels are designed
-// for shard-count independence), and the parallel paths only engage
-// above the per-package ParallelMinVertices thresholds, so
-// fixture-sized instances keep the serial streams bit-exact.
+// single run — sharded contraction in the compaction pipeline and the
+// two-sided gain-bucket fill of the KL refiner — as opposed to
+// ParallelBestOf, which parallelizes ACROSS independent runs. The
+// contract is strict determinism: both kernels reproduce their serial
+// output byte for byte, so a parallelizable bisector returns the same
+// bisection at every degree, and they engage only above the
+// per-package ParallelMinVertices thresholds. FM, SA and spectral have
+// no within-run kernel and run serially at every degree.
 type Parallelizable interface {
 	Bisector
 	// WithParallel returns a copy of the bisector whose runs use up to
@@ -50,26 +50,9 @@ func (a KL) WithParallel(degree int) Bisector {
 	return a
 }
 
-// WithParallel implements Parallelizable for FM (concurrent gain-bucket
-// filling on large graphs).
-func (a FM) WithParallel(degree int) Bisector {
-	a.Opts.ParallelDegree = degree
-	return a
-}
-
-// WithParallel implements Parallelizable for Spectral: the solver's CSR
-// matvec shards over vertex ranges and its reductions use fixed-block
-// deterministic summation, so the Fiedler split is bit-identical at
-// every degree (see internal/spectral/workspace.go).
-func (a Spectral) WithParallel(degree int) Bisector {
-	a.Opts.ParallelDegree = degree
-	return a
-}
-
-// WithParallel implements Parallelizable for Compacted: the matching and
-// contraction phases shard across the degree (the pool attaches to the
-// compaction workspace at Bisect time), and the inner bisector is
-// parallelized too.
+// WithParallel implements Parallelizable for Compacted: the contraction
+// shards across the degree (the pool attaches to the compaction
+// workspace at Bisect time), and the inner bisector is parallelized too.
 func (c Compacted) WithParallel(degree int) Bisector {
 	c.ParallelDegree = degree
 	if c.Inner != nil {
@@ -79,9 +62,8 @@ func (c Compacted) WithParallel(degree int) Bisector {
 }
 
 // WithParallel implements Parallelizable for Multilevel: every level's
-// matching and contraction shard across the degree, and the inner
-// bisector is parallelized too. The options are copied, never mutated
-// in place.
+// contraction shards across the degree, and the inner bisector is
+// parallelized too. The options are copied, never mutated in place.
 func (m Multilevel) WithParallel(degree int) Bisector {
 	var o coarsen.MultilevelOptions
 	if m.Opts != nil {
@@ -107,9 +89,35 @@ func (b BestOf) WithParallel(degree int) Bisector {
 // Compile-time checks for the parallelizable set.
 var (
 	_ Parallelizable = KL{}
-	_ Parallelizable = FM{}
-	_ Parallelizable = Spectral{}
 	_ Parallelizable = Compacted{}
 	_ Parallelizable = Multilevel{}
 	_ Parallelizable = BestOf{}
 )
+
+// Release closes the worker pools owned by the workspaces attached to b
+// (see WithWorkspace): the KL refiner's and the compaction arena's,
+// through any Compacted, Multilevel or BestOf nesting. Their parked
+// goroutines would otherwise outlive b. Drivers that build workspaces
+// release them when done, and so does bisectd when it discards a
+// worker's bisectors. b stays usable; a later parallel run opens a new
+// pool.
+func Release(b Bisector) {
+	switch a := b.(type) {
+	case KL:
+		if a.Opts.Workspace != nil {
+			a.Opts.Workspace.Close()
+		}
+	case Compacted:
+		if a.Workspace != nil {
+			a.Workspace.Close()
+		}
+		Release(a.Inner)
+	case Multilevel:
+		if a.Opts != nil && a.Opts.Workspace != nil {
+			a.Opts.Workspace.Close()
+		}
+		Release(a.Inner)
+	case BestOf:
+		Release(a.Inner)
+	}
+}

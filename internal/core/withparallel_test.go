@@ -4,10 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/coarsen"
-	"repro/internal/fm"
 	"repro/internal/gen"
 	"repro/internal/kl"
-	"repro/internal/matching"
 	"repro/internal/rng"
 )
 
@@ -16,13 +14,10 @@ import (
 // sharded kernels actually engage, every degree ≥ 2 must return the
 // exact same bisection.
 func TestWithParallelDeterminism(t *testing.T) {
-	savedC, savedM := coarsen.ParallelMinVertices, matching.ParallelMinVertices
-	savedK, savedF := kl.ParallelMinVertices, fm.ParallelMinVertices
-	coarsen.ParallelMinVertices, matching.ParallelMinVertices = 1, 1
-	kl.ParallelMinVertices, fm.ParallelMinVertices = 1, 1
+	savedC, savedK := coarsen.ParallelMinVertices, kl.ParallelMinVertices
+	coarsen.ParallelMinVertices, kl.ParallelMinVertices = 1, 1
 	t.Cleanup(func() {
-		coarsen.ParallelMinVertices, matching.ParallelMinVertices = savedC, savedM
-		kl.ParallelMinVertices, fm.ParallelMinVertices = savedK, savedF
+		coarsen.ParallelMinVertices, kl.ParallelMinVertices = savedC, savedK
 	})
 
 	g, err := gen.GNP(2000, 0.005, rng.NewFib(19))

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/runctl"
@@ -54,30 +53,7 @@ type Options struct {
 	// run under checkpoint budget k is identical to an uncancelled run
 	// with MaxPasses = k; nil costs nothing.
 	Control *runctl.Control
-	// ParallelDegree, when > 1, shards the pass over a worker pool of
-	// that degree for graphs with at least ParallelMinVertices vertices:
-	// the two gain-bucket structures are filled concurrently (one worker
-	// per side), each committed move's neighbor gain updates and bucket
-	// repositions are sharded when the moved vertex's degree reaches
-	// ParallelMinDegree, and on weighted graphs the move selection scans
-	// per-shard bucket segments with a deterministic reduce. Results are
-	// identical at any degree — every kernel reproduces the serial
-	// decision sequence bit-exactly (see docs/PERFORMANCE.md). The pool
-	// attaches to the Workspace; reuse one (and Close it) to amortize.
-	ParallelDegree int
 }
-
-// ParallelMinVertices is the graph size below which the pass stays
-// serial even when Options.ParallelDegree asks for workers. A variable
-// only so tests can lower it.
-var ParallelMinVertices = 1 << 15
-
-// ParallelMinDegree is the moved-vertex degree below which a committed
-// move's neighbor updates stay serial even on a parallel pass: the
-// fork-join barrier costs on the order of a microsecond, so sharding
-// only pays once a move touches enough neighbors. A variable only so
-// tests can lower it.
-var ParallelMinDegree = 64
 
 const safetyPassCap = 1000
 
@@ -98,46 +74,6 @@ type Stats struct {
 type Refiner struct {
 	buckets [2]partition.GainBuckets
 	moves   []int32
-	// Worker pool for the parallel pass kernels (Options.ParallelDegree),
-	// created lazily, released by Close; pb carries the bisection to the
-	// pre-bound shard closures.
-	pool   *par.Pool
-	initFn func(int)
-	pb     *partition.Bisection
-	// mover shards the per-move neighbor gain updates and bucket
-	// repositions (see partition.ShardedMover).
-	mover partition.ShardedMover
-	// Parallel move-proposal state: per-(side, shard) best admissible
-	// candidates and the pre-bound segment-scan closure.
-	propV      []int32
-	propG      []int64
-	propFn     func(int)
-	propShards int
-	propD      int64 // side-weight difference during the current selection
-	propTol    int64
-}
-
-// Close releases the pool created for parallel bucket filling (if any).
-// The Refiner remains usable afterwards.
-func (w *Refiner) Close() {
-	if w.pool != nil {
-		w.pool.Close()
-		w.pool = nil
-	}
-}
-
-// initShard fills side s's gain buckets in vertex order — exactly the
-// serial insertion order restricted to one side, so the LIFO bucket
-// layout (and every downstream decision) is identical.
-func (w *Refiner) initShard(s int) {
-	side, gain := w.pb.SidesRef(), w.pb.GainsRef()
-	bk := &w.buckets[s]
-	us := uint8(s)
-	for v, sv := range side {
-		if sv == us {
-			bk.Add(int32(v), gain[v])
-		}
-	}
 }
 
 // NewRefiner returns an empty workspace. Equivalent to new(Refiner);
@@ -273,39 +209,8 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 		return 0, 0, err
 	}
 	buckets := [2]*partition.GainBuckets{&w.buckets[0], &w.buckets[1]}
-	useParallel := opts.ParallelDegree > 1 && n >= ParallelMinVertices
-	if useParallel {
-		if w.pool == nil || w.pool.Degree() < opts.ParallelDegree {
-			w.pool.Close()
-			w.pool = par.New(opts.ParallelDegree)
-			w.initFn = w.initShard
-		}
-		w.pb = b
-		w.pool.Run(2, w.initFn)
-		w.pb = nil
-	} else {
-		for v := int32(0); int(v) < n; v++ {
-			buckets[b.Side(v)].Add(v, b.Gain(v))
-		}
-	}
-	if useParallel {
-		w.mover.Bind(w.pool, b, buckets[0], buckets[1])
-	}
-	// The sharded proposal only differs from the serial scan on weighted
-	// graphs; unit-weight selection is already O(1) per side.
-	useProp := useParallel && g.MaxVertexWeight() > 1
-	if useProp {
-		shards := w.pool.Degree()
-		if cap(w.propV) < 2*shards {
-			w.propV = make([]int32, 2*shards)
-			w.propG = make([]int64, 2*shards)
-		}
-		w.propV = w.propV[:2*shards]
-		w.propG = w.propG[:2*shards]
-		w.propShards = shards
-		if w.propFn == nil {
-			w.propFn = w.propShard
-		}
+	for v := int32(0); int(v) < n; v++ {
+		buckets[b.Side(v)].Add(v, b.Gain(v))
 	}
 
 	moves := w.moves[:0]
@@ -320,24 +225,15 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 		startCut = b.Cut()
 	}
 	for step := 0; step < n; step++ {
-		var v int32
-		if useProp {
-			v = w.selectMoveParallel(b, moveTol)
-		} else {
-			v = selectMove(b, buckets, moveTol)
-		}
+		v := selectMove(b, buckets, moveTol)
 		if v < 0 {
 			break
 		}
 		gain := b.Gain(v)
 		buckets[b.Side(v)].Remove(v)
-		if useParallel && len(g.Neighbors(v)) >= ParallelMinDegree {
-			w.mover.Move(v)
-		} else {
-			b.Move(v)
-			for _, e := range g.Neighbors(v) {
-				buckets[b.Side(e.To)].UpdateIfPresent(e.To, b.Gain(e.To))
-			}
+		b.Move(v)
+		for _, e := range g.Neighbors(v) {
+			buckets[b.Side(e.To)].UpdateIfPresent(e.To, b.Gain(e.To))
 		}
 		moves = append(moves, v)
 		cum += gain
@@ -372,14 +268,7 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 		emitMoveBatch(obs, b, batchIdx, len(moves), startCut, cum, bestCum, batchMaxGain)
 	}
 	for i := len(moves) - 1; i >= bestK; i-- {
-		if useParallel && len(g.Neighbors(moves[i])) >= ParallelMinDegree {
-			w.mover.MoveNoBuckets(moves[i])
-		} else {
-			b.Move(moves[i])
-		}
-	}
-	if useParallel {
-		w.mover.Unbind()
+		b.Move(moves[i])
 	}
 	w.moves = moves[:0] // keep the grown capacity for the next pass
 	if bestCum < 0 {
@@ -471,83 +360,6 @@ func selectMove(b *partition.Bisection, buckets [2]*partition.GainBuckets, tol i
 		}
 	}
 	return bestV
-}
-
-// selectMoveParallel is selectMove's weighted path with the descending
-// admissibility scan sharded: the bucket index space of each side is
-// split into contiguous per-shard segments, every shard finds its
-// segment's best admissible vertex (same descending LIFO walk, same
-// admissibility test as the serial scan), and a serial reduce picks the
-// winner.
-//
-// The reduce reproduces the serial selection exactly, independent of
-// the shard count: segments partition the gain axis, so a side's best
-// admissible vertex is the candidate of the highest segment that found
-// one — the same vertex the serial descending scan stops at, because
-// admissibility at a fixed pass state depends only on the vertex (side,
-// weight), never on scan order, and each bucket's LIFO chain lies
-// entirely inside one segment. Across sides the reduce keeps side 0 on
-// gain ties, matching the serial side order (side 1 must strictly beat
-// side 0 to win).
-func (w *Refiner) selectMoveParallel(b *partition.Bisection, tol int64) int32 {
-	w.pb = b
-	w.propD = b.SideWeight(0) - b.SideWeight(1)
-	w.propTol = tol
-	w.pool.Run(w.propShards, w.propFn)
-	w.pb = nil
-	bestV := int32(-1)
-	var bestG int64
-	for side := 0; side < 2; side++ {
-		for s := w.propShards - 1; s >= 0; s-- {
-			v := w.propV[side*w.propShards+s]
-			if v < 0 {
-				continue // segment had no admissible vertex; try lower gains
-			}
-			if g := w.propG[side*w.propShards+s]; bestV < 0 || g > bestG {
-				bestV, bestG = v, g
-			}
-			break // lower segments hold strictly lower gains
-		}
-	}
-	return bestV
-}
-
-// propShard scans shard s's bucket-index segment of both sides for the
-// segment's best admissible move, mirroring the serial weighted scan's
-// admissibility rule: the move must keep |w0 − w1| within tolerance or
-// strictly shrink it.
-func (w *Refiner) propShard(s int) {
-	b := w.pb
-	g := b.Graph()
-	d, tol, shards := w.propD, w.propTol, w.propShards
-	abs := d
-	if abs < 0 {
-		abs = -abs
-	}
-	for side := 0; side < 2; side++ {
-		gb := &w.buckets[side]
-		span := gb.Span()
-		lo, hi := s*span/shards, (s+1)*span/shards
-		w.propV[side*shards+s] = -1
-		for c := gb.RangeCursor(lo, hi); c.Valid(); c.Next() {
-			v := c.V()
-			nd := d
-			if side == 0 {
-				nd -= 2 * int64(g.VertexWeight(v))
-			} else {
-				nd += 2 * int64(g.VertexWeight(v))
-			}
-			nabs := nd
-			if nabs < 0 {
-				nabs = -nabs
-			}
-			if nabs <= tol || nabs < abs {
-				w.propV[side*shards+s] = v
-				w.propG[side*shards+s] = c.Gain()
-				break // best admissible in this segment found
-			}
-		}
-	}
 }
 
 // String implements a compact summary for logs.

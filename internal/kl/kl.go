@@ -68,8 +68,9 @@ type Options struct {
 	// Workspace, when non-nil, supplies the reusable pass state (gain
 	// buckets, swap log, scratch stamps) so repeated runs allocate
 	// nothing. A nil Workspace makes Run/Refine/Pass allocate a private
-	// one. Workspaces are not safe for concurrent use; give each
-	// goroutine its own (see core.ParallelBestOf).
+	// one, closed before they return. Workspaces are not safe for
+	// concurrent use; give each goroutine its own (see
+	// core.ParallelBestOf).
 	Workspace *Refiner
 	// Observer, when non-nil, receives move_batch, pass_done, and
 	// run_done trace events (see docs/OBSERVABILITY.md). Observers never
@@ -203,19 +204,16 @@ func (w *Refiner) stamp(g *graph.Graph, a int32) uint32 {
 	return w.epoch
 }
 
-// workspace returns opts.Workspace or a fresh private one.
-func workspace(opts Options) *Refiner {
-	if opts.Workspace != nil {
-		return opts.Workspace
-	}
-	return new(Refiner)
-}
-
 // Refine runs KL passes on b in place until no pass improves the cut (or
 // opts.MaxPasses is reached). The bisection's side sizes are preserved
 // exactly: KL only ever exchanges opposite-side pairs.
 func Refine(b *partition.Bisection, opts Options) (Stats, error) {
-	return workspace(opts).Refine(b, opts)
+	w := opts.Workspace
+	if w == nil {
+		w = new(Refiner)
+		defer w.Close() // a private refiner's pool must not outlive the call
+	}
+	return w.Refine(b, opts)
 }
 
 // Refine is Refine using this workspace (opts.Workspace is ignored).
@@ -282,7 +280,12 @@ func Run(g *graph.Graph, opts Options, r *rng.Rand) (*partition.Bisection, Stats
 // improvement achieved (≥ 0), the number of pair exchanges kept, and the
 // number of candidate pairs scanned.
 func Pass(b *partition.Bisection, opts Options) (improvement int64, kept int, scanned int64, err error) {
-	return workspace(opts).Pass(b, opts)
+	w := opts.Workspace
+	if w == nil {
+		w = new(Refiner)
+		defer w.Close()
+	}
+	return w.Pass(b, opts)
 }
 
 // Pass is Pass using this workspace (opts.Workspace is ignored).

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -24,24 +23,6 @@ type Workspace struct {
 	mate []int32
 	perm []int
 	cand []int32
-
-	// Parallel handshake state (see parallel.go). The pool is attached
-	// with SetParallel or SetPool; the remaining fields are the reused
-	// round buffers and the pre-bound shard closures that keep the
-	// parallel path allocation-free in steady state.
-	pool    *par.Pool
-	ownPool bool
-	prio    []uint64
-	prop    []int32
-	counts  []int64
-	pg      *graph.Graph
-	shards  int
-	seed    uint64
-
-	prioFn         func(int)
-	proposeRandFn  func(int)
-	proposeHeavyFn func(int)
-	resolveFn      func(int)
 }
 
 // NewWorkspace returns an empty Workspace. Buffers are sized lazily on
@@ -93,9 +74,6 @@ func (w *Workspace) candBuf(g *graph.Graph) []int32 {
 // next use. The method value satisfies coarsen.MatchFunc.
 func (w *Workspace) RandomMaximal(g *graph.Graph, r *rng.Rand) []int32 {
 	mate := w.resetMate(g.N())
-	if w.parallelActive(g.N()) {
-		return w.parallelMatch(g, r, false)
-	}
 	cand := w.candBuf(g)
 	for _, vi := range w.resetPerm(g.N(), r) {
 		v := int32(vi)
@@ -123,9 +101,6 @@ func (w *Workspace) RandomMaximal(g *graph.Graph, r *rng.Rand) []int32 {
 // next use.
 func (w *Workspace) HeavyEdge(g *graph.Graph, r *rng.Rand) []int32 {
 	mate := w.resetMate(g.N())
-	if w.parallelActive(g.N()) {
-		return w.parallelMatch(g, r, true)
-	}
 	best := w.candBuf(g)
 	for _, vi := range w.resetPerm(g.N(), r) {
 		v := int32(vi)

@@ -16,7 +16,27 @@ func mustGraph(g *graph.Graph, err error) *graph.Graph {
 	return g
 }
 
+// largeGraph is a Gbreg(40000, 64, 3) instance. It has more than 2¹⁵
+// vertices, like the finer levels of a multilevel run, so the validity
+// tests cover that size as well as the small quick-check graphs.
+func largeGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := gen.BReg(40000, 64, 3, rng.NewFib(15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestRandomMaximalIsValidAndMaximal(t *testing.T) {
+	g := largeGraph(t)
+	mate := RandomMaximal(g, rng.NewFib(16))
+	if err := Validate(g, mate); err != nil {
+		t.Fatal(err)
+	}
+	if !IsMaximal(g, mate) {
+		t.Fatal("matching of the large graph is not maximal")
+	}
 	f := func(seed uint64) bool {
 		r := rng.NewFib(seed)
 		n := 2 + r.Intn(50)
@@ -103,6 +123,14 @@ func TestHeavyEdgePrefersHeavyEdges(t *testing.T) {
 }
 
 func TestHeavyEdgeIsValidAndMaximal(t *testing.T) {
+	g := largeGraph(t)
+	mate := HeavyEdge(g, rng.NewFib(17))
+	if err := Validate(g, mate); err != nil {
+		t.Fatal(err)
+	}
+	if !IsMaximal(g, mate) {
+		t.Fatal("matching of the large graph is not maximal")
+	}
 	f := func(seed uint64) bool {
 		r := rng.NewFib(seed)
 		n := 2 + r.Intn(40)

@@ -1,7 +1,6 @@
 // Package par provides the fixed-degree fork-join worker pool behind
-// the within-run parallel kernels (sharded matching, parallel
-// contraction row counting/writing, parallel gain-bucket
-// initialization).
+// the two within-run parallel kernels: the sharded contraction's row
+// counting/writing and the KL refiner's two-sided gain-bucket fill.
 //
 // The design constraints come from the repository's workspace contract:
 //

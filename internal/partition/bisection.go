@@ -217,7 +217,13 @@ func (b *Bisection) SwapGain(a, v int32) int64 {
 // Move transfers v to the other side, updating cut, side weights, and the
 // gains of v and its neighbors in O(deg(v)).
 func (b *Bisection) Move(v int32) {
-	b.moveScalar(v)
+	old := b.side[v]
+	b.cut -= b.gain[v]
+	b.gain[v] = -b.gain[v]
+	b.side[v] = 1 - old
+	w := int64(b.g.VertexWeight(v))
+	b.sideW[old] -= w
+	b.sideW[1-old] += w
 	// Each neighbor's gain changes by +2w if it now sits across from v
 	// (the edge joined the cut) and −2w if alongside (the edge left the
 	// cut, so moving the neighbor would re-create it). Neighbor sides are
@@ -231,19 +237,6 @@ func (b *Bisection) Move(v int32) {
 		m := int64(side[e.To]^sv) - 1
 		gain[e.To] += (d ^ m) - m
 	}
-}
-
-// moveScalar is the O(1) part of Move: flip v's side, negate its gain,
-// and update cut and side weights. The neighbor gain updates are left to
-// the caller — Move applies them serially, ShardedMover in parallel.
-func (b *Bisection) moveScalar(v int32) {
-	old := b.side[v]
-	b.cut -= b.gain[v]
-	b.gain[v] = -b.gain[v]
-	b.side[v] = 1 - old
-	w := int64(b.g.VertexWeight(v))
-	b.sideW[old] -= w
-	b.sideW[1-old] += w
 }
 
 // Swap exchanges opposite-side vertices a and v (a convenience for the

@@ -279,71 +279,3 @@ func (c *Cursor) Next() {
 	}
 	c.v = -1
 }
-
-// Span returns the size of the bucket index space (2·maxGain + 1).
-// Bucket index i holds gain i − maxGain; the parallel move-proposal
-// phase partitions [0, Span) into contiguous per-shard segments.
-func (gb *GainBuckets) Span() int { return len(gb.head) }
-
-// RangeCursor is a Cursor restricted to the bucket index range
-// [lo, hi): it visits, in non-increasing gain order with the same LIFO
-// tie-break, exactly the vertices whose gain index falls in the range —
-// the subsequence of the full cursor walk owned by one segment. Several
-// RangeCursors over disjoint segments may walk one structure
-// concurrently; like Cursor, the structure must not be mutated during
-// the walk.
-type RangeCursor struct {
-	gb   *GainBuckets
-	i    int   // current bucket index
-	lo   int   // lowest bucket index in the segment
-	v    int32 // current vertex, or -1 when exhausted
-	gain int64 // gain of the current bucket
-}
-
-// RangeCursor returns a cursor over bucket indices [lo, hi), positioned
-// on the segment's maximum-gain vertex (invalid immediately if the
-// segment is empty). Indices at or above Span, or above the structure's
-// lazily maintained maximum, are skipped for free.
-func (gb *GainBuckets) RangeCursor(lo, hi int) RangeCursor {
-	c := RangeCursor{gb: gb, lo: lo, v: -1}
-	if hi > len(gb.head) {
-		hi = len(gb.head)
-	}
-	if m := gb.maxIdx + 1; hi > m {
-		hi = m // buckets above maxIdx are empty by invariant
-	}
-	for c.i = hi - 1; c.i >= lo; c.i-- {
-		if h := gb.head[c.i]; h >= 0 {
-			c.v = h
-			c.gain = int64(c.i) - gb.maxGain
-			break
-		}
-	}
-	return c
-}
-
-// Valid reports whether the cursor is on a vertex.
-func (c *RangeCursor) Valid() bool { return c.v >= 0 }
-
-// V returns the current vertex; the cursor must be valid.
-func (c *RangeCursor) V() int32 { return c.v }
-
-// Gain returns the current vertex's gain; the cursor must be valid.
-func (c *RangeCursor) Gain() int64 { return c.gain }
-
-// Next advances to the next vertex of the segment in non-increasing
-// gain order.
-func (c *RangeCursor) Next() {
-	if next := c.gb.ents[c.v].next; next >= 0 {
-		c.v = next
-		return
-	}
-	for c.i--; c.i >= c.lo; c.i-- {
-		if h := c.gb.head[c.i]; h >= 0 {
-			c.v = h
-			c.gain = int64(c.i) - c.gb.maxGain
-			return
-		}
-	}
-	c.v = -1
-}

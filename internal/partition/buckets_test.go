@@ -173,6 +173,15 @@ func TestGainBucketsErrors(t *testing.T) {
 // for every pair and then Settle in the same order: the KL pass's two
 // sweeps. After every step both must agree on Len, Max and the full
 // cursor order, which pins LIFO placement.
+// cursorSeq flattens a bucket structure's full descending walk.
+func cursorSeq(gb *GainBuckets, buf []int64) []int64 {
+	buf = buf[:0]
+	for c := gb.Cursor(); c.Valid(); c.Next() {
+		buf = append(buf, int64(c.V())<<32|(c.Gain()&0xFFFFFFFF))
+	}
+	return buf
+}
+
 func TestGainBucketsStress(t *testing.T) {
 	r := rng.NewFib(33)
 	const n = 200

@@ -6,33 +6,21 @@ import (
 
 	"repro/internal/coarsen"
 	"repro/internal/core"
-	"repro/internal/fm"
 	"repro/internal/kl"
-	"repro/internal/matching"
 	"repro/internal/rng"
-	"repro/internal/spectral"
 )
 
 // TestJobSpectralInitIdenticalResults pins the service registry flow for
 // the spectral-initialized multilevel algorithm: an HTTP "mlkl+spec"
 // job — serial and with -job-threads 4 — returns exactly the result of
 // the equivalent library call on the same seed, because the worker's
-// multi-start loop is stream-identical to core.BestOf and the spectral
-// solver's sharded kernels are deterministic at every degree.
+// multi-start loop is stream-identical to core.BestOf and the sharded
+// kernels are deterministic at every degree.
 func TestJobSpectralInitIdenticalResults(t *testing.T) {
-	savedC, savedM := coarsen.ParallelMinVertices, matching.ParallelMinVertices
-	savedK, savedF := kl.ParallelMinVertices, fm.ParallelMinVertices
-	savedFD := fm.ParallelMinDegree
-	savedS := spectral.ParallelMinVertices
-	coarsen.ParallelMinVertices, matching.ParallelMinVertices = 1, 1
-	kl.ParallelMinVertices, fm.ParallelMinVertices = 1, 1
-	fm.ParallelMinDegree = 1
-	spectral.ParallelMinVertices = 1
+	savedC, savedK := coarsen.ParallelMinVertices, kl.ParallelMinVertices
+	coarsen.ParallelMinVertices, kl.ParallelMinVertices = 1, 1
 	t.Cleanup(func() {
-		coarsen.ParallelMinVertices, matching.ParallelMinVertices = savedC, savedM
-		kl.ParallelMinVertices, fm.ParallelMinVertices = savedK, savedF
-		fm.ParallelMinDegree = savedFD
-		spectral.ParallelMinVertices = savedS
+		coarsen.ParallelMinVertices, kl.ParallelMinVertices = savedC, savedK
 	})
 
 	g := testGraph(t, 2000, 6.0, 33)

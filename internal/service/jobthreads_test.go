@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/coarsen"
-	"repro/internal/fm"
 	"repro/internal/kl"
-	"repro/internal/matching"
 )
 
 // TestJobThreadsIdenticalResults pins the JobThreads contract from
@@ -17,16 +15,10 @@ import (
 // degree. The parallel gates are lowered so the kernels actually engage
 // on the test-sized instance.
 func TestJobThreadsIdenticalResults(t *testing.T) {
-	savedC, savedM := coarsen.ParallelMinVertices, matching.ParallelMinVertices
-	savedK, savedF := kl.ParallelMinVertices, fm.ParallelMinVertices
-	savedFD := fm.ParallelMinDegree
-	coarsen.ParallelMinVertices, matching.ParallelMinVertices = 1, 1
-	kl.ParallelMinVertices, fm.ParallelMinVertices = 1, 1
-	fm.ParallelMinDegree = 1
+	savedC, savedK := coarsen.ParallelMinVertices, kl.ParallelMinVertices
+	coarsen.ParallelMinVertices, kl.ParallelMinVertices = 1, 1
 	t.Cleanup(func() {
-		coarsen.ParallelMinVertices, matching.ParallelMinVertices = savedC, savedM
-		kl.ParallelMinVertices, fm.ParallelMinVertices = savedK, savedF
-		fm.ParallelMinDegree = savedFD
+		coarsen.ParallelMinVertices, kl.ParallelMinVertices = savedC, savedK
 	})
 
 	g := testGraph(t, 2000, 6.0, 33)

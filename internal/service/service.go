@@ -52,9 +52,10 @@ type Config struct {
 	StateDir string
 	// Workers is the fixed worker-pool size (default GOMAXPROCS).
 	Workers int
-	// JobThreads is the per-job refinement thread count: values > 1
-	// compose core.WithParallel into every worker's bisector set, so
-	// each running job shards its kernels over JobThreads cores.
+	// JobThreads is the per-job thread count: values > 1 compose
+	// core.WithParallel into every worker's bisector set, so each
+	// running job shards its contraction and KL bucket fill over
+	// JobThreads cores (fm, spectral and sa jobs run serially).
 	// Results are identical at any value — `-threads` is a pure
 	// performance knob (the determinism matrix contract) — but the
 	// useful product Workers × JobThreads is bounded by the host's

@@ -18,20 +18,29 @@ import (
 // same zero-alloc machinery ParallelBestOf gives its pool workers), so
 // after warm-up a worker serves jobs without allocating per start. A
 // panicking job poisons only its worker's workspace set, which is
-// discarded and rebuilt, mirroring ParallelBestOf's poisoned-start
-// recovery.
+// released and rebuilt, mirroring ParallelBestOf's poisoned-start
+// recovery. A worker releases its set when it exits.
 func (s *Server) workerLoop() {
 	defer s.wg.Done()
 	bisectors := make(map[string]core.Bisector)
+	defer func() { releaseAll(bisectors) }()
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
 		case j := <-s.queue:
 			if !s.runJob(j, bisectors) {
+				releaseAll(bisectors)
 				bisectors = make(map[string]core.Bisector)
 			}
 		}
+	}
+}
+
+// releaseAll closes the worker pools of a worker's bisector set.
+func releaseAll(bisectors map[string]core.Bisector) {
+	for _, b := range bisectors {
+		core.Release(b)
 	}
 }
 

@@ -65,7 +65,7 @@ func (w *Workspace) lanczosFiedler(g *graph.Graph, o Options, r *rng.Rand) ([]fl
 		var betaLast float64
 		for j := 0; j < mb; j++ {
 			qj := w.basisVec(j)
-			w.matvec(w.y, qj, c)
+			w.matvec(g, w.y, qj, c)
 			matvecs++
 			w.alpha[j] = w.dot(qj, w.y)
 			w.axpy(w.y, -w.alpha[j], qj)

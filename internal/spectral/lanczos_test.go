@@ -261,35 +261,3 @@ func TestFiedlerSteadyAllocs(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedFiedlerDeterminism is the thread-count invariance contract
-// for the sharded vector kernels: with the parallel threshold lowered,
-// the Fiedler vector must be bit-identical with no pool and at pool
-// degrees 2, 4, and 8.
-func TestShardedFiedlerDeterminism(t *testing.T) {
-	saved := ParallelMinVertices
-	ParallelMinVertices = 1
-	defer func() { ParallelMinVertices = saved }()
-
-	g := mustGraph(gen.GNP(3000, 8.0/2999.0, rng.NewFib(91)))
-	base, err := Fiedler(g, Options{}, rng.NewFib(93))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]float64(nil), base...)
-	for _, deg := range []int{1, 2, 4, 8} {
-		w := NewWorkspace()
-		w.SetParallel(deg)
-		got, err := Fiedler(g, Options{Workspace: w}, rng.NewFib(93))
-		if err != nil {
-			w.Close()
-			t.Fatalf("degree %d: %v", deg, err)
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("degree %d: vector differs at %d: %v != %v", deg, i, got[i], want[i])
-			}
-		}
-		w.Close()
-	}
-}

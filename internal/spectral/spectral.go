@@ -7,9 +7,7 @@
 // instances where power iteration's stopping rule stalls on the
 // wrong vector (see docs/PERFORMANCE.md §BENCH_8). Power iteration
 // remains available behind DisableLanczos as an ablation/equivalence
-// baseline. Both solvers share a reusable
-// zero-alloc Workspace whose vector kernels shard onto the par.Pool
-// with bit-identical results at every thread count.
+// baseline. Both solvers share a reusable zero-alloc Workspace.
 package spectral
 
 import (
@@ -47,12 +45,6 @@ type Options struct {
 	// steady-state solves allocate nothing. The returned Fiedler
 	// vector aliases it and is valid until the workspace's next use.
 	Workspace *Workspace
-	// ParallelDegree, when > 1, shards the solver's vector kernels
-	// across that many goroutines for graphs with at least
-	// ParallelMinVertices vertices. Results are bit-identical at every
-	// degree. The pool attaches to the Workspace (idempotently), so
-	// reuse a Workspace across solves to amortize it.
-	ParallelDegree int
 	// Stats, when non-nil, is filled with counters from the solve.
 	Stats *Stats
 }
@@ -130,15 +122,8 @@ func Fiedler(g *graph.Graph, opts Options, r *rng.Rand) ([]float64, error) {
 	w := o.Workspace
 	if w == nil {
 		w = NewWorkspace()
-		if o.ParallelDegree > 1 {
-			defer w.Close() // release the ephemeral pool's parked goroutines
-		}
-	}
-	if o.ParallelDegree > 0 {
-		w.SetParallel(o.ParallelDegree)
 	}
 	w.ensure(g)
-	defer func() { w.pg = nil }()
 	if o.DisableLanczos {
 		return w.powerFiedler(g, o, r)
 	}
@@ -160,7 +145,7 @@ func (w *Workspace) powerFiedler(g *graph.Graph, o Options, r *rng.Rand) ([]floa
 	matvecs := 0
 	converged := false
 	for iter := 0; iter < o.MaxIters; iter++ {
-		w.matvec(y, x, c)
+		w.matvec(g, y, x, c)
 		matvecs++
 		w.deflate(y)
 		if w.nrm(y) < 1e-12 {
@@ -187,7 +172,7 @@ func (w *Workspace) powerFiedler(g *graph.Graph, o Options, r *rng.Rand) ([]floa
 	}
 	// One extra matvec yields the Rayleigh quotient θ = xᵀMx (x is
 	// unit) and the exact relative residual ‖Mx − θx‖/c.
-	w.matvec(y, x, c)
+	w.matvec(g, y, x, c)
 	matvecs++
 	theta := w.dot(x, y)
 	w.axpy(y, -theta, x)

@@ -4,62 +4,29 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
-// This file gives the Fiedler solvers the same treatment every other
-// kernel in the repo got: a reusable workspace so steady-state solves
-// perform no allocations, and deterministic sharded vector kernels on
-// the parked-worker par.Pool so -threads accelerates the solve without
-// changing a single bit of the result.
-//
-// Determinism strategy (the thread-count invariance contract pinned by
-// core's determinism matrix test):
-//
-//   - The CSR matvec needs no care at all: each output row is the sum
-//     of that row's entries in CSR order, with no cross-shard
-//     reduction, so sharding rows over any number of workers is
-//     bit-identical by construction.
-//   - Reductions (dot products, sums) use a FIXED block size: each
-//     block's partial sum is computed serially within the block, and
-//     the per-block partials are combined serially in block order.
-//     Which worker computes a block never changes the block's value,
-//     so the result is independent of the shard count — and the inline
-//     (no pool) path runs the exact same blocked loop, making pooled
-//     and pool-less runs identical too.
-//   - Elementwise updates (axpy, scale, deflate shifts) are trivially
-//     order-independent.
-//
-// Unlike matching's handshake, there is no separate serial algorithm:
-// the blocked kernels are the only code path, at every size and thread
-// count. ParallelMinVertices only decides whether the shards fork to
-// the pool or run inline — never what they compute.
+// This file gives the Fiedler solvers a reusable workspace, so
+// steady-state solves perform no allocations, and the vector kernels
+// they share. Reductions (dot products, sums) use a FIXED block size:
+// each block's partial sum is computed serially within the block, and
+// the partials are combined serially in block order. The summation
+// order therefore depends only on the vector length, which keeps every
+// Fiedler vector (and spectral_golden.json) bit-stable.
 
-// ParallelMinVertices is the vertex count below which the solver runs
-// its shards inline even when a pool is attached: on tiny graphs the
-// fork-join barriers cost more than the vector ops they parallelize.
-// It is a variable only so tests can lower it; production code should
-// treat it as a constant. The computed result is identical on both
-// sides of the threshold.
-var ParallelMinVertices = 1 << 15
-
-// dotBlock is the fixed reduction block size. Reductions sum each
-// block serially and then combine the per-block partials in block
-// order, so the floating-point result depends only on the vector —
-// never on the shard count.
+// dotBlock is the fixed reduction block size.
 const dotBlock = 1 << 12
 
 // Workspace holds every buffer the Fiedler solvers need — the Lanczos
-// basis slab, tridiagonal scratch, matvec buffers, cached weighted
-// degrees, and reduction partials — so a warm workspace solves with
-// zero steady-state allocations. A Workspace is not safe for
-// concurrent use; the zero value is ready to use.
+// basis slab, tridiagonal scratch, matvec buffers and cached weighted
+// degrees — so a warm workspace solves with zero steady-state
+// allocations. A Workspace is not safe for concurrent use; the zero
+// value is ready to use.
 type Workspace struct {
 	n int
 
-	x, y     []float64 // iterate / matvec destination
-	deg      []float64 // cached weighted degrees of the bound graph
-	partials []float64 // per-block reduction partials (len ≥ max(blocks, shards))
+	x, y []float64 // iterate / matvec destination
+	deg  []float64 // cached weighted degrees of the current graph
 
 	basis       []float64 // Lanczos basis slab: mb row-major vectors of length n
 	mb          int
@@ -67,90 +34,18 @@ type Workspace struct {
 	td, te, tz  []float64 // tql2 scratch: eigenvalues, off-diagonal, mb×mb rotations
 
 	cshift float64 // spectral shift c = 2·max weighted degree (≥ 1)
-
-	pool    *par.Pool
-	ownPool bool
-	poolDeg int // last SetParallel degree (-1: external pool via SetPool)
-	shards  int // effective shard count for the current solve (1 = inline)
-
-	// Operand slots for the pre-bound shard closures: binding the
-	// closures once and passing operands through fields keeps the
-	// steady-state solve allocation-free.
-	pg          *graph.Graph
-	opDst, opA  []float64
-	opB         []float64
-	opCoef      float64
-	degFn       func(int)
-	matvecFn    func(int)
-	dotFn       func(int)
-	sumFn       func(int)
-	axpyFn      func(int)
-	scaleFn     func(int)
-	addcFn      func(int)
-	scaleIntoFn func(int)
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized lazily by
 // the first solve.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// SetParallel attaches a pool of the given degree to the workspace,
-// sharding the solver's vector kernels for graphs with at least
-// ParallelMinVertices vertices. Degree ≤ 1 detaches (and closes any
-// owned pool). The workspace owns the resulting pool; Close releases
-// it. Results are bit-identical at every degree. Idempotent per
-// degree, so per-solve callers can pass their configured degree
-// without churning pools.
-func (w *Workspace) SetParallel(degree int) {
-	if degree == w.poolDeg {
-		return
-	}
-	w.releasePool()
-	w.pool = par.New(degree)
-	w.ownPool = w.pool != nil
-	w.poolDeg = degree
-}
-
-// SetPool attaches a caller-owned pool (which may be shared with other
-// phases, e.g. the multilevel arena). The caller keeps responsibility
-// for closing it; a nil pool detaches.
-func (w *Workspace) SetPool(p *par.Pool) {
-	w.releasePool()
-	w.pool = p
-	if p != nil {
-		w.poolDeg = -1
-	}
-}
-
-// Close releases any pool owned by the workspace. The workspace
-// remains usable (inline) afterwards.
-func (w *Workspace) Close() { w.releasePool() }
-
-func (w *Workspace) releasePool() {
-	if w.ownPool {
-		w.pool.Close()
-	}
-	w.pool = nil
-	w.ownPool = false
-	w.poolDeg = 0
-}
-
-// shardRange splits [0, n) into near-equal contiguous shards.
-func shardRange(s, shards, n int) (lo, hi int) {
-	return s * n / shards, (s + 1) * n / shards
-}
-
-// ensure sizes the base buffers for g, binds the shard closures, and
-// caches the weighted degrees and the spectral shift c. Steady-state
-// calls on same-size graphs perform no allocations.
+// ensure sizes the base buffers for g and caches the weighted degrees
+// and the spectral shift c. Steady-state calls on same-size graphs
+// perform no allocations.
 func (w *Workspace) ensure(g *graph.Graph) {
 	n := g.N()
 	w.n = n
-	w.pg = g
-	w.shards = 1
-	if w.pool != nil && n >= ParallelMinVertices {
-		w.shards = w.pool.Degree()
-	}
 	if cap(w.x) < n {
 		w.x = make([]float64, n)
 	}
@@ -163,34 +58,14 @@ func (w *Workspace) ensure(g *graph.Graph) {
 		w.deg = make([]float64, n)
 	}
 	w.deg = w.deg[:n]
-	np := (n + dotBlock - 1) / dotBlock
-	if np < w.shards {
-		np = w.shards
-	}
-	if np < 1 {
-		np = 1
-	}
-	if cap(w.partials) < np {
-		w.partials = make([]float64, np)
-	}
-	w.partials = w.partials[:np]
-	if w.matvecFn == nil {
-		w.degFn = w.degShard
-		w.matvecFn = w.matvecShard
-		w.dotFn = w.dotShard
-		w.sumFn = w.sumShard
-		w.axpyFn = w.axpyShard
-		w.scaleFn = w.scaleShard
-		w.addcFn = w.addcShard
-		w.scaleIntoFn = w.scaleIntoShard
-	}
 	// Cache weighted degrees and compute the shift c = 2·max weighted
 	// degree (≥ 1), which bounds the Laplacian spectrum from above.
-	w.run(w.degFn)
 	var c float64
-	for s := 0; s < w.shards; s++ {
-		if m := w.partials[s]; m > c {
-			c = m
+	for v := range w.deg {
+		d := float64(g.WeightedDegree(int32(v)))
+		w.deg[v] = d
+		if d > c {
+			c = d
 		}
 	}
 	c *= 2
@@ -227,169 +102,74 @@ func (w *Workspace) basisVec(j int) []float64 {
 	return w.basis[j*w.n : (j+1)*w.n]
 }
 
-// run executes fn over the effective shards — on the pool when it is
-// attached and the graph is above the parallel threshold, inline
-// otherwise. Both paths compute identical results.
-func (w *Workspace) run(fn func(int)) {
-	if w.shards > 1 {
-		w.pool.Run(w.shards, fn)
-		return
-	}
-	fn(0)
-}
-
-func (w *Workspace) degShard(s int) {
-	lo, hi := shardRange(s, w.shards, w.n)
-	g, deg := w.pg, w.deg
-	var m float64
-	for v := lo; v < hi; v++ {
-		d := float64(g.WeightedDegree(int32(v)))
-		deg[v] = d
-		if d > m {
-			m = d
-		}
-	}
-	w.partials[s] = m
-}
-
-// matvecShard computes opDst[v] = (opCoef − deg[v])·opA[v] + Σ w·opA[u]
-// over the shard's vertex range: one shard of y = (cI − L)x. Each row
-// sums its CSR entries in order with no cross-shard reduction, so the
-// result is bit-identical at every shard count.
-func (w *Workspace) matvecShard(s int) {
-	lo, hi := shardRange(s, w.shards, w.n)
-	g, x, y, deg, c := w.pg, w.opA, w.opDst, w.deg, w.opCoef
-	for v := lo; v < hi; v++ {
-		sum := (c - deg[v]) * x[v]
+// matvec computes dst = (shift·I − L)·src for the graph the workspace
+// was sized for. Each row sums its CSR entries in order.
+func (w *Workspace) matvec(g *graph.Graph, dst, src []float64, shift float64) {
+	deg := w.deg
+	for v := range dst {
+		sum := (shift - deg[v]) * src[v]
 		for _, e := range g.Neighbors(int32(v)) {
-			sum += float64(e.W) * x[e.To]
+			sum += float64(e.W) * src[e.To]
 		}
-		y[v] = sum
+		dst[v] = sum
 	}
 }
 
-// dotShard computes the per-block partial sums of opA·opB for the
-// blocks in the shard's range.
-func (w *Workspace) dotShard(s int) {
-	nb := (w.n + dotBlock - 1) / dotBlock
-	blo, bhi := shardRange(s, w.shards, nb)
-	a, b, p := w.opA, w.opB, w.partials
-	for k := blo; k < bhi; k++ {
-		lo, hi := k*dotBlock, (k+1)*dotBlock
-		if hi > w.n {
-			hi = w.n
-		}
-		var sum float64
-		for i := lo; i < hi; i++ {
-			sum += a[i] * b[i]
-		}
-		p[k] = sum
-	}
-}
-
-// sumShard computes the per-block partial sums of opA.
-func (w *Workspace) sumShard(s int) {
-	nb := (w.n + dotBlock - 1) / dotBlock
-	blo, bhi := shardRange(s, w.shards, nb)
-	a, p := w.opA, w.partials
-	for k := blo; k < bhi; k++ {
-		lo, hi := k*dotBlock, (k+1)*dotBlock
-		if hi > w.n {
-			hi = w.n
-		}
-		var sum float64
-		for i := lo; i < hi; i++ {
-			sum += a[i]
-		}
-		p[k] = sum
-	}
-}
-
-func (w *Workspace) axpyShard(s int) {
-	lo, hi := shardRange(s, w.shards, w.n)
-	dst, a, c := w.opDst, w.opA, w.opCoef
-	for i := lo; i < hi; i++ {
-		dst[i] += c * a[i]
-	}
-}
-
-func (w *Workspace) scaleShard(s int) {
-	lo, hi := shardRange(s, w.shards, w.n)
-	dst, c := w.opDst, w.opCoef
-	for i := lo; i < hi; i++ {
-		dst[i] *= c
-	}
-}
-
-func (w *Workspace) addcShard(s int) {
-	lo, hi := shardRange(s, w.shards, w.n)
-	dst, c := w.opDst, w.opCoef
-	for i := lo; i < hi; i++ {
-		dst[i] += c
-	}
-}
-
-func (w *Workspace) scaleIntoShard(s int) {
-	lo, hi := shardRange(s, w.shards, w.n)
-	dst, a, c := w.opDst, w.opA, w.opCoef
-	for i := lo; i < hi; i++ {
-		dst[i] = c * a[i]
-	}
-}
-
-// matvec computes dst = (shift·I − L)·src.
-func (w *Workspace) matvec(dst, src []float64, shift float64) {
-	w.opDst, w.opA, w.opCoef = dst, src, shift
-	w.run(w.matvecFn)
-}
-
-// dot returns a·b with the fixed-block deterministic reduction.
+// dot returns a·b with the fixed-block reduction.
 func (w *Workspace) dot(a, b []float64) float64 {
-	w.opA, w.opB = a, b
-	w.run(w.dotFn)
-	nb := (w.n + dotBlock - 1) / dotBlock
 	var sum float64
-	for k := 0; k < nb; k++ {
-		sum += w.partials[k]
+	for lo := 0; lo < w.n; lo += dotBlock {
+		hi := min(lo+dotBlock, w.n)
+		var part float64
+		for i := lo; i < hi; i++ {
+			part += a[i] * b[i]
+		}
+		sum += part
 	}
 	return sum
 }
 
-// sum returns Σ a with the fixed-block deterministic reduction.
+// sum returns Σ a with the fixed-block reduction.
 func (w *Workspace) sum(a []float64) float64 {
-	w.opA = a
-	w.run(w.sumFn)
-	nb := (w.n + dotBlock - 1) / dotBlock
 	var sum float64
-	for k := 0; k < nb; k++ {
-		sum += w.partials[k]
+	for lo := 0; lo < w.n; lo += dotBlock {
+		hi := min(lo+dotBlock, w.n)
+		var part float64
+		for i := lo; i < hi; i++ {
+			part += a[i]
+		}
+		sum += part
 	}
 	return sum
 }
 
 // axpy computes dst += c·a.
 func (w *Workspace) axpy(dst []float64, c float64, a []float64) {
-	w.opDst, w.opA, w.opCoef = dst, a, c
-	w.run(w.axpyFn)
+	for i := range dst {
+		dst[i] += c * a[i]
+	}
 }
 
 // scale computes dst *= c.
 func (w *Workspace) scale(dst []float64, c float64) {
-	w.opDst, w.opCoef = dst, c
-	w.run(w.scaleFn)
+	for i := range dst {
+		dst[i] *= c
+	}
 }
 
 // scaleInto computes dst = c·a.
 func (w *Workspace) scaleInto(dst []float64, c float64, a []float64) {
-	w.opDst, w.opA, w.opCoef = dst, a, c
-	w.run(w.scaleIntoFn)
+	for i := range dst {
+		dst[i] = c * a[i]
+	}
 }
 
 // deflate removes the component along the all-ones vector.
 func (w *Workspace) deflate(x []float64) {
-	mean := w.sum(x) / float64(w.n)
-	w.opDst, w.opCoef = x, -mean
-	w.run(w.addcFn)
+	c := -(w.sum(x) / float64(w.n))
+	for i := range x {
+		x[i] += c
+	}
 }
 
 // nrm returns the Euclidean norm of x.
