@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -77,7 +78,7 @@ func runGoldenCase(c goldenCase, opts Options) (goldenRecord, error) {
 	th := fnv.New64a()
 	for _, e := range rec.Events() {
 		e.ElapsedNS = 0
-		fmt.Fprintf(th, "%+v\n", e)
+		th.Write([]byte(capturedFormat(e)))
 	}
 	return goldenRecord{
 		Name:      c.Name,
@@ -90,6 +91,14 @@ func runGoldenCase(c goldenCase, opts Options) (goldenRecord, error) {
 		SidesHash: sh.Sum64(),
 		TraceHash: th.Sum64(),
 	}, nil
+}
+
+// capturedFormat prints e with %+v as it printed when the fixture was
+// captured. trace.Event has since gained Tentative, which SA never sets;
+// its zero value is left out, and a nonzero one stays in the hashed
+// bytes and fails the comparison.
+func capturedFormat(e trace.Event) string {
+	return strings.Replace(fmt.Sprintf("%+v\n", e), " Tentative:0 ", " ", 1)
 }
 
 // TestGoldenSeedDeterminism pins the full observable behavior of SA —

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -98,9 +99,17 @@ func hashTrace(events []trace.Event) uint64 {
 	h := fnv.New64a()
 	for _, e := range events {
 		e.ElapsedNS = 0
-		fmt.Fprintf(h, "%+v\n", e)
+		h.Write([]byte(capturedFormat(e)))
 	}
 	return h.Sum64()
+}
+
+// capturedFormat prints e with %+v as it printed when the fixture was
+// captured. trace.Event has since gained Tentative, which compaction
+// never sets; its zero value is left out, and a nonzero one stays in
+// the hashed bytes and fails the comparison.
+func capturedFormat(e trace.Event) string {
+	return strings.Replace(fmt.Sprintf("%+v\n", e), " Tentative:0 ", " ", 1)
 }
 
 // goldenPipeline abstracts which implementation runs the three pinned

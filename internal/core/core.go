@@ -511,7 +511,12 @@ func (m Multilevel) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, e
 		return b
 	}
 	refine := func(b *partition.Bisection, rr *rng.Rand) {
-		_ = m.Inner.Refine(b, rr)
+		// A stop during a level's refinement leaves b at its last
+		// checkpoint; later levels stop at their first poll. Keep the
+		// first sentinel so the truncated result is reported as such.
+		if err := m.Inner.Refine(b, rr); runctl.IsStop(err) && stopErr == nil {
+			stopErr = err
+		}
 	}
 	b, err := coarsen.Multilevel(g, m.Opts, initial, refine, r)
 	if err != nil {
@@ -609,7 +614,8 @@ func (b BestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error
 // random, greedy, kl, sa, fm, ckl, csa, cfm, mlkl, mlfm, mlsa,
 // mlkl+spec, mlfm+spec, mlsa+spec, spectral. The "+spec" multilevel
 // variants seed the coarsest level from the spectral (Fiedler median)
-// split instead of a random start.
+// split instead of a random start. mlkl and mlkl+spec bound their KL
+// passes with kl.MultilevelLookahead; kl and ckl run Figure 2 in full.
 func New(name string) (Bisector, error) {
 	switch name {
 	case "random":
@@ -631,13 +637,13 @@ func New(name string) (Bisector, error) {
 	case "cfm":
 		return Compacted{Inner: FM{}}, nil
 	case "mlkl":
-		return Multilevel{Inner: KL{}}, nil
+		return Multilevel{Inner: mlKL}, nil
 	case "mlfm":
 		return Multilevel{Inner: FM{}}, nil
 	case "mlsa":
 		return Multilevel{Inner: SA{}}, nil
 	case "mlkl+spec":
-		return Multilevel{Inner: KL{}, Opts: &coarsen.MultilevelOptions{SpectralInit: true}}, nil
+		return Multilevel{Inner: mlKL, Opts: &coarsen.MultilevelOptions{SpectralInit: true}}, nil
 	case "mlfm+spec":
 		return Multilevel{Inner: FM{}, Opts: &coarsen.MultilevelOptions{SpectralInit: true}}, nil
 	case "mlsa+spec":
@@ -646,6 +652,11 @@ func New(name string) (Bisector, error) {
 		return nil, fmt.Errorf("core: unknown bisector %q (have %v)", name, Names())
 	}
 }
+
+// mlKL is the inner bisector of the registry's multilevel KL variants:
+// KL whose passes on levels above 2·kl.MultilevelLookahead vertices stop
+// early once they have improved (see kl.Options.Lookahead).
+var mlKL = KL{Opts: kl.Options{Lookahead: kl.MultilevelLookahead}}
 
 // Names lists the registry's algorithm names in sorted order.
 func Names() []string {

@@ -216,3 +216,36 @@ func TestRefineCtx(t *testing.T) {
 		t.Fatal("refinement worsened the cut")
 	}
 }
+
+// A stop that fires while Multilevel uncoarsens must reach the caller.
+// Whenever the control has stopped by the time a run returns, the run
+// returns the stop sentinel beside its valid best-so-far bisection,
+// never a nil error. The mlkl and mlfm runs finish within 27
+// checkpoints, so budgets 1–40 stop them in every phase from coarsening
+// to the finest level's refinement; mlsa polls once per temperature, and
+// budgets up to 200 reach its per-level refinement.
+func TestMultilevelReportsRefineStop(t *testing.T) {
+	g := mustGraph(gen.BReg(4000, 16, 3, rng.NewFib(5)))
+	for _, tc := range []struct {
+		name   string
+		budget int64
+	}{{"mlkl", 40}, {"mlfm", 40}, {"mlsa", 200}} {
+		base, err := New(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(1); k <= tc.budget; k++ {
+			ctl := runctl.WithBudget(k)
+			res, err := WithControl(base, ctl).Bisect(g, rng.NewFib(5))
+			if err != nil && !runctl.IsStop(err) {
+				t.Fatalf("%s budget %d: %v", tc.name, k, err)
+			}
+			if ctl.Err() != nil && err == nil {
+				t.Fatalf("%s budget %d: the control stopped but the run returned a nil error (cut %d)", tc.name, k, res.Cut())
+			}
+			if verr := res.Validate(); verr != nil {
+				t.Fatalf("%s budget %d: %v", tc.name, k, verr)
+			}
+		}
+	}
+}

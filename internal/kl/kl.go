@@ -9,6 +9,14 @@
 // maximum cumulative gain is interchanged. Passes repeat until one yields
 // no improvement (or a pass limit is reached).
 //
+// Options.Lookahead bounds a pass the way METIS's refinement does
+// (Karypis & Kumar 1998): on a graph of more than 2·Lookahead vertices, a
+// pass that has already improved the cut stops once its best prefix is
+// Lookahead tentative exchanges behind. A pass that has not improved yet
+// still runs to Figure 2's end, and the kept prefix is still the first
+// strict maximum. Only the multilevel drivers set it; plain KL leaves it
+// zero and runs every pass in full.
+//
 // As in the paper, a tentative exchange changes only the gains of the
 // unlocked vertices, and those live in the gain buckets: each swap adds
 // its ±2·w deltas to the neighbors' bucket entries and then re-slots the
@@ -65,6 +73,10 @@ type Options struct {
 	// docs/PERFORMANCE.md). The pool attaches to the Workspace; reuse one
 	// (and Close it) to amortize.
 	ParallelDegree int
+	// Lookahead, when > 0, bounds the passes on graphs of more than
+	// 2·Lookahead vertices as the package comment describes; 0 runs
+	// every pass to Figure 2's end.
+	Lookahead int
 	// Workspace, when non-nil, supplies the reusable pass state (gain
 	// buckets, swap log, scratch stamps) so repeated runs allocate
 	// nothing. A nil Workspace makes Run/Refine/Pass allocate a private
@@ -85,6 +97,13 @@ type Options struct {
 	// to an uncancelled run with MaxPasses = k; nil costs nothing.
 	Control *runctl.Control
 }
+
+// MultilevelLookahead is the Lookahead of the multilevel KL drivers.
+// Levels of at most 2,048 vertices keep full passes. In the Gbreg runs
+// of docs/PERFORMANCE.md (10⁴ to 10⁶ vertices) no improving pass found
+// a better prefix more than 130 exchanges after its previous best; some
+// G2set, Gnp and grid passes do, and that document measures the cost.
+const MultilevelLookahead = 1024
 
 // safetyPassCap bounds the pass loop when MaxPasses is 0. Each counted
 // pass strictly decreases the cut, so for the repository's graphs this is
@@ -237,7 +256,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options) (Stats, error) {
 		if obs != nil {
 			passStart = time.Now()
 		}
-		improved, swaps, scanned, err := w.Pass(b, opts)
+		improved, swaps, tentative, scanned, err := w.pass(b, opts)
 		st.Passes++
 		st.Swaps += swaps
 		st.ScannedPairs += scanned
@@ -250,7 +269,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options) (Stats, error) {
 			obs.Observe(trace.Event{
 				Type: trace.TypePassDone, Algo: "kl", Index: p,
 				Cut: st.FinalCut, BestCut: st.FinalCut, Imbalance: b.Imbalance(),
-				Gain: improved, Moves: swaps, Scanned: scanned,
+				Gain: improved, Moves: swaps, Scanned: scanned, Tentative: tentative,
 				ElapsedNS: time.Since(passStart).Nanoseconds(),
 			})
 		}
@@ -276,9 +295,9 @@ func Run(g *graph.Graph, opts Options, r *rng.Rand) (*partition.Bisection, Stats
 	return b, st, err
 }
 
-// Pass executes one full KL pass on b (Figure 2). It returns the cut
-// improvement achieved (≥ 0), the number of pair exchanges kept, and the
-// number of candidate pairs scanned.
+// Pass executes one KL pass on b (Figure 2; opts.Lookahead may end it
+// early). It returns the cut improvement achieved (≥ 0), the number of
+// pair exchanges kept, and the number of candidate pairs scanned.
 func Pass(b *partition.Bisection, opts Options) (improvement int64, kept int, scanned int64, err error) {
 	w := opts.Workspace
 	if w == nil {
@@ -290,13 +309,20 @@ func Pass(b *partition.Bisection, opts Options) (improvement int64, kept int, sc
 
 // Pass is Pass using this workspace (opts.Workspace is ignored).
 func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64, kept int, scanned int64, err error) {
+	improvement, kept, _, scanned, err = w.pass(b, opts)
+	return improvement, kept, scanned, err
+}
+
+// pass is Pass that also returns, when opts.Lookahead ended the pass
+// early, the number of tentative exchanges it made (0 otherwise).
+func (w *Refiner) pass(b *partition.Bisection, opts Options) (improvement int64, kept, tentative int, scanned int64, err error) {
 	g := b.Graph()
 	n := g.N()
 	if n == 0 {
-		return 0, 0, 0, nil
+		return 0, 0, 0, 0, nil
 	}
 	if err := w.ensure(g); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	buckets := [2]*partition.GainBuckets{&w.buckets[0], &w.buckets[1]}
 	if opts.ParallelDegree > 1 && n >= ParallelMinVertices {
@@ -314,6 +340,10 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 		}
 	}
 	steps := min(buckets[0].Len(), buckets[1].Len())
+	look := steps // never reached: Figure 2's full pass
+	if opts.Lookahead > 0 && n > 2*opts.Lookahead {
+		look = opts.Lookahead
+	}
 
 	// The tentative exchanges never touch b: an unlocked vertex keeps its
 	// starting side, and its live gain is its bucket entry's.
@@ -333,6 +363,10 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 	}
 
 	for i := 0; i < steps; i++ {
+		if bestCum > 0 && i-bestK >= look {
+			tentative = i // the bound, not Figure 2, ends this pass
+			break
+		}
 		a, bv, g2, sc := w.selectPair(g, buckets, opts)
 		scanned += sc
 		if a < 0 {
@@ -384,7 +418,7 @@ func (w *Refiner) Pass(b *partition.Bisection, opts Options) (improvement int64,
 		b.Swap(s.a, s.bv)
 	}
 	w.swaps = swaps[:0] // keep the grown capacity for the next pass
-	return bestCum, bestK, scanned, nil
+	return bestCum, bestK, tentative, scanned, nil
 }
 
 // shiftGains adds to the live gain of every unlocked neighbor u of a

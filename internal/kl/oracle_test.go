@@ -16,6 +16,9 @@ import (
 // It must make exactly the decisions the production pass makes, so its
 // sides, Stats and events are the reference that pass is pinned to: the
 // move_batch cut and imbalance are read off the oracle's live bisection.
+// opts.Lookahead ends a pass by the same rule as production: on a graph
+// of more than 2·Lookahead vertices, once the pass has improved and its
+// best prefix is Lookahead swaps behind.
 //
 // With bruteMax set, every selected pair is additionally checked against
 // a full scan of all unlocked opposite-side pairs whose gains are
@@ -31,7 +34,7 @@ func plainRefine(t testing.TB, b *partition.Bisection, opts Options, bruteMax bo
 	}
 	obs := opts.Observer
 	for p := 0; p < limit; p++ {
-		improved, swaps, scanned := plainPass(t, b, opts, bruteMax)
+		improved, swaps, tentative, scanned := plainPass(t, b, opts, bruteMax)
 		st.Passes++
 		st.Swaps += swaps
 		st.ScannedPairs += scanned
@@ -40,7 +43,7 @@ func plainRefine(t testing.TB, b *partition.Bisection, opts Options, bruteMax bo
 			obs.Observe(trace.Event{
 				Type: trace.TypePassDone, Algo: "kl", Index: p,
 				Cut: b.Cut(), BestCut: b.Cut(), Imbalance: b.Imbalance(),
-				Gain: improved, Moves: swaps, Scanned: scanned,
+				Gain: improved, Moves: swaps, Scanned: scanned, Tentative: tentative,
 			})
 		}
 		if improved <= 0 {
@@ -57,12 +60,13 @@ func plainRefine(t testing.TB, b *partition.Bisection, opts Options, bruteMax bo
 	return st
 }
 
-// plainPass is one Figure 2 pass of the oracle.
-func plainPass(t testing.TB, b *partition.Bisection, opts Options, bruteMax bool) (improvement int64, kept int, scanned int64) {
+// plainPass is one Figure 2 pass of the oracle. tentative is the number
+// of swaps made when the lookahead ended the pass, 0 otherwise.
+func plainPass(t testing.TB, b *partition.Bisection, opts Options, bruteMax bool) (improvement int64, kept, tentative int, scanned int64) {
 	g := b.Graph()
 	n := g.N()
 	if n == 0 {
-		return 0, 0, 0
+		return 0, 0, 0, 0
 	}
 	buckets := bucketsOf(t, b)
 	locked := make([]bool, n)
@@ -85,7 +89,12 @@ func plainPass(t testing.TB, b *partition.Bisection, opts Options, bruteMax bool
 		obs.Observe(ev)
 		batch = batch[:0]
 	}
+	bounded := opts.Lookahead > 0 && n > 2*opts.Lookahead
 	for i := 0; i < steps; i++ {
+		if bounded && bestCum > 0 && len(swaps)-bestK >= opts.Lookahead {
+			tentative = len(swaps)
+			break
+		}
 		a, bv, gain, sc := plainSelect(b, buckets, opts.DisablePruning)
 		scanned += sc
 		if a < 0 {
@@ -122,7 +131,7 @@ func plainPass(t testing.TB, b *partition.Bisection, opts Options, bruteMax bool
 	for i := len(swaps) - 1; i >= bestK; i-- {
 		b.Swap(swaps[i][0], swaps[i][1])
 	}
-	return bestCum, bestK, scanned
+	return bestCum, bestK, tentative, scanned
 }
 
 // plainSelect walks both bucket cursors in descending gain order with

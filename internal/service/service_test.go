@@ -19,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/runctl"
 	"repro/internal/trace"
 )
 
@@ -333,6 +334,49 @@ func TestDeterministicResubmit(t *testing.T) {
 	if a.Result.Cut != b.Result.Cut || a.Events != b.Events {
 		t.Fatalf("budget truncation is not deterministic: cut %d/%d events %d/%d",
 			a.Result.Cut, b.Result.Cut, a.Events, b.Events)
+	}
+}
+
+// TestBudgetStopDuringRefinement: an mlkl job whose budget runs out at
+// any checkpoint — while coarsening, in the coarsest solve, or while a
+// level refines — is reported as stopped="budget"; only a budget the run
+// finishes within reports nothing. The run's checkpoint count comes from
+// the same run through core.
+func TestBudgetStopDuringRefinement(t *testing.T) {
+	g, err := gen.BReg(4000, 16, 3, rng.NewFib(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := core.New("mlkl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := 1
+	for ; full < 1000; full++ {
+		ctl := runctl.WithBudget(int64(full))
+		if _, err := core.WithControl(base, ctl).Bisect(g, rng.NewFib(5)); err != nil && !runctl.IsStop(err) {
+			t.Fatal(err)
+		}
+		if ctl.Err() == nil {
+			break // the smallest budget the run finishes within
+		}
+	}
+	_, ts := newTestServer(t, Config{})
+	ref := uploadGraph(t, ts, g)
+	for k := 1; k <= full; k++ {
+		v := waitTerminal(t, ts, submitJob(t, ts, map[string]any{
+			"graph": ref, "algorithm": "mlkl", "starts": 1, "seed": 5, "budget": k,
+		}))
+		want := "budget"
+		if k == full {
+			want = ""
+		}
+		if v.State != StateDone || v.Result == nil {
+			t.Fatalf("budget %d: job ended %q (%s), want done", k, v.State, v.Error)
+		}
+		if v.Result.Stopped != want {
+			t.Fatalf("budget %d of %d: stopped %q, want %q", k, full, v.Result.Stopped, want)
+		}
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 )
 
 // csvHeader is the fixed column order of CSVCurve output — one column
-// per Event field, in declaration order.
+// per Event field, in declaration order, except Tentative, which the
+// column set predates.
 var csvHeader = []string{
 	"type", "algo", "start", "index", "phase", "label",
 	"cut", "best_cut", "imbalance", "gain", "max_gain", "moves", "scanned",

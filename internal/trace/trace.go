@@ -104,6 +104,10 @@ type Event struct {
 	Moves int `json:"moves,omitempty"`
 	// Scanned counts candidate pairs examined by KL's selection scan.
 	Scanned int64 `json:"scanned,omitempty"`
+	// Tentative, on a KL pass_done, counts the pass's tentative exchanges
+	// when kl.Options.Lookahead ended the pass before Figure 2's end; 0
+	// (and omitted) for every pass that ran in full.
+	Tentative int `json:"tentative,omitempty"`
 
 	// Trials and Accepted count SA proposals and acceptances in the
 	// temperature (temp_done), batch (move_batch), or run (run_done);

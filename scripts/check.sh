@@ -111,7 +111,10 @@ GOMAXPROCS=2 go test -race -count=2 \
 # place the production shard interleavings get raced at realistic sizes. The same instance
 # is then bisected at -threads 1 and -threads 4 and the two side
 # assignments diffed byte-for-byte: the thread-count invariance
-# contract, end to end through the CLI.
+# contract, end to end through the CLI. This is also CI's end-to-end
+# run of truncated KL passes: mlkl bounds every pass on its levels above
+# 2·kl.MultilevelLookahead = 2,048 vertices, so the cmp holds the bounded
+# passes to the same invariance.
 echo "==> gengraph -format csr + bisect -threads 4 under -race (mmap + parallel kernel smoke)"
 smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir"' EXIT
