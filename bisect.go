@@ -139,14 +139,6 @@ func NewFMRefiner() *FMRefiner { return fm.NewRefiner() }
 // safe for concurrent use.
 func WithWorkspace(b Bisector) Bisector { return core.WithWorkspace(b) }
 
-// WithParallel attaches a within-run parallel degree to b if its
-// algorithm has sharded internal kernels (contraction and the KL
-// gain-bucket fill); otherwise (or for degree ≤ 1) returns b unchanged.
-// Results are identical at every degree, and the parallel paths only
-// engage on graphs large enough to amortize the coordination (see
-// docs/PERFORMANCE.md).
-func WithParallel(b Bisector, degree int) Bisector { return core.WithParallel(b, degree) }
-
 // NewBuilder returns a Builder for a graph on n vertices.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 

@@ -17,8 +17,7 @@ import (
 )
 
 // scaleDefaultN is the default vertex count of the -scale suite: the
-// million-vertex regime the compact CSR, mmap loading, and sharded
-// kernels target. -scale-n raises it up to scaleMaxN = 10⁷, the
+// million-vertex regime the compact CSR and mmap loading target. -scale-n raises it up to scaleMaxN = 10⁷, the
 // ceiling the lifted graph.MaxVertices cap supports with headroom.
 const (
 	scaleDefaultN = 1_000_000
@@ -43,11 +42,9 @@ func scaleSuffix(n int) string {
 }
 
 // addScaleRows registers the -scale benchmark rows: generation,
-// loading (text parse vs binary read vs mmap), matching, the sharded
-// contraction at thread degrees 1/2/4/8 (the _t<k> suffix is the
-// thread-series convention cmd/benchdiff understands), and FM
-// refinement. Matching and FM are serial; their rows keep the _t1 name
-// so the snapshot trajectory continues. Rows share one generated
+// loading (text parse vs binary read vs mmap), matching, contraction,
+// and FM refinement. The kernels are serial; their rows keep the _t1
+// name so the snapshot trajectory continues. Rows share one generated
 // instance of n vertices; the load rows go through real files in dir.
 // The d64 refinement row always runs at 10⁶ vertices regardless of n,
 // so it stays comparable across snapshots that vary -scale-n.
@@ -139,29 +136,24 @@ func addScaleRows(add func(name string, metric float64, fn func(b *testing.B)), 
 		}
 	})
 
-	// Contraction thread series: identical work at every degree — the
-	// sharded row-count/row-write kernel is byte-identical to the serial
-	// cursor kernel — over one fixed matching.
+	// Contraction: the direct kernel on a warm arena, over one fixed
+	// matching.
 	mate := matching.NewWorkspace().RandomMaximal(g, rng.NewFib(7))
-	for _, threads := range []int{1, 2, 4, 8} {
-		threads := threads
+	add("scale_contract_gnp"+sfx+"_t1", 0, func(b *testing.B) {
 		w := coarsen.NewWorkspace()
-		w.SetParallel(threads)
-		add(fmt.Sprintf("scale_contract_gnp%s_t%d", sfx, threads), 0, func(b *testing.B) {
-			contract := func() {
-				w.Reset()
-				if _, err := w.Contract(g, mate); err != nil {
-					b.Fatal(err)
-				}
+		contract := func() {
+			w.Reset()
+			if _, err := w.Contract(g, mate); err != nil {
+				b.Fatal(err)
 			}
-			contract() // warm the arena
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				contract()
-			}
-		})
-	}
+		}
+		contract() // warm the arena
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			contract()
+		}
+	})
 
 	// Refinement: one steady-state FM pass on a warmed refiner, on the
 	// sparse instance and on a degree-64 million-vertex one.

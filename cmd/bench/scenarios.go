@@ -80,8 +80,7 @@ func spectralPowerOpts() spectral.Options {
 
 // addSpectralScaleRows registers the -scale Fiedler-solver rows. Metric
 // is the matvec count of the fixed-seed solve — the unit the BENCH_8
-// Lanczos-vs-power comparison is stated in, deterministic across hosts
-// and thread counts.
+// Lanczos-vs-power comparison is stated in, deterministic across hosts.
 //
 // Two instances tell the two halves of the story:
 //

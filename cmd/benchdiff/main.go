@@ -30,25 +30,12 @@
 // but never fails on them, and a snapshot holding only service series
 // does not trip the empty-intersection error.
 //
-// Thread-scaling series (a "_t<k>" suffix: the same kernel at -threads
-// 1/2/4/8, e.g. scale_contract_gnp1m_t4) get that treatment only for
-// ns/op when k > 1: wall-clock depends on
-// how many cores the host actually has, so it is reported and
-// summarized as a parallel-efficiency table (speedup over the _t1 row
-// divided by k) but never gated on. Their result metrics and allocation
-// counts are host-independent — the sharded kernels promise
-// bit-identical results at every degree — and stay gated at every k.
-// The _t1 member is an ordinary serial benchmark, gated on all three.
-//
 // Snapshots since BENCH_7 stamp the capture host's num_cpu and
 // gomaxprocs. When the two snapshots disagree on core count, every
 // ns/op comparison reflects the host change at least as much as the
 // code change, so benchdiff prints a prominent warning and refuses to
 // gate on ns/op entirely — allocation and result-metric gates still
-// apply, because those are host-independent. (This is also why the
-// _t<k> rows of BENCH_6 are flat: that host had a single CPU, so every
-// thread count ran the same one core and the rows measure sharding
-// overhead, not speedup.)
+// apply, because those are host-independent.
 //
 // scripts/check.sh uses this to gate tier-2 on BENCH_(N-1) → BENCH_N.
 package main
@@ -78,26 +65,6 @@ type benchRow struct {
 // isService reports whether a row is a service-latency series, which is
 // reported but never gated on.
 func isService(name string) bool { return strings.HasPrefix(name, "svc_") }
-
-// threadSeries parses a thread-scaling series name "<base>_t<k>" and
-// returns its base name and thread count. ok is false for ordinary
-// series.
-func threadSeries(name string) (base string, k int, ok bool) {
-	i := strings.LastIndex(name, "_t")
-	if i < 0 || i+2 >= len(name) {
-		return "", 0, false
-	}
-	for _, c := range name[i+2:] {
-		if c < '0' || c > '9' {
-			return "", 0, false
-		}
-		k = k*10 + int(c-'0')
-	}
-	if k == 0 {
-		return "", 0, false
-	}
-	return name[:i], k, true
-}
 
 type snapshot struct {
 	Schema     string     `json:"schema"`
@@ -204,28 +171,6 @@ func main() {
 				name, o.NsPerOp, n.NsPerOp, delta*100, o.P99NS/1e6, n.P99NS/1e6)
 			continue
 		}
-		if _, k, ok := threadSeries(name); ok && k > 1 {
-			// Multi-thread wall-clock depends on the host's core count:
-			// ns/op is reported (and summarized below), never gated. The
-			// result metric and allocation count of a _t<k> row ARE
-			// host-independent — the sharded kernels promise bit-identical
-			// results and steady allocation at every degree — so those two
-			// gates still apply. This is what pins the spectral_* thread
-			// series: a matvec-count or split drift at any degree fails
-			// the diff even though its wall-clock floats free.
-			mark := ""
-			if n.AllocsOp > o.AllocsOp {
-				mark += "  ALLOC-REGRESSION"
-				failed = true
-			}
-			if o.Metric != n.Metric {
-				mark += fmt.Sprintf("  RESULT-DRIFT (%g → %g)", o.Metric, n.Metric)
-				failed = true
-			}
-			fmt.Printf("%-34s %14.0f %14.0f %+7.1f%% %6d → %-4d  THREADS (ns informational)%s\n",
-				name, o.NsPerOp, n.NsPerOp, delta*100, o.AllocsOp, n.AllocsOp, mark)
-			continue
-		}
 		mark := ""
 		if delta > *tol {
 			if crossCore {
@@ -262,71 +207,10 @@ func main() {
 		o := oldRows[name]
 		fmt.Printf("%-34s %14.0f %14s %8s %6d → %-4s  REMOVED\n", name, o.NsPerOp, "-", "-", o.AllocsOp, "-")
 	}
-	printEfficiency(newRows, newSnap)
 	if failed {
 		fmt.Fprintf(os.Stderr, "benchdiff: FAIL (tolerance %.0f%%)\n", *tol*100)
 		os.Exit(1)
 	}
 	fmt.Printf("benchdiff: OK (%d series within %.0f%%, %d added, %d removed)\n",
 		len(names), *tol*100, len(added), len(removed))
-}
-
-// printEfficiency summarizes every thread-scaling family in the new
-// snapshot: speedup of _t<k> over _t1 and parallel efficiency
-// (speedup / k). Efficiency near 100% is linear scaling; on a host with
-// fewer cores than k the expected value is cores/k — the header names
-// the capture host's core count so the table is read against the right
-// ceiling.
-func printEfficiency(rows map[string]benchRow, snap snapshot) {
-	type member struct {
-		k  int
-		ns float64
-	}
-	families := map[string][]member{}
-	for name, r := range rows {
-		if base, k, ok := threadSeries(name); ok {
-			families[base] = append(families[base], member{k, r.NsPerOp})
-		}
-	}
-	var bases []string
-	for base, ms := range families {
-		has1 := false
-		for _, m := range ms {
-			has1 = has1 || m.k == 1
-		}
-		if has1 && len(ms) > 1 {
-			bases = append(bases, base)
-		}
-	}
-	if len(bases) == 0 {
-		return
-	}
-	sort.Strings(bases)
-	host := "host cores unknown"
-	if snap.NumCPU > 0 {
-		host = fmt.Sprintf("host num_cpu=%d", snap.NumCPU)
-		if snap.NumCPU == 1 {
-			host += "; expect <=1.00x everywhere"
-		}
-	}
-	fmt.Printf("\nparallel efficiency (new snapshot, speedup over _t1 / threads; %s)\n", host)
-	for _, base := range bases {
-		ms := families[base]
-		sort.Slice(ms, func(i, j int) bool { return ms[i].k < ms[j].k })
-		var t1 float64
-		for _, m := range ms {
-			if m.k == 1 {
-				t1 = m.ns
-			}
-		}
-		fmt.Printf("%-34s", base)
-		for _, m := range ms {
-			if m.k == 1 || m.ns <= 0 || t1 <= 0 {
-				continue
-			}
-			speedup := t1 / m.ns
-			fmt.Printf("  t%d: %.2fx (%3.0f%%)", m.k, speedup, 100*speedup/float64(m.k))
-		}
-		fmt.Println()
-	}
 }

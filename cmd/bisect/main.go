@@ -4,16 +4,13 @@
 // Usage:
 //
 //	bisect -in graph.el [-format edgelist|metis|json|csr] [-alg ckl]
-//	       [-starts 2] [-seed 1989] [-threads 1] [-out sides.txt]
+//	       [-starts 2] [-seed 1989] [-out sides.txt]
 //	       [-validate] [-timeout 30s] [-budget N]
 //	       [-trace events.jsonl] [-trace-format jsonl|csv] [-trace-timing]
 //
 // Binary CSR inputs (.csr, written by gengraph -format csr) are
 // memory-mapped rather than parsed, so million-vertex graphs load in
-// milliseconds. -threads shards only two kernels within each run, on
-// graphs of at least 2¹⁵ vertices: the contraction of the compacted and
-// multilevel algorithms, and the KL gain-bucket fill. It does nothing
-// for fm, spectral and sa. Results are identical at every thread count.
+// milliseconds. The starts run one after another on one goroutine.
 //
 // The output file (if requested) has one line per vertex: "<id> <side>".
 // -trace streams per-pass/per-temperature/per-level events ("-" =
@@ -63,7 +60,6 @@ func run() (interrupted bool, err error) {
 	alg := flag.String("alg", "ckl", "algorithm: "+strings.Join(bisect.BisectorNames(), ", "))
 	starts := flag.Int("starts", 2, "number of random starts (best kept)")
 	seed := flag.Uint64("seed", 1989, "random seed")
-	threads := flag.Int("threads", 1, "goroutines for within-run kernels: shards only contraction and the KL bucket fill, and does nothing for fm, spectral and sa; results are identical at any value")
 	out := flag.String("out", "", "write per-vertex side assignment to this file")
 	validate := flag.Bool("validate", false, "re-verify the result from scratch before reporting")
 	timeout := flag.Duration("timeout", 0, "stop at the next checkpoint after this long, keeping the best-so-far result (0 = none)")
@@ -76,6 +72,10 @@ func run() (interrupted bool, err error) {
 	if *in == "" {
 		flag.Usage()
 		return false, fmt.Errorf("missing -in")
+	}
+	if *starts < 1 {
+		flag.Usage()
+		return false, fmt.Errorf("-starts must be at least 1, got %d", *starts)
 	}
 	var g *bisect.Graph
 	switch detectFormat(*format, *in) {
@@ -159,7 +159,7 @@ func run() (interrupted bool, err error) {
 		runtime.ReadMemStats(&memBefore)
 	}
 	t0 := time.Now()
-	runner := bisect.WithControl(bisect.BestOf{Inner: bisect.WithParallel(a, *threads), Starts: *starts, Observer: obs}, ctl)
+	runner := bisect.WithControl(bisect.BestOf{Inner: a, Starts: *starts, Observer: obs}, ctl)
 	best, err := runner.Bisect(g, r)
 	if err != nil {
 		if !bisect.IsStopError(err) || best == nil {

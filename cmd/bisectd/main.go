@@ -47,7 +47,6 @@ func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	state := flag.String("state", "", "state directory for crash-safe persistence (empty = in-memory only)")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	jobThreads := flag.Int("job-threads", 1, "threads per running job: >1 shards only contraction and the KL bucket fill, and does nothing for fm, spectral and sa; keep workers*job-threads <= cores")
 	queue := flag.Int("queue", 64, "job-queue capacity (submissions beyond it get 429)")
 	cache := flag.Int("cache", 128, "graph-cache capacity (graphs, LRU)")
 	maxGraphBytes := flag.Int64("max-graph-bytes", 64<<20, "graph upload size cap")
@@ -58,7 +57,6 @@ func run() error {
 	srv, err := service.New(service.Config{
 		StateDir:      *state,
 		Workers:       *workers,
-		JobThreads:    *jobThreads,
 		QueueDepth:    *queue,
 		CacheEntries:  *cache,
 		MaxGraphBytes: *maxGraphBytes,

@@ -46,12 +46,6 @@ type MultilevelOptions struct {
 	// workspace must not be shared across goroutines; nil allocates an
 	// ephemeral arena per run.
 	Workspace *Workspace
-	// ParallelDegree, when > 1, runs the contraction phase on that many
-	// goroutines within a single run for graphs with at least
-	// ParallelMinVertices vertices (results are identical at any degree;
-	// see parallel.go). Matching is always serial. The pool attaches to
-	// the Workspace, so reuse a Workspace across runs to amortize it.
-	ParallelDegree int
 	// SpectralInit seeds the coarsest-level solve from the spectral
 	// median split (see internal/spectral) instead of the initial
 	// bisector: the coarsest graph is small, so the Lanczos solve is
@@ -97,7 +91,6 @@ func (o *MultilevelOptions) withDefaults() MultilevelOptions {
 	}
 	out.Observer = o.Observer
 	out.Control = o.Control
-	out.ParallelDegree = o.ParallelDegree
 	out.SpectralInit = o.SpectralInit
 	return out
 }
@@ -116,10 +109,6 @@ func Multilevel(g *graph.Graph, opts *MultilevelOptions, initial InitialFunc, re
 	w := o.Workspace
 	if w == nil {
 		w = NewWorkspace()
-		defer w.Close() // release the ephemeral pool's parked goroutines
-	}
-	if o.ParallelDegree > 0 {
-		w.SetParallel(o.ParallelDegree)
 	}
 	return w.multilevel(g, o, initial, refine, r)
 }

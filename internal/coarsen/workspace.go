@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/matching"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/spectral"
@@ -39,29 +38,6 @@ type Workspace struct {
 	// spec is the lazily created spectral solver workspace for
 	// MultilevelOptions.SpectralInit coarsest-level seeding.
 	spec *spectral.Workspace
-
-	// Sharded-contraction state (see parallel.go): the pool, one
-	// epoch-stamped dedup map per shard, per-shard error slots, and the
-	// pre-bound phase closures plus per-run parameters that keep the
-	// parallel kernel allocation-free.
-	pool    *par.Pool
-	poolDeg int
-	cstamp  [][]uint32
-	cpos    [][]int32
-	cepoch  []uint32
-	cerrs   []error
-	countFn func(int)
-	writeFn func(int)
-	cg      *graph.Graph
-	clv     *level
-	ccn     int
-	cshards int
-}
-
-// overflowErr formats the merged-weight overflow error identically on
-// the serial and sharded kernel paths.
-func overflowErr(cv, cu int32, merged int64) error {
-	return fmt.Errorf("coarsen: merged weight %d on edge {%d,%d} overflows", merged, cv, cu)
 }
 
 // level owns the buffers of one coarsening level. The slots live in a
@@ -83,6 +59,13 @@ type level struct {
 // first use and grown as needed, so one workspace serves graphs of any
 // size.
 func NewWorkspace() *Workspace { return &Workspace{} }
+
+// Close does nothing: a Workspace holds no goroutines or other
+// resources beyond its buffers.
+//
+// Deprecated: kept only for cmd/benchmark, its one caller; the next
+// change to that benchmark removes both.
+func (w *Workspace) Close() {}
 
 // Reset rewinds the level stack so the next Contract reuses the first
 // slot. Buffers are retained; graphs and contractions produced before
@@ -133,9 +116,7 @@ func (w *Workspace) pushLevel() *level {
 
 // contractInto runs the contraction into lv's buffers: coarse-id
 // assignment, member pairs, summed vertex weights, then the coarse
-// adjacency — directly in CSR via the kernel (parallelized across row
-// shards when a pool is attached and the graph is large, see
-// parallel.go).
+// adjacency — directly in CSR via the kernel.
 func (w *Workspace) contractInto(lv *level, g *graph.Graph, mate []int32) error {
 	n := g.N()
 	c := &lv.con
@@ -180,18 +161,6 @@ func (w *Workspace) contractInto(lv *level, g *graph.Graph, mate []int32) error 
 
 	lv.off = growInt32(lv.off, n+1)
 	lv.edges = growEdges(lv.edges, 2*g.M())
-	if w.parallelRows(n) {
-		// Two-phase sharded kernel (parallel.go): byte-identical rows,
-		// built concurrently.
-		if err := w.contractRowsParallel(lv, g, cn); err != nil {
-			return err
-		}
-		if err := lv.g.ResetCSR(lv.off[:cn+1], lv.edges[:lv.off[cn]], lv.vw); err != nil {
-			return fmt.Errorf("coarsen: contraction kernel produced invalid CSR: %w", err)
-		}
-		c.Coarse = &lv.g
-		return nil
-	}
 
 	// Direct kernel. Rows are written left to right with one global
 	// cursor: coarse vertex cv's row is complete before cv+1's begins,
@@ -238,7 +207,7 @@ func (w *Workspace) contractInto(lv *level, g *graph.Graph, mate []int32) error 
 					i := pos[cu]
 					merged := int64(edges[i].W) + int64(e.W)
 					if merged > 1<<30 {
-						return overflowErr(cv, cu, merged)
+						return fmt.Errorf("coarsen: merged weight %d on edge {%d,%d} overflows", merged, cv, cu)
 					}
 					edges[i].W = int32(merged)
 				} else {

@@ -102,6 +102,13 @@ func WithWorkspace(b Bisector) Bisector {
 	return b
 }
 
+// WithParallel returns b unchanged: every run executes on one
+// goroutine, and parallelism lives across starts (ParallelBestOf).
+//
+// Deprecated: kept only for cmd/benchmark, its one caller; the next
+// change to that benchmark removes both.
+func WithParallel(b Bisector, degree int) Bisector { return b }
+
 // withWorkspaceRefinable is WithWorkspace keeping the RefinableBisector
 // interface (it holds for the concrete algorithms; the fallback covers
 // exotic user implementations).
@@ -281,10 +288,6 @@ type Compacted struct {
 	// match/contract/project pipeline runs in (see coarsen.Workspace);
 	// WithWorkspace sets it. Results are identical with or without one.
 	Workspace *coarsen.Workspace
-	// ParallelDegree, when > 1, shards the contraction across that many
-	// goroutines for large graphs; WithParallel sets it (and
-	// parallelizes Inner). Results are identical at any degree.
-	ParallelDegree int
 }
 
 // RefinableBisector is a Bisector that can also improve an existing
@@ -446,15 +449,7 @@ func (c Compacted) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, er
 	var start *partition.Bisection
 	var err error
 	if c.Workspace != nil {
-		c.Workspace.SetParallel(c.ParallelDegree) // idempotent; ≤1 detaches
 		start, err = c.Workspace.CompactOnce(g, c.Match, initial, nil, r, c.Observer)
-	} else if c.ParallelDegree > 1 {
-		// No reusable arena: run in an ephemeral one carrying the pool,
-		// released when the run ends.
-		w := coarsen.NewWorkspace()
-		defer w.Close()
-		w.SetParallel(c.ParallelDegree)
-		start, err = w.CompactOnce(g, c.Match, initial, nil, r, c.Observer)
 	} else {
 		start, err = coarsen.CompactOnce(g, c.Match, initial, nil, r, c.Observer)
 	}
@@ -566,9 +561,8 @@ func (b BestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error
 		starts = 1
 	}
 	// One reusable workspace shared by all the sequential starts (a no-op
-	// for inner bisectors without reusable state), released at the end.
+	// for inner bisectors without reusable state).
 	base := WithWorkspace(b.Inner)
-	defer Release(base)
 	var best *partition.Bisection
 	var stopErr error
 	for i := 0; i < starts; i++ {

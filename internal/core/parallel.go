@@ -139,9 +139,8 @@ func (p ParallelBestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisectio
 	//
 	// Each start runs under its own recover, so a panicking inner
 	// bisector poisons only its slot: the worker records a PanicError,
-	// releases and discards its (possibly corrupted) workspace, and keeps
-	// pulling indices — the pool always drains and wg.Wait always
-	// returns. A worker releases its last workspace when it exits.
+	// discards its (possibly corrupted) workspace, and keeps pulling
+	// indices — the pool always drains and wg.Wait always returns.
 	runOne := func(inner Bisector, i int) (panicked bool) {
 		defer func() {
 			if v := recover(); v != nil {
@@ -165,11 +164,9 @@ func (p ParallelBestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisectio
 			base := WithWorkspace(p.Inner)
 			for i := range idx {
 				if runOne(base, i) {
-					Release(base)
 					base = WithWorkspace(p.Inner)
 				}
 			}
-			Release(base)
 		}()
 	}
 	for i := 0; i < starts; i++ {

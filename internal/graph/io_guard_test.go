@@ -13,7 +13,7 @@ func TestReadEdgeListRejectsHostileInput(t *testing.T) {
 	for _, in := range []string{
 		"graph 2 -1\n",
 		"graph 2 999999999999\ne 0 1\n",
-		"graph 134217729 0\n", // MaxVertices+1
+		"graph 134217729 0\n",         // MaxVertices+1
 		"graph 2 1\ne 4294967297 1\n", // wraps to vertex 1
 		"graph 2 1\ne 0 4294967297\n",
 		"graph 2 1\ne 0 1 4294967297\n", // wraps to weight 1
@@ -30,7 +30,7 @@ func TestReadMETISRejectsHostileInput(t *testing.T) {
 	for _, in := range []string{
 		"2 -1\n",
 		"2 999999999999\n",
-		"134217729 0\n", // MaxVertices+1
+		"134217729 0\n",     // MaxVertices+1
 		"3 1\n4294967298\n", // wraps to neighbor 2
 		"3 1\n9\n",          // neighbor past n
 		"2 1 1\n2\n",        // fmt declares edge weights, none present

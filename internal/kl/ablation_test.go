@@ -56,6 +56,31 @@ func TestScanVariantsIdentical(t *testing.T) {
 	})
 }
 
+// TestBlockedScanMatchesOracle pins the blocked pair scan to the plain
+// oracle of oracle_test.go on GNP(1200): the exact same refinement —
+// same sides, same cut, same pass/swap/scanned statistics — on a graph
+// far above TestScanVariantsIdentical's 82-vertex maximum.
+func TestBlockedScanMatchesOracle(t *testing.T) {
+	g, err := gen.GNP(1200, 0.01, rng.NewFib(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := partition.NewRandom(g, rng.NewFib(41))
+	ref := b.Clone()
+	stats, err := Refine(b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refStats := plainRefine(t, ref, Options{}, false); stats != refStats {
+		t.Fatalf("stats differ: %+v vs %+v", stats, refStats)
+	}
+	for v := int32(0); int(v) < g.N(); v++ {
+		if b.Side(v) != ref.Side(v) {
+			t.Fatalf("side of vertex %d differs", v)
+		}
+	}
+}
+
 // checkScanVariants runs the three scan variants from base and requires
 // the agreement TestScanVariantsIdentical describes.
 func checkScanVariants(t *testing.T, base *partition.Bisection) {

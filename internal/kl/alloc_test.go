@@ -11,26 +11,22 @@ import (
 
 // TestPassSteadyStateZeroAlloc locks in the workspace contract: once a
 // Refiner has seen a graph, further passes on graphs of that size
-// allocate nothing at all, with the serial or the parallel bucket fill,
-// and for a pass the lookahead bound cuts short. Every measured pass
-// starts from the same bisection, so each one repeats the warm-up.
+// allocate nothing at all, for a full pass and for a pass the lookahead
+// bound cuts short. Every measured pass starts from the same bisection,
+// so each one repeats the warm-up.
 func TestPassSteadyStateZeroAlloc(t *testing.T) {
-	saved := ParallelMinVertices
-	ParallelMinVertices = 1
-	defer func() { ParallelMinVertices = saved }()
 	small, big := allocGraphs(t, 11)
 	for _, tc := range []struct {
 		name  string
 		start *partition.Bisection
 		opts  Options
 	}{
-		{"serial", small, Options{}},
-		{"parallel", small, Options{ParallelDegree: 2}},
+		{"full", small, Options{}},
 		{"bounded", big, Options{Lookahead: MultilevelLookahead}},
 	} {
 		w := NewRefiner()
 		b := tc.start.Clone()
-		_, _, tentative, _, err := w.pass(b, tc.opts) // warm-up sizes the workspace and starts the pool
+		_, _, tentative, _, err := w.pass(b, tc.opts) // warm-up sizes the workspace
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +39,6 @@ func TestPassSteadyStateZeroAlloc(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		w.Close()
 		if allocs != 0 {
 			t.Fatalf("steady-state KL pass (%s) allocated %.1f times per run, want 0", tc.name, allocs)
 		}

@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/runctl"
@@ -66,13 +65,6 @@ type Options struct {
 	// pair scan. Results are identical; only running time changes. Used by
 	// the KL-scan ablation.
 	DisablePruning bool
-	// ParallelDegree, when > 1, fills the two gain-bucket structures
-	// concurrently (one worker per side) for graphs with at least
-	// ParallelMinVertices vertices. Results are identical at any degree:
-	// each side's fill keeps the serial insertion order (see
-	// docs/PERFORMANCE.md). The pool attaches to the Workspace; reuse one
-	// (and Close it) to amortize.
-	ParallelDegree int
 	// Lookahead, when > 0, bounds the passes on graphs of more than
 	// 2·Lookahead vertices as the package comment describes; 0 runs
 	// every pass to Figure 2's end.
@@ -80,9 +72,8 @@ type Options struct {
 	// Workspace, when non-nil, supplies the reusable pass state (gain
 	// buckets, swap log, scratch stamps) so repeated runs allocate
 	// nothing. A nil Workspace makes Run/Refine/Pass allocate a private
-	// one, closed before they return. Workspaces are not safe for
-	// concurrent use; give each goroutine its own (see
-	// core.ParallelBestOf).
+	// one. Workspaces are not safe for concurrent use; give each
+	// goroutine its own (see core.ParallelBestOf).
 	Workspace *Refiner
 	// Observer, when non-nil, receives move_batch, pass_done, and
 	// run_done trace events (see docs/OBSERVABILITY.md). Observers never
@@ -140,41 +131,14 @@ type Refiner struct {
 	// one selectPair, packed gain-high/vertex-low, so replays for later
 	// A-candidates read a flat array instead of chasing bucket links.
 	bseq []uint64
-	// Worker pool for the parallel bucket fill (Options.ParallelDegree),
-	// created lazily, released by Close; pb carries the bisection to the
-	// pre-bound shard closure.
-	pool   *par.Pool
-	initFn func(int)
-	pb     *partition.Bisection
 }
 
-// ParallelMinVertices is the graph size below which the bucket fill
-// stays serial even when Options.ParallelDegree asks for workers. A
-// variable only so tests can lower it.
-var ParallelMinVertices = 1 << 15
-
-// Close releases the pool created for parallel bucket filling (if any).
-// The Refiner remains usable afterwards.
-func (w *Refiner) Close() {
-	if w.pool != nil {
-		w.pool.Close()
-		w.pool = nil
-	}
-}
-
-// initShard fills side s's gain buckets in vertex order — exactly the
-// serial insertion order restricted to one side, so the LIFO bucket
-// layout (and every downstream decision) is identical.
-func (w *Refiner) initShard(s int) {
-	side, gain := w.pb.SidesRef(), w.pb.GainsRef()
-	bk := &w.buckets[s]
-	us := uint8(s)
-	for v, sv := range side {
-		if sv == us {
-			bk.Add(int32(v), gain[v])
-		}
-	}
-}
+// Close does nothing: a Refiner holds no goroutines or other resources
+// beyond its buffers.
+//
+// Deprecated: kept only for cmd/benchmark, its one caller; the next
+// change to that benchmark removes both.
+func (w *Refiner) Close() {}
 
 // NewRefiner returns an empty workspace. Equivalent to new(Refiner);
 // provided for call-site clarity.
@@ -230,7 +194,6 @@ func Refine(b *partition.Bisection, opts Options) (Stats, error) {
 	w := opts.Workspace
 	if w == nil {
 		w = new(Refiner)
-		defer w.Close() // a private refiner's pool must not outlive the call
 	}
 	return w.Refine(b, opts)
 }
@@ -302,7 +265,6 @@ func Pass(b *partition.Bisection, opts Options) (improvement int64, kept int, sc
 	w := opts.Workspace
 	if w == nil {
 		w = new(Refiner)
-		defer w.Close()
 	}
 	return w.Pass(b, opts)
 }
@@ -325,19 +287,8 @@ func (w *Refiner) pass(b *partition.Bisection, opts Options) (improvement int64,
 		return 0, 0, 0, 0, err
 	}
 	buckets := [2]*partition.GainBuckets{&w.buckets[0], &w.buckets[1]}
-	if opts.ParallelDegree > 1 && n >= ParallelMinVertices {
-		if w.pool == nil || w.pool.Degree() < opts.ParallelDegree {
-			w.pool.Close()
-			w.pool = par.New(opts.ParallelDegree)
-			w.initFn = w.initShard
-		}
-		w.pb = b
-		w.pool.Run(2, w.initFn)
-		w.pb = nil
-	} else {
-		for v := int32(0); int(v) < n; v++ {
-			buckets[b.Side(v)].Add(v, b.Gain(v))
-		}
+	for v := int32(0); int(v) < n; v++ {
+		buckets[b.Side(v)].Add(v, b.Gain(v))
 	}
 	steps := min(buckets[0].Len(), buckets[1].Len())
 	look := steps // never reached: Figure 2's full pass

@@ -52,17 +52,6 @@ type Config struct {
 	StateDir string
 	// Workers is the fixed worker-pool size (default GOMAXPROCS).
 	Workers int
-	// JobThreads is the per-job thread count: values > 1 compose
-	// core.WithParallel into every worker's bisector set, so each
-	// running job shards its contraction and KL bucket fill over
-	// JobThreads cores (fm, spectral and sa jobs run serially).
-	// Results are identical at any value — `-threads` is a pure
-	// performance knob (the determinism matrix contract) — but the
-	// useful product Workers × JobThreads is bounded by the host's
-	// cores: prefer many workers for throughput on small jobs, and
-	// JobThreads > 1 with fewer workers for latency on large jobs.
-	// 0 or 1 keeps the serial per-worker path.
-	JobThreads int
 	// QueueDepth bounds the job queue; submissions beyond it get 429.
 	QueueDepth int
 	// CacheEntries bounds the in-memory graph cache (LRU).

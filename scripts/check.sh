@@ -23,6 +23,14 @@ baseline="${2:-}"
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "FAIL: gofmt would reformat:"
+  echo "$unformatted"
+  exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -39,11 +47,12 @@ go test -race -skip '^TestBuilderAtVertexCap$' ./...
 # The parallel paths (N goroutines annealing over per-chain workspaces;
 # parallel multi-start over per-worker compaction arenas; the poisoned-
 # start recovery path, where one panicking start must neither deadlock
-# the pool nor corrupt the survivors' aggregation) get extra
-# race-detector exercise beyond the single pass the full run gives
-# them: repeated runs vary goroutine interleavings.
-echo "==> go test -race -count=3 -run 'TestParallel' ./internal/core/"
-go test -race -count=3 -run 'TestParallel' ./internal/core/
+# the pool nor corrupt the survivors' aggregation; the worker-count
+# determinism matrix) get extra race-detector exercise beyond the single
+# pass the full run gives them: repeated runs vary goroutine
+# interleavings.
+echo "==> go test -race -count=3 -run 'TestParallel|TestDeterminismMatrix' ./internal/core/"
+go test -race -count=3 -run 'TestParallel|TestDeterminismMatrix' ./internal/core/
 
 # The service daemon is the most concurrency-dense package in the tree
 # (worker pool, SSE streamers, long-pollers, and HTTP handlers all share
@@ -93,60 +102,46 @@ for target in FuzzReadEdgeList FuzzReadMETIS FuzzUnmarshalGraph FuzzCompactCSREq
   go test -run "^$target\$" -fuzz="^$target\$" -fuzztime=10s ./internal/graph/
 done
 
-# The two within-run parallel kernels across goroutine interleavings:
-# the two-sided KL bucket fill (TestParallelInit), the sharded
-# contraction (TestParallelContract, TestParallelMultilevel), and both
-# end to end through the determinism matrix. GOMAXPROCS=2 forces real
-# preemption between shard workers on any host, and -count=2 varies the
-# schedule.
-echo "==> GOMAXPROCS=2 go test -race -count=2 (parallel kernels + determinism matrix)"
-GOMAXPROCS=2 go test -race -count=2 \
-  -run 'TestParallelInit|TestParallelContract|TestParallelMultilevel|TestDeterminismMatrix' \
-  ./internal/kl/ ./internal/coarsen/ ./internal/core/
-
 # Million-vertex pipeline smoke at 10^5 scale: generate a BCSR file,
-# memory-map it, and run multilevel KL with the sharded contraction and
-# KL bucket fill engaged (threads > 1, instance above
-# ParallelMinVertices) — all under the race detector, which is the only
-# place the production shard interleavings get raced at realistic sizes. The same instance
-# is then bisected at -threads 1 and -threads 4 and the two side
-# assignments diffed byte-for-byte: the thread-count invariance
-# contract, end to end through the CLI. This is also CI's end-to-end
-# run of truncated KL passes: mlkl bounds every pass on its levels above
+# memory-map it, and run multilevel KL under the race detector (with
+# checkptr, which -race turns on, over the mmap'd edge arrays). The same
+# instance is then bisected by a plain build and the two side
+# assignments diffed byte-for-byte: the determinism contract, end to end
+# through the CLI. This is also CI's end-to-end run of truncated KL
+# passes: mlkl bounds every pass on its levels above
 # 2·kl.MultilevelLookahead = 2,048 vertices, so the cmp holds the bounded
-# passes to the same invariance.
-echo "==> gengraph -format csr + bisect -threads 4 under -race (mmap + parallel kernel smoke)"
+# passes to the same contract.
+echo "==> gengraph -format csr + bisect under -race (mmap smoke)"
 smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir"' EXIT
 go run ./cmd/gengraph -model gnp -n 100000 -deg 4 -seed 7 -format csr -out "$smokedir/smoke.csr"
-go run -race ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl -starts 1 -threads 4 -validate \
-  -out "$smokedir/sides.t4"
-echo "==> bisect -threads 1 vs -threads 4: sides must be identical"
-go run ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl -starts 1 -threads 1 -validate \
-  -out "$smokedir/sides.t1"
-cmp "$smokedir/sides.t1" "$smokedir/sides.t4" \
-  || { echo "FAIL: -threads changed the bisection (sides.t1 != sides.t4)"; exit 1; }
+go run -race ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl -starts 1 -validate \
+  -out "$smokedir/sides.race"
+echo "==> bisect -race vs plain build: sides must be identical"
+go run ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl -starts 1 -validate \
+  -out "$smokedir/sides.plain"
+cmp "$smokedir/sides.plain" "$smokedir/sides.race" \
+  || { echo "FAIL: the -race build changed the bisection (sides.plain != sides.race)"; exit 1; }
 
 # The same end-to-end smoke for the spectral-initialized multilevel
 # algorithm: with the coarsest-level Lanczos Fiedler solve seeding the
-# refinement, the -threads 4 run under the race detector must produce
-# sides byte-identical to the serial run, through the CLI.
-echo "==> bisect -alg mlkl+spec -threads 4 under -race vs -threads 1 (spectral smoke)"
-go run -race ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl+spec -starts 1 -threads 4 -validate \
-  -out "$smokedir/sides.spec.t4"
-go run ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl+spec -starts 1 -threads 1 -validate \
-  -out "$smokedir/sides.spec.t1"
-cmp "$smokedir/sides.spec.t1" "$smokedir/sides.spec.t4" \
-  || { echo "FAIL: -threads changed the spectral bisection (sides.spec.t1 != sides.spec.t4)"; exit 1; }
+# refinement, the run under the race detector must produce sides
+# byte-identical to the plain build's, through the CLI.
+echo "==> bisect -alg mlkl+spec under -race vs plain build (spectral smoke)"
+go run -race ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl+spec -starts 1 -validate \
+  -out "$smokedir/sides.spec.race"
+go run ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl+spec -starts 1 -validate \
+  -out "$smokedir/sides.spec.plain"
+cmp "$smokedir/sides.spec.plain" "$smokedir/sides.spec.race" \
+  || { echo "FAIL: the -race build changed the spectral bisection (sides.spec.plain != sides.spec.race)"; exit 1; }
 
 # The zero-alloc contracts: matching, contraction, and the full warm
-# compact/project cycle must not touch the heap in steady state —
-# including the sharded contraction path (TestParallelContractSteadyAllocs
-# matches the same pattern) — and neither may a warm SA Refiner's whole
-# run (TestRefineSteadyStateZeroAlloc, and its KL/FM counterparts) or a
+# compact/project cycle must not touch the heap in steady state, and
+# neither may a warm SA Refiner's whole run
+# (TestRefineSteadyStateZeroAlloc, and its KL/FM counterparts) or a
 # warm Fiedler solve. The bench gate below checks the same property from
 # the benchmark side.
-echo "==> go test -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/fm/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/ (alloc contract, serial + sharded)"
+echo "==> go test -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/fm/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/ (alloc contract)"
 go test -count=1 -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/fm/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/
 
 # cmd/benchmark is a module of its own, so `go test ./...` above never
