@@ -88,6 +88,12 @@ func run() (interrupted bool, err error) {
 		}
 		defer cf.Close()
 		g = cf.Graph()
+		// The loader checks each row but leaves adjacency symmetry to
+		// the file's writer, and every algorithm assumes it: a forged
+		// asymmetric file must stop here, not inside a gain update.
+		if verr := g.Validate(); verr != nil {
+			return false, fmt.Errorf("%s: %w", *in, verr)
+		}
 	case "metis":
 		g, err = readVia(*in, bisect.ReadMETIS)
 	case "json":

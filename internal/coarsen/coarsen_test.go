@@ -68,6 +68,24 @@ func TestContractRejectsInvalidMatching(t *testing.T) {
 	}
 }
 
+// TestContractRejectsAsymmetricGraph: ResetCSR checks rows one at a
+// time, so it accepts rows 0:[1] 1:[0] 2:[1,3] 3:[] although the edge
+// 2→1 has no mirror. Contracting the pair {0,1} sends that half-edge
+// into a coarse row with no slot for it, which must be an error, not a
+// coarse graph that fails Validate.
+func TestContractRejectsAsymmetricGraph(t *testing.T) {
+	var g graph.Graph
+	off := []int32{0, 1, 2, 4, 4}
+	edges := []graph.Edge{{To: 1, W: 1}, {To: 0, W: 1}, {To: 1, W: 1}, {To: 3, W: 1}}
+	if err := g.ResetCSR(off, edges, nil); err != nil {
+		t.Fatalf("ResetCSR rejected the rows: %v", err)
+	}
+	c, err := Contract(&g, []int32{1, 0, -1, -1})
+	if err == nil {
+		t.Fatalf("Contract accepted an asymmetric graph (coarse Validate: %v)", c.Coarse.Validate())
+	}
+}
+
 func TestContractEmptyMatching(t *testing.T) {
 	g := mustGraph(gen.Path(4))
 	mate := []int32{-1, -1, -1, -1}
@@ -370,5 +388,41 @@ func BenchmarkContract5000(b *testing.B) {
 		if _, err := Contract(g, mate); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkContractChain matches and contracts every level of one fixed
+// Gbreg(10⁵, 256, 3) down to 32 vertices on a warm workspace. Random
+// matchings make the middle levels of that chain dense (average degree
+// up to about 150, rows of up to 230 entries), which the sparse single
+// level of BenchmarkContract5000 never reaches.
+func BenchmarkContractChain(b *testing.B) {
+	g, err := gen.BReg(100000, 256, 3, rng.NewFib(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := NewWorkspace()
+	src := rng.NewFibonacci(2)
+	r := rng.New(src)
+	chain := func() {
+		w.Reset()
+		src.Seed(2) // every chain contracts the same levels
+		for cur := g; cur.N() > 32; {
+			mate := w.RandomMaximal(cur, r)
+			if matching.Size(mate) == 0 {
+				break
+			}
+			c, err := w.Contract(cur, mate)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cur = c.Coarse
+		}
+	}
+	chain() // size every level's buffers before measuring
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chain()
 	}
 }

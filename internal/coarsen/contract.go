@@ -12,15 +12,15 @@
 //
 // Contraction runs on a direct fine-CSR → coarse-CSR kernel (see
 // Workspace in workspace.go): coarse ids are assigned in one sweep,
-// coarse rows are written left-to-right into a flat half-edge buffer
-// with parallel edges folded through an epoch-stamped position map, and
-// the coarse graph adopts the buffers via graph.ResetCSR — no
-// graph.Builder, no per-edge allocations. A persistent Workspace reuses
-// every buffer across levels and runs; the package-level functions
-// create an ephemeral one per call, so their results are independently
-// owned. Both produce byte-identical graphs to the original
-// Builder-based path, as the golden fixture in testdata (captured from
-// that path) pins.
+// then every fine half-edge is scattered into its head's coarse row in
+// order of coarse source, so each row comes out sorted with parallel
+// edges folded at its end, and the coarse graph adopts the buffers via
+// graph.ResetCSR — no graph.Builder, no sort, no per-edge allocations.
+// A persistent Workspace reuses every buffer across levels and runs;
+// the package-level functions create an ephemeral one per call, so
+// their results are independently owned. Both produce byte-identical
+// graphs to the original Builder-based path, as the golden fixture in
+// testdata (captured from that path) pins.
 package coarsen
 
 import (

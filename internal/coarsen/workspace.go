@@ -13,8 +13,8 @@ import (
 
 // Workspace is the compaction arena: it owns the matching scratch, one
 // buffer set per coarsening level (coarse-id map, member pairs, coarse
-// CSR arrays, the epoch-stamped fold map, a reusable projection
-// bisection), and the projection side buffer — everything the
+// CSR arrays, a reusable projection bisection), the contraction row
+// cursors and the projection side buffer — everything the
 // match → contract → project pipeline touches — so a warm workspace
 // compacts with zero steady-state heap allocations. Buffers are sized
 // by the fine graph's dimensions (every coarse quantity is bounded by
@@ -26,14 +26,16 @@ import (
 // matching consumes the same random stream as matching.RandomMaximal,
 // and the contraction kernel reproduces the original Builder-based
 // contraction byte for byte (the golden fixture pins both, and
-// FuzzContractEquivalence holds the kernel to a map-based model). A Workspace must not be
-// shared across goroutines; core.WithWorkspace and ParallelBestOf
-// create one per worker.
+// FuzzContractEquivalence and TestContractChainMatchesModel hold the
+// kernel to a map-based model). A Workspace must not be shared across
+// goroutines; core.WithWorkspace and ParallelBestOf create one per
+// worker.
 type Workspace struct {
 	match  matching.Workspace
 	levels []*level
 	depth  int
-	side   []uint8 // projection scratch, sized to the largest fine graph seen
+	rows   []rowCursor // contraction row cursors, reused by every level
+	side   []uint8     // projection scratch, sized to the largest fine graph seen
 
 	// spec is the lazily created spectral solver workspace for
 	// MultilevelOptions.SpectralInit coarsest-level seeding.
@@ -45,15 +47,18 @@ type Workspace struct {
 // reuses the same slots in the same order every time.
 type level struct {
 	con     Contraction
-	g       graph.Graph  // coarse graph storage; con.Coarse == &g on the kernel path
-	off     []int32      // coarse CSR offsets
-	edges   []graph.Edge // coarse half-edges
-	vw      []int32      // coarse vertex weights
-	pos     []int32      // per-coarse-vertex write position within the current row
-	stamp   []uint32     // epoch stamps validating pos entries
-	epoch   uint32
+	g       graph.Graph         // coarse graph storage; con.Coarse == &g on the kernel path
+	off     []int32             // coarse CSR offsets
+	edges   []graph.Edge        // coarse half-edges
+	vw      []int32             // coarse vertex weights
 	fineBis partition.Bisection // reusable projection target for interior levels
 }
+
+// rowCursor tracks one coarse row while the contraction kernel fills
+// it: cur is the next free slot, end is one past the row's last slot,
+// and last is the head written most recently (−1 while the row is
+// empty).
+type rowCursor struct{ cur, end, last int32 }
 
 // NewWorkspace returns an empty Workspace; buffers are sized lazily on
 // first use and grown as needed, so one workspace serves graphs of any
@@ -162,34 +167,43 @@ func (w *Workspace) contractInto(lv *level, g *graph.Graph, mate []int32) error 
 	lv.off = growInt32(lv.off, n+1)
 	lv.edges = growEdges(lv.edges, 2*g.M())
 
-	// Direct kernel. Rows are written left to right with one global
-	// cursor: coarse vertex cv's row is complete before cv+1's begins,
-	// and the upper bound (every fine half-edge survives) sizes the
-	// buffer, so no counting prepass or compaction pass is needed. A
-	// parallel edge — the second member reaching a coarse neighbor the
-	// first member already reached, or both members' edges to the two
-	// halves of another contracted pair — folds into its existing slot
-	// through the epoch-stamped position map: stamp[cu] == epoch says
-	// pos[cu] is live for the current row, and bumping the epoch per
-	// row invalidates the whole map in O(1).
-	lv.pos = growInt32(lv.pos, n)
-	lv.stamp = growUint32(lv.stamp, n)
-	pos, stamp, edges, cmap := lv.pos, lv.stamp, lv.edges, c.Map
-	cur := int32(0)
-	for cv := int32(0); int(cv) < cn; cv++ {
-		lv.off[cv] = cur
-		lv.epoch++
-		if lv.epoch == 0 {
-			// The epoch counter wrapped: stale stamps from 2³² rows ago
-			// could collide, so clear them once and restart at 1.
-			for i := range stamp {
-				stamp[i] = 0
-			}
-			lv.epoch = 1
-		}
-		epoch := lv.epoch
-		rowStart := cur
+	// Direct kernel, in three passes.
+	//
+	// Slots: row cv gets one slot for every fine half-edge that can
+	// reach it. In a symmetric fine graph those mirror the half-edges
+	// leaving cv's members, less the matched edge: deg(a)+deg(b)−2 for
+	// a pair, deg(a) for a singleton, at most 2·M in all.
+	//
+	// Scatter: visiting coarse sources cu = 0, 1, … in order, every
+	// fine half-edge x→y of cu's members appends (cu, w) to row Map[y].
+	// Rows thus fill in increasing head order and come out sorted, and
+	// a parallel edge (a second half-edge from cu's members into the
+	// same row) can only repeat the row's last entry, where its weight
+	// folds in. The fold test reads the cursor's last head rather than
+	// the edge just written, which would add a dependent load per
+	// half-edge. Only an asymmetric fine graph can send a row more
+	// half-edges than it has slots, and that is an error before
+	// anything is written past the row's end.
+	//
+	// Compact: folds leave gaps at row ends; one left-to-right pass
+	// moves each row into place and writes the offsets.
+	if cap(w.rows) < cn {
+		w.rows = make([]rowCursor, n) // the fine n bounds every coarse n
+	}
+	rows := w.rows[:cn]
+	slot := int32(0)
+	for cv := range rows {
 		a, b := c.members[2*cv], c.members[2*cv+1]
+		d := int32(g.Degree(a))
+		if b >= 0 {
+			d += int32(g.Degree(b)) - 2
+		}
+		rows[cv] = rowCursor{cur: slot, end: slot + d, last: -1}
+		slot += d
+	}
+	edges, cmap := lv.edges, c.Map
+	for cu := int32(0); int(cu) < cn; cu++ {
+		a, b := c.members[2*cu], c.members[2*cu+1]
 		for k := 0; k < 2; k++ {
 			fv := a
 			if k == 1 {
@@ -199,29 +213,34 @@ func (w *Workspace) contractInto(lv *level, g *graph.Graph, mate []int32) error 
 				fv = b
 			}
 			for _, e := range g.Neighbors(fv) {
-				cu := cmap[e.To]
-				if cu == cv {
+				cv := cmap[e.To]
+				if cv == cu {
 					continue // the contracted matching edge itself
 				}
-				if stamp[cu] == epoch {
-					i := pos[cu]
+				r := &rows[cv]
+				if r.last == cu {
+					i := r.cur - 1
 					merged := int64(edges[i].W) + int64(e.W)
 					if merged > 1<<30 {
 						return fmt.Errorf("coarsen: merged weight %d on edge {%d,%d} overflows", merged, cv, cu)
 					}
 					edges[i].W = int32(merged)
-				} else {
-					stamp[cu] = epoch
-					pos[cu] = cur
-					edges[cur] = graph.Edge{To: cu, W: e.W}
-					cur++
+					continue
 				}
+				if r.cur == r.end {
+					return fmt.Errorf("coarsen: coarse vertex %d receives more half-edges than its members send (asymmetric fine graph)", cv)
+				}
+				edges[r.cur] = graph.Edge{To: cu, W: e.W}
+				r.cur++
+				r.last = cu
 			}
 		}
-		// Members' neighbor lists are each sorted by fine id, but coarse
-		// ids are not monotone in fine ids and the two members' runs
-		// interleave — sort the short row to establish CSR order.
-		graph.SortEdges(edges[rowStart:cur])
+	}
+	cur, start := int32(0), int32(0)
+	for cv, r := range rows {
+		lv.off[cv] = cur
+		cur += int32(copy(edges[cur:], edges[start:r.cur]))
+		start = r.end
 	}
 	lv.off[cn] = cur
 	if err := lv.g.ResetCSR(lv.off[:cn+1], edges[:cur], lv.vw); err != nil {
@@ -438,13 +457,6 @@ func (w *Workspace) coarsestSolve(cur *graph.Graph, o MultilevelOptions, initial
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growUint32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
 	}
 	return s[:n]
 }

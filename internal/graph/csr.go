@@ -12,9 +12,10 @@ import "fmt"
 //     Builder's triple-slice accumulation, index sort, merge pass, and
 //     per-row sort.Slice closures.
 //   - ResetCSR is the trusted in-place entry point: the contraction
-//     kernel in internal/coarsen rebuilds the same Graph value level
-//     after level from workspace-owned buffers, so steady-state
-//     compaction performs no graph allocations at all.
+//     kernel in internal/coarsen writes its rows already sorted and
+//     rebuilds the same Graph value level after level from
+//     workspace-owned buffers, so steady-state compaction performs no
+//     graph allocations at all.
 //
 // Both produce Graphs indistinguishable from Builder output: the same
 // CSR layout (rows strictly sorted by head vertex) and the same cached
@@ -23,8 +24,9 @@ import "fmt"
 // SortEdges sorts a half-edge list in place by head vertex without
 // allocating: insertion sort for the short rows that dominate the
 // paper's sparse instances, heapsort above that so adversarial degrees
-// stay O(d log d). Direct CSR constructors use it to establish the
-// by-To row order EdgeWeight's binary search relies on.
+// stay O(d log d). FromCSR uses it to establish the by-To row order
+// EdgeWeight's binary search relies on; ResetCSR's one caller, the
+// contraction kernel, writes its rows in that order and sorts nothing.
 func SortEdges(a []Edge) {
 	if len(a) <= 32 {
 		for i := 1; i < len(a); i++ {
@@ -127,8 +129,9 @@ func checkSymmetry(g *Graph) error {
 // ResetCSR re-initializes g in place from CSR arrays whose rows are
 // already strictly sorted by head vertex, recomputing every cached
 // aggregate. It is the trusted counterpart of FromCSR for hot paths
-// that construct provably-symmetric CSR (the contraction kernel): only
-// the per-row invariants — sortedness (which subsumes duplicate
+// that build sorted, symmetric CSR by construction (the contraction
+// kernel, whose coarse graph is symmetric when its fine graph is):
+// only the per-row invariants — sortedness (which subsumes duplicate
 // detection), head range, no self-loops, positive weights — are
 // checked, fused into the aggregate sweep; adjacency symmetry is the
 // caller's contract.

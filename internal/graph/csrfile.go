@@ -44,9 +44,11 @@ import (
 // the edge section and rejects the file on any mismatch, so a Graph
 // served from a BCSR file satisfies exactly the invariants a Builder
 // output does, except adjacency symmetry, which is the writer's
-// contract (WriteCSRFile only ever writes symmetric CSR; a forged
-// asymmetric file yields wrong cuts, never memory unsafety, and
-// Validate catches it on demand).
+// contract. WriteCSRFile only ever writes symmetric CSR. A forged
+// asymmetric file passes the sweep and is still memory-safe to read,
+// but the algorithms assume symmetry: KL and FM panic on such a graph.
+// A caller loading a file it does not trust must call Validate, which
+// checks every mirror, before using the graph, as cmd/bisect does.
 //
 // The mapped memory is read-only. Nothing in the public Graph API
 // mutates CSR storage, so a mapped Graph is usable everywhere an

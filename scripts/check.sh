@@ -102,6 +102,12 @@ for target in FuzzReadEdgeList FuzzReadMETIS FuzzUnmarshalGraph FuzzCompactCSREq
   go test -run "^$target\$" -fuzz="^$target\$" -fuzztime=10s ./internal/graph/
 done
 
+# The contraction kernel against its map-based model: arbitrary small
+# weighted graphs, contracted by a random maximal matching, must give
+# exactly the model's coarse vertex and edge weights in sorted CSR.
+echo "==> go test -fuzz=FuzzContractEquivalence -fuzztime=10s ./internal/coarsen/"
+go test -run '^FuzzContractEquivalence$' -fuzz='^FuzzContractEquivalence$' -fuzztime=10s ./internal/coarsen/
+
 # Million-vertex pipeline smoke at 10^5 scale: generate a BCSR file,
 # memory-map it, and run multilevel KL under the race detector (with
 # checkptr, which -race turns on, over the mmap'd edge arrays). The same
