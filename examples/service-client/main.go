@@ -98,7 +98,8 @@ func run() error {
 	// daemon restart: every frame carries an id, so on EOF the client
 	// reconnects with Last-Event-ID and resumes where it left off — a
 	// persisted daemon re-runs the job deterministically, regenerating
-	// the identical event sequence.
+	// the identical event sequence. A job that a persisted daemon has
+	// already finished streams its terminal frame alone.
 	fmt.Printf("%-7s %-12s %6s %10s %10s\n", "start", "event", "index", "cut", "best")
 	lastID := ""
 	const maxConnects = 30

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -254,4 +255,58 @@ func TestCorruptGraphQuarantineOnRestart(t *testing.T) {
 	if v := waitTerminal(t, ts2, id); v.State != StateDone {
 		t.Fatalf("post-restore job ended %q (%s)", v.State, v.Error)
 	}
+}
+
+// A released job's /result reads its record; a record that fails
+// verification, or verifies but is not the done job's, answers 500
+// internal and is never served, but the request leaves the file in
+// jobs/ (a read fault may be transient). The next restart quarantines a
+// corrupt one.
+func TestCorruptRecordResult(t *testing.T) {
+	dir := t.TempDir()
+	srv1, err := New(Config{StateDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	ref := uploadGraph(t, ts1, testGraph(t, 200, 4, 11))
+	id := submitJob(t, ts1, map[string]any{"graph": ref, "algorithm": "kl", "starts": 2, "seed": 5})
+	waitReleased(t, srv1, id)
+
+	path := filepath.Join(dir, "jobs", id+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := jobView{Schema: jobSchema, ID: id, State: StateQueued}
+	if err := srv1.store.saveJob(stale); err != nil {
+		t.Fatal(err)
+	}
+	wantErr(t, http.MethodGet, ts1.URL+"/v1/jobs/"+id+"/result", nil, http.StatusInternalServerError, codeInternal)
+
+	data[len(data)/3] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantErr(t, http.MethodGet, ts1.URL+"/v1/jobs/"+id+"/result", nil, http.StatusInternalServerError, codeInternal)
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("a failed /result read moved the record out of jobs/: %v", err)
+	}
+	ts1.Close()
+	srv1.Close()
+
+	srv2, err := New(Config{StateDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatalf("restart over the corrupt record: %v", err)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		srv2.Close()
+	})
+	qdata, err := os.ReadFile(filepath.Join(dir, "quarantine", id+".json"))
+	if err != nil || !bytes.Equal(qdata, data) {
+		t.Fatalf("restart did not quarantine the corrupt record intact: %v", err)
+	}
+	wantErr(t, http.MethodGet, ts2.URL+"/v1/jobs/"+id, nil, http.StatusNotFound, codeNotFound)
 }

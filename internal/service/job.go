@@ -67,14 +67,23 @@ type Result struct {
 // are guarded by mu; notify is closed-and-replaced on every append or
 // transition so streamers can wait without polling, and done is closed
 // exactly once at the terminal transition for long-pollers.
+//
+// A terminal job whose record is durable is released (docs/SERVICE.md
+// "Memory and retention"): it keeps only an index in memory and is
+// served from its record, as after a restart.
 type job struct {
 	id  string
 	seq int
-	// g is resolved at submission (or recovery), so graph-cache eviction
-	// can never invalidate an accepted job.
-	g *graph.Graph
 
-	mu          sync.Mutex
+	// wmu orders the job's record writes: each write snapshots the job
+	// while holding it, so the record that lands last is the latest state.
+	// It is taken before mu, never while holding mu.
+	wmu sync.Mutex
+
+	mu sync.Mutex
+	// g is resolved at submission (or recovery), so graph-cache eviction
+	// can never invalidate an accepted job; nil once the job is terminal.
+	g           *graph.Graph
 	spec        Spec
 	state       State
 	submittedMS int64
@@ -90,8 +99,14 @@ type job struct {
 	// memory, flagged "degraded" in its HTTP views, until a later write
 	// or the re-arm flush lands its record.
 	unpersisted bool
+	// released marks a terminal job whose record is durable: sides is
+	// nil, events is nil once no subscriber is attached, /result reads
+	// the record, and /events serves the terminal frame alone.
+	released    bool
+	subscribers int // attached SSE streams; they keep events after release
 
 	events   []trace.Event
+	recorded int // events stored; survives release and restart
 	dropped  int
 	eventCap int // per-job copy of Config.MaxEvents
 	notify   chan struct{}
@@ -117,8 +132,9 @@ func (j *job) Observe(e trace.Event) {
 	e.ElapsedNS = 0
 	e.AllocBytes = 0
 	j.mu.Lock()
-	if len(j.events) < j.eventCap {
+	if j.recorded < j.eventCap {
 		j.events = append(j.events, e)
+		j.recorded++
 	} else {
 		j.dropped++
 	}
@@ -130,6 +146,31 @@ func (j *job) Observe(e trace.Event) {
 func (j *job) wake() {
 	close(j.notify)
 	j.notify = make(chan struct{})
+}
+
+// subscribe attaches an SSE stream and reports whether it may replay
+// the stored events. A released job's stream is its terminal frame
+// alone, so subscribe then returns false and attaches nothing; otherwise
+// the caller must unsubscribe when the stream ends.
+func (j *job) subscribe() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.released {
+		return false
+	}
+	j.subscribers++
+	return true
+}
+
+// unsubscribe detaches an SSE stream; the last one to leave a released
+// job drops its events.
+func (j *job) unsubscribe() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.subscribers--
+	if j.released && j.subscribers == 0 {
+		j.events = nil
+	}
 }
 
 // eventsFrom returns a copy of the stored events from index i on, the
@@ -152,7 +193,7 @@ func (j *job) terminalFrame() (name string, data []byte) {
 	defer j.mu.Unlock()
 	frame := map[string]any{
 		"state":          j.state,
-		"events":         len(j.events),
+		"events":         j.recorded,
 		"events_dropped": j.dropped,
 	}
 	if j.result != nil {
@@ -225,7 +266,7 @@ func (j *job) viewLocked(record bool) jobView {
 		SubmittedUnixMS: j.submittedMS,
 		StartedUnixMS:   j.startedMS,
 		FinishedUnixMS:  j.finishedMS,
-		Events:          len(j.events),
+		Events:          j.recorded,
 		EventsDropped:   j.dropped,
 		Error:           j.errMsg,
 	}
@@ -242,11 +283,36 @@ func (j *job) viewLocked(record bool) jobView {
 	return v
 }
 
-// setUnpersisted flags (or clears) the job's non-durable state.
-func (j *job) setUnpersisted(v bool) {
+// setUnpersisted flags the job's latest record as non-durable.
+func (j *job) setUnpersisted() {
 	j.mu.Lock()
-	j.unpersisted = v
+	j.unpersisted = true
 	j.mu.Unlock()
+}
+
+// setDurable notes that rec, a snapshot of the job, reached disk. A
+// terminal record makes the job released: the sides are dropped now and
+// the events once no SSE subscriber is attached.
+func (j *job) setDurable(rec jobView) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.unpersisted = false
+	if !rec.State.terminal() {
+		return
+	}
+	j.released = true
+	j.sides = nil
+	if j.subscribers == 0 {
+		j.events = nil
+	}
+}
+
+// isReleased reports whether the job's terminal record is durable, so no
+// later write may replace it (the job no longer holds its sides).
+func (j *job) isReleased() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.released
 }
 
 // isUnpersisted reports whether the job's latest record is non-durable.
@@ -256,26 +322,32 @@ func (j *job) isUnpersisted() bool {
 	return j.unpersisted
 }
 
-// resultView renders GET /v1/jobs/{id}/result; ok is false unless the
-// job is done.
-func (j *job) resultView() (map[string]any, bool) {
+// doneResult returns a done job's result and sides; res is nil unless
+// the job is done, and released means the sides live only in the job's
+// durable record.
+func (j *job) doneResult() (res *Result, sides []uint8, released bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone || j.result == nil {
-		return nil, false
+		return nil, nil, false
 	}
-	sides := make([]int, len(j.sides))
-	for i, s := range j.sides {
-		sides[i] = int(s)
+	return j.result, j.sides, j.released
+}
+
+// resultJSON renders GET /v1/jobs/{id}/result.
+func resultJSON(id string, res *Result, sides []uint8) map[string]any {
+	out := make([]int, len(sides))
+	for i, s := range sides {
+		out[i] = int(s)
 	}
 	return map[string]any{
-		"id":        j.id,
-		"cut":       j.result.Cut,
-		"imbalance": j.result.Imbalance,
-		"seconds":   j.result.Seconds,
-		"stopped":   j.result.Stopped,
-		"sides":     sides,
-	}, true
+		"id":        id,
+		"cut":       res.Cut,
+		"imbalance": res.Imbalance,
+		"seconds":   res.Seconds,
+		"stopped":   res.Stopped,
+		"sides":     out,
+	}
 }
 
 // complete transitions running → done.
@@ -287,6 +359,7 @@ func (j *job) complete(res Result, sides []uint8, nowMS int64) {
 	j.sides = sides
 	j.finishedMS = nowMS
 	j.cancelRun = nil
+	j.g = nil
 	close(j.done)
 	j.wake()
 }
@@ -299,6 +372,7 @@ func (j *job) fail(msg string, nowMS int64) {
 	j.errMsg = msg
 	j.finishedMS = nowMS
 	j.cancelRun = nil
+	j.g = nil
 	close(j.done)
 	j.wake()
 }
@@ -313,6 +387,7 @@ func (j *job) requeue() {
 	j.startedMS = 0
 	j.cancelRun = nil
 	j.events = nil
+	j.recorded = 0
 	j.dropped = 0
 	j.wake()
 }

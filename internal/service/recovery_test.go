@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -108,4 +109,51 @@ func stoppedOf(v jobView) string {
 		return "<no result>"
 	}
 	return v.Result.Stopped
+}
+
+// TestRestartKeepsEventCounts: a finished job's events and
+// events_dropped are the recorded counts, in its view and its terminal
+// frame, before and after a restart.
+func TestRestartKeepsEventCounts(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{StateDir: dir, Workers: 1, MaxEvents: 5}
+	srv1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	ref := uploadGraph(t, ts1, testGraph(t, 300, 4, 31))
+	id := submitJob(t, ts1, map[string]any{"graph": ref, "algorithm": "kl", "starts": 2, "seed": 6})
+	before := waitTerminal(t, ts1, id)
+	if before.State != StateDone || before.Events != 5 || before.EventsDropped == 0 {
+		t.Fatalf("job ended %q with %d events, %d dropped; want done, 5, some", before.State, before.Events, before.EventsDropped)
+	}
+	ts1.Close()
+	srv1.Close()
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		srv2.Close()
+	})
+	var after jobView
+	doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+id, nil, &after)
+	if after.Events != before.Events || after.EventsDropped != before.EventsDropped {
+		t.Fatalf("after a restart the job reports %d events, %d dropped; before it %d, %d",
+			after.Events, after.EventsDropped, before.Events, before.EventsDropped)
+	}
+	frames := sseFrames(t, ts2, id, "")
+	var term struct {
+		Events        int `json:"events"`
+		EventsDropped int `json:"events_dropped"`
+	}
+	if len(frames) != 1 || json.Unmarshal([]byte(frames[0].data), &term) != nil ||
+		term.Events != before.Events || term.EventsDropped != before.EventsDropped {
+		t.Fatalf("after a restart the stream is %+v, want one terminal frame with %d events, %d dropped",
+			frames, before.Events, before.EventsDropped)
+	}
 }

@@ -206,11 +206,12 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// recover loads persisted jobs: terminal ones keep serving results,
-// queued/running ones are re-queued (a re-run is deterministic, so a
-// crash delays an answer but never changes it). Records that fail CRC
-// verification were quarantined by the store — recovery continues
-// without them, and the count is surfaced in /v1/readyz.
+// recover loads persisted jobs: terminal ones are released jobs that
+// keep serving results from their records, queued/running ones are
+// re-queued (a re-run is deterministic, so a crash delays an answer but
+// never changes it). Records that fail CRC verification were quarantined
+// by the store — recovery continues without them, and the count is
+// surfaced in /v1/readyz.
 func (s *Server) recover() ([]*job, error) {
 	recs, corrupt, err := s.store.loadJobs()
 	if err != nil {
@@ -232,9 +233,11 @@ func (s *Server) recover() ([]*job, error) {
 		j.finishedMS = rec.FinishedUnixMS
 		j.errMsg = rec.Error
 		j.result = rec.Result
-		j.sides = rec.Sides
 		switch {
 		case rec.State.terminal():
+			j.released = true
+			j.recorded = rec.Events
+			j.dropped = rec.EventsDropped
 			close(j.done)
 		default: // queued or running at crash/shutdown: run it (again)
 			j.state = StateQueued
@@ -265,25 +268,39 @@ func (s *Server) recover() ([]*job, error) {
 	return requeue, nil
 }
 
-// persistJob writes j's current record; persistRecord is the variant for
-// a snapshot taken earlier under j.mu. Both return whether the record is
+// persistJob writes j's current record and reports whether it is
 // durably on disk. A write failure never fails the caller's request:
 // it flips the server to degraded persistence and marks the job
 // unpersisted, to be flushed when the store re-arms.
-func (s *Server) persistJob(j *job) bool { return s.persistRecord(j, j.record()) }
-
-func (s *Server) persistRecord(j *job, rec jobView) bool {
+func (s *Server) persistJob(j *job) bool {
 	if s.store == nil {
 		return false
 	}
-	if err := s.store.saveJob(rec); err != nil {
-		j.setUnpersisted(true)
+	if err := s.writeRecord(j); err != nil {
 		s.persistFail(err)
 		return false
 	}
-	j.setUnpersisted(false)
 	s.persistOK()
 	return true
+}
+
+// writeRecord saves a snapshot of j taken under its write lock, so
+// concurrent writers of one job (the submit handler, its worker, a
+// cancel, the re-arm flush) land its states in order. A durable terminal
+// record releases the job and is never rewritten.
+func (s *Server) writeRecord(j *job) error {
+	j.wmu.Lock()
+	defer j.wmu.Unlock()
+	if j.isReleased() {
+		return nil
+	}
+	rec := j.record()
+	if err := s.store.saveJob(rec); err != nil {
+		j.setUnpersisted()
+		return err
+	}
+	j.setDurable(rec)
+	return nil
 }
 
 // persistFail records a store write failure and enters degraded mode.
@@ -332,11 +349,10 @@ func (s *Server) flushUnpersisted() {
 		if !j.isUnpersisted() {
 			continue
 		}
-		if err := s.store.saveJob(j.record()); err != nil {
+		if err := s.writeRecord(j); err != nil {
 			s.persistFail(err)
 			return
 		}
-		j.setUnpersisted(false)
 	}
 }
 
@@ -731,14 +747,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, j)
 	s.mu.Unlock()
 
-	// Holding j.mu across the enqueue serializes the persisted "queued"
-	// record with the worker's "running" transition (a worker that picks
-	// the job up immediately blocks on j.mu until the record is written).
-	j.mu.Lock()
+	// Snapshot before the enqueue: a fast worker may flip the state
+	// before we respond.
+	accepted := j.view()
 	select {
 	case s.queue <- j:
 	default:
-		j.mu.Unlock()
 		s.mu.Lock()
 		delete(s.jobs, id)
 		s.order = s.order[:len(s.order)-1]
@@ -747,10 +761,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("job queue is full (%d queued)", cap(s.queue)))
 		return
 	}
-	rec := j.viewLocked(true)
-	accepted := j.viewLocked(false) // snapshot now: a fast worker may flip the state before we respond
-	j.mu.Unlock()
-	if s.store != nil && !s.persistRecord(j, rec) {
+	if s.store != nil && !s.persistJob(j) {
 		// The job is already queued and its compute is deterministic:
 		// a failed record write must not fail the submission. The ack is
 		// non-durable — flagged so the client knows a crash before the
@@ -818,13 +829,27 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, ok := j.resultView()
-	if !ok {
+	res, sides, released := j.doneResult()
+	if res == nil {
 		writeErr(w, http.StatusConflict, codeConflict,
 			fmt.Sprintf("job %s is %s, not done", j.id, j.view().State))
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	if released {
+		// A record that fails to read is not quarantined here: one
+		// transient read fault must not destroy a good record, and
+		// recovery quarantines the ones that really are damaged.
+		rec, err := s.store.loadJob(j.id)
+		if err == nil && (rec.State != StateDone || rec.Result == nil || *rec.Result != *res) {
+			err = fmt.Errorf("record of job %s (state %s) does not hold its result", j.id, rec.State)
+		}
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, codeInternal, "reading result: "+err.Error())
+			return
+		}
+		sides = rec.Sides
+	}
+	writeJSON(w, http.StatusOK, resultJSON(j.id, res, sides))
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -837,13 +862,13 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	case StateQueued:
 		j.state = StateCancelled
 		j.finishedMS = time.Now().UnixMilli()
+		j.g = nil
 		close(j.done)
 		j.wake()
-		rec := j.viewLocked(true)
 		j.mu.Unlock()
 		// A failed write degrades persistence; the cancellation itself
 		// holds in memory either way.
-		s.persistRecord(j, rec)
+		s.persistJob(j)
 	case StateRunning:
 		j.userCancel = true
 		if j.cancelRun != nil {

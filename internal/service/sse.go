@@ -16,6 +16,8 @@ import (
 // — streaming a finished job twice yields byte-identical frames, and a
 // live subscriber sees exactly what a later replay serves
 // (docs/SERVICE.md "GET /v1/jobs/{id}/events"; pinned by the tests).
+// A released job, whose record is durable, streams its terminal frame
+// alone, as it would after a restart.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookupJob(w, r)
 	if !ok {
@@ -44,6 +46,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
+	if !j.subscribe() {
+		writeTerminal(w, fl, j)
+		return
+	}
+	defer j.unsubscribe()
 
 	idx := from
 	for {
@@ -62,9 +69,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 		if terminal {
-			name, data := j.terminalFrame()
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
-			fl.Flush()
+			writeTerminal(w, fl, j)
 			return
 		}
 		if len(evs) == 0 {
@@ -86,4 +91,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+}
+
+// writeTerminal ends a stream with the job's terminal frame.
+func writeTerminal(w http.ResponseWriter, fl http.Flusher, j *job) {
+	name, data := j.terminalFrame()
+	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
+	fl.Flush()
 }

@@ -187,21 +187,14 @@ func (s *store) loadJobs() ([]jobView, []error, error) {
 			continue // stray temp files from killed writers are ignorable
 		}
 		path := filepath.Join(s.dir, "jobs", name)
-		data, err := s.fs.ReadFile(path)
-		if err != nil {
+		rec, err := s.readJob(path)
+		var ce *fsx.CorruptRecordError
+		switch {
+		case err == nil:
+			recs = append(recs, rec)
+			continue
+		case !errors.As(err, &ce):
 			return nil, nil, err
-		}
-		payload, err := fsx.SplitCRC(path, data)
-		if err == nil {
-			var rec jobView
-			if jerr := json.Unmarshal(payload, &rec); jerr != nil {
-				err = &fsx.CorruptRecordError{Path: path, Reason: fmt.Sprintf("verified bytes do not parse: %v", jerr)}
-			} else if rec.Schema != jobSchema {
-				return nil, nil, fmt.Errorf("job record %s: schema %q, want %q", name, rec.Schema, jobSchema)
-			} else {
-				recs = append(recs, rec)
-				continue
-			}
 		}
 		if _, qerr := s.quarantine(path); qerr != nil {
 			return nil, nil, fmt.Errorf("quarantining %s: %w (original error: %v)", path, qerr, err)
@@ -210,4 +203,37 @@ func (s *store) loadJobs() ([]jobView, []error, error) {
 	}
 	sort.Slice(recs, func(i, k int) bool { return recs[i].ID < recs[k].ID })
 	return recs, corrupt, nil
+}
+
+// loadJob reads and verifies the record of job id: its CRC, its schema
+// and the id it carries. Unlike loadJobs it never quarantines; the
+// caller decides what a failed read means.
+func (s *store) loadJob(id string) (jobView, error) {
+	rec, err := s.readJob(s.jobPath(id))
+	if err == nil && rec.ID != id {
+		err = fmt.Errorf("job record %s carries id %q", id, rec.ID)
+	}
+	return rec, err
+}
+
+// readJob reads the record at path. Bytes that fail CRC verification or
+// do not parse are a *fsx.CorruptRecordError; a read error or an unknown
+// schema is not corruption and is returned as is.
+func (s *store) readJob(path string) (jobView, error) {
+	data, err := s.fs.ReadFile(path)
+	if err != nil {
+		return jobView{}, err
+	}
+	payload, err := fsx.SplitCRC(path, data)
+	if err != nil {
+		return jobView{}, err
+	}
+	var rec jobView
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return jobView{}, &fsx.CorruptRecordError{Path: path, Reason: fmt.Sprintf("verified bytes do not parse: %v", err)}
+	}
+	if rec.Schema != jobSchema {
+		return jobView{}, fmt.Errorf("job record %s: schema %q, want %q", filepath.Base(path), rec.Schema, jobSchema)
+	}
+	return rec, nil
 }

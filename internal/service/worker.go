@@ -52,9 +52,9 @@ func (s *Server) runJob(j *job, bisectors map[string]core.Bisector) (ok bool) {
 	j.state = StateRunning
 	j.startedMS = time.Now().UnixMilli()
 	j.cancelRun = cancel
-	rec := j.viewLocked(true)
+	g := j.g
 	j.mu.Unlock()
-	s.persistRecord(j, rec)
+	s.persistJob(j)
 
 	ok = true
 	defer func() {
@@ -96,7 +96,7 @@ func (s *Server) runJob(j *job, bisectors map[string]core.Bisector) (ok bool) {
 		}
 		inner := core.WithObserver(base, trace.WithStart(j, i))
 		inner = core.WithControl(inner, ctl)
-		cand, err := inner.Bisect(j.g, r)
+		cand, err := inner.Bisect(g, r)
 		if err != nil {
 			if !runctl.IsStop(err) || cand == nil {
 				j.fail(err.Error(), time.Now().UnixMilli())

@@ -78,9 +78,11 @@ go test -count=1 ./internal/faultfs/ ./internal/fsx/
 # Corruption quarantine: a damaged job record or graph file on disk
 # must quarantine on restart (typed error, evidence preserved, the rest
 # of the state recovered), and a persistence failure must degrade
-# serving instead of failing jobs.
-echo "==> go test -run 'TestCorrupt|TestDegraded|TestReadyz|TestCheckpointCorrupt|TestCheckpointGarbage|TestCheckpointWriteFailure' (quarantine + degraded-mode gates)"
-go test -count=1 -run 'TestCorrupt|TestDegraded|TestReadyz' ./internal/service/
+# serving instead of failing jobs. Retention: a job's record writes land
+# in state order, and a finished job whose record is durable is served
+# from it with only an index left in memory (a live heap bound per job).
+echo "==> go test -run 'TestCorrupt|TestDegraded|TestReadyz|TestRecordWritesOrdered|TestRetention|TestCheckpointCorrupt|TestCheckpointGarbage|TestCheckpointWriteFailure' (quarantine, degraded-mode and retention gates)"
+go test -count=1 -run 'TestCorrupt|TestDegraded|TestReadyz|TestRecordWritesOrdered|TestRetention' ./internal/service/
 go test -count=1 -run 'TestCheckpointCorrupt|TestCheckpointGarbage|TestCheckpointWriteFailure' ./internal/harness/
 
 # Chaos gate: a real daemon subprocess under a seeded fault schedule,
