@@ -9,13 +9,10 @@ import (
 	"repro/internal/coarsen"
 	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/fm"
 	"repro/internal/fsx"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hfm"
 	"repro/internal/kl"
-	"repro/internal/kway"
 	"repro/internal/matching"
 	"repro/internal/netlist"
 	"repro/internal/partition"
@@ -53,12 +50,8 @@ type (
 	KLStats = kl.Stats
 	// KLRefiner is the reusable zero-allocation workspace for KL passes.
 	KLRefiner = kl.Refiner
-	// FMRefiner is the reusable zero-allocation workspace for FM passes.
-	FMRefiner = fm.Refiner
 	// SAOptions configures simulated annealing (JAMS'89 schedule).
 	SAOptions = anneal.Options
-	// FMOptions configures Fiduccia–Mattheyses.
-	FMOptions = fm.Options
 	// SpectralOptions configures spectral bisection.
 	SpectralOptions = spectral.Options
 	// MultilevelOptions configures the recursive compaction driver.
@@ -68,8 +61,6 @@ type (
 	KL = core.KL
 	// SA is plain simulated annealing (Bisector).
 	SA = core.SA
-	// FM is plain Fiduccia–Mattheyses (Bisector).
-	FM = core.FM
 	// Spectral is Fiedler-vector bisection (Bisector).
 	Spectral = core.Spectral
 	// Compacted wraps a RefinableBisector with the paper's compaction.
@@ -80,20 +71,8 @@ type (
 	BestOf = core.BestOf
 	// ParallelBestOf runs independent starts concurrently.
 	ParallelBestOf = core.ParallelBestOf
-	// KWayPartition is a k-way vertex partition (see RecursiveKWay).
-	KWayPartition = kway.Partition
-	// HFMOptions configures hypergraph FM on netlists.
-	HFMOptions = hfm.Options
-	// HFMResult reports a hypergraph FM run.
-	HFMResult = hfm.Result
-	// HFMWorkspace is reusable hypergraph-FM storage (set it on
-	// HFMOptions.Workspace to amortize allocations across runs on the
-	// same or different netlists).
-	HFMWorkspace = hfm.Workspace
 	// RandomBisector assigns sides uniformly at random under balance.
 	RandomBisector = core.Random
-	// GreedyBisector grows one side by BFS.
-	GreedyBisector = core.Greedy
 
 	// TraceEvent is one observability event (see docs/OBSERVABILITY.md
 	// for the schema).
@@ -129,24 +108,20 @@ func RunKL(g *Graph, opts KLOptions, r *Rand) (*Bisection, KLStats, error) {
 // docs/PERFORMANCE.md.
 func NewKLRefiner() *KLRefiner { return kl.NewRefiner() }
 
-// NewFMRefiner returns a reusable FM workspace; pass it via
-// FMOptions.Workspace to make repeated runs allocation-free.
-func NewFMRefiner() *FMRefiner { return fm.NewRefiner() }
-
 // WithWorkspace attaches a private reusable refinement workspace to b
-// if its algorithm supports one (KL, FM, and the drivers composing
-// them); otherwise returns b unchanged. The returned bisector is not
-// safe for concurrent use.
+// if its algorithm supports one (KL, SA, spectral, and the drivers
+// composing them); otherwise returns b unchanged. The returned bisector
+// is not safe for concurrent use.
 func WithWorkspace(b Bisector) Bisector { return core.WithWorkspace(b) }
 
 // NewBuilder returns a Builder for a graph on n vertices.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // NewBisector returns the named algorithm with default options.
-// Recognized names: random, greedy, kl, sa, fm, spectral, ckl, csa,
-// cfm, mlkl, mlfm, mlsa, and the spectral-initialized multilevel
-// variants mlkl+spec, mlfm+spec, mlsa+spec (Lanczos Fiedler split at
-// the coarsest level instead of a random one; see docs/ALGORITHMS.md).
+// Recognized names: random, kl, sa, spectral, ckl, csa, mlkl, mlsa, and
+// the spectral-initialized multilevel variant mlkl+spec (Lanczos Fiedler
+// split at the coarsest level instead of a random one; see
+// docs/ALGORITHMS.md).
 func NewBisector(name string) (Bisector, error) { return core.New(name) }
 
 // BisectorNames lists the registry's algorithm names.
@@ -341,68 +316,8 @@ func RepairBalance(b *Bisection, maxImbalance int64) int64 {
 	return partition.RepairBalance(b, maxImbalance)
 }
 
-// Netlists.
-
-// RecursiveKWay partitions g into k parts by recursive bisection with
-// the given bisector (k need not be a power of two).
-func RecursiveKWay(g *Graph, k int, bisector Bisector, r *Rand) (*KWayPartition, error) {
-	return kway.Recursive(g, k, bisector, r)
-}
-
-// KWayOptions configures RecursiveKWayOpts: an observer receiving one
-// level_done event per split plus a final run_done, a RunControl whose
-// stop collapses the remaining subproblems (the partial partition is
-// still valid and returned with the stop sentinel), and KeepBisector
-// to opt out of the default per-run workspace wrapping.
-type KWayOptions = kway.Options
-
-// RecursiveKWayOpts is RecursiveKWay with observability and run
-// control; see KWayOptions.
-func RecursiveKWayOpts(g *Graph, k int, bisector Bisector, opts KWayOptions, r *Rand) (*KWayPartition, error) {
-	return kway.RecursiveOpts(g, k, bisector, opts, r)
-}
-
-// RefineKWayPairs improves a k-way partition in place with pairwise FM
-// between parts sharing cut edges; returns the total cut improvement.
-func RefineKWayPairs(p *KWayPartition, rounds int) (int64, error) {
-	return kway.RefinePairs(p, rounds)
-}
-
-// KWayDirectRefineOptions configures DirectRefineKWay.
-type KWayDirectRefineOptions = kway.DirectRefineOptions
-
-// DirectRefineKWay improves a k-way partition in place with greedy
-// boundary moves (cheaper than pairwise FM; useful for large k).
-func DirectRefineKWay(p *KWayPartition, opts KWayDirectRefineOptions) (int64, error) {
-	return kway.DirectRefine(p, opts)
-}
-
-// HFMBisect partitions a netlist directly with hypergraph FM, minimizing
-// cut nets (the VLSI metric), from a random area-balanced start.
-func HFMBisect(nl *Netlist, opts HFMOptions, r *Rand) (HFMResult, error) {
-	return hfm.Bisect(nl, opts, r)
-}
-
-// HFMRefine improves an existing netlist side assignment in place with
-// hypergraph FM passes.
-func HFMRefine(nl *Netlist, sides []uint8, opts HFMOptions) (HFMResult, error) {
-	return hfm.Refine(nl, sides, opts)
-}
-
-// NewHFMWorkspace returns an empty reusable hypergraph-FM workspace.
-func NewHFMWorkspace() *HFMWorkspace { return hfm.NewWorkspace() }
-
-// InducedSubgraph returns the subgraph induced by vertices and the
-// new-to-old id mapping.
-func InducedSubgraph(g *Graph, vertices []int32) (*Graph, []int32, error) {
-	return graph.Induced(g, vertices)
-}
-
 // PermuteGraph relabels g's vertices by the permutation perm.
 func PermuteGraph(g *Graph, perm []int32) (*Graph, error) { return graph.Permute(g, perm) }
-
-// UnionGraphs returns the disjoint union of a and b.
-func UnionGraphs(a, b *Graph) (*Graph, error) { return graph.Union(a, b) }
 
 // TreeBisectionWidth computes the exact minimum bisection of a forest in
 // O(n²) with a witness.

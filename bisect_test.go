@@ -220,18 +220,11 @@ func TestFacadeNetlist(t *testing.T) {
 }
 
 func TestFacadeExtensions(t *testing.T) {
-	// k-way, parallel best-of, tree DP, spectral bound, hypergraph FM —
-	// all through the public API.
+	// Parallel best-of, tree DP, spectral bound and relabeling — all
+	// through the public API.
 	g, err := bisect.Grid(8, 8)
 	if err != nil {
 		t.Fatal(err)
-	}
-	p, err := bisect.RecursiveKWay(g, 4, bisect.KL{}, bisect.NewRand(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.K() != 4 || p.EdgeCut() <= 0 {
-		t.Fatalf("kway: %v", p)
 	}
 	pb, err := bisect.ParallelBestOf{Inner: bisect.KL{}, Starts: 3}.Bisect(g, bisect.NewRand(2))
 	if err != nil {
@@ -265,43 +258,11 @@ func TestFacadeExtensions(t *testing.T) {
 	if lb <= 0 || lb > 8.01 {
 		t.Fatalf("spectral bound %v vs known width 8", lb)
 	}
-	nl := bisect.NewNetlist()
-	for _, c := range []string{"a", "b", "c", "d"} {
-		if err := nl.AddCell(c, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := nl.AddNet("n1", "a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := nl.AddNet("n2", "c", "d"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := bisect.HFMBisect(nl, bisect.HFMOptions{}, bisect.NewRand(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CutNets != 0 {
-		t.Fatalf("hfm cut %d, want 0", res.CutNets)
-	}
-	if _, err := bisect.HFMRefine(nl, res.Sides, bisect.HFMOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	sub, _, err := bisect.InducedSubgraph(g, []int32{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 3 {
-		t.Fatal("induced size")
-	}
 	perm := make([]int32, g.N())
 	for i := range perm {
 		perm[i] = int32(g.N() - 1 - i)
 	}
 	if _, err := bisect.PermuteGraph(g, perm); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bisect.UnionGraphs(g, sub); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -334,16 +295,8 @@ func TestFacadeGeometricAndRandomNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bisect.HFMBisect(nl, bisect.HFMOptions{}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check, err := nl.CutNets(res.Sides)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if check != res.CutNets {
-		t.Fatalf("hfm reported %d cut nets, recount %d", res.CutNets, check)
+	if nl.NumCells() != 80 {
+		t.Fatalf("random netlist has %d cells, want 80", nl.NumCells())
 	}
 }
 
@@ -359,24 +312,6 @@ func TestFacadeRemainingWrappers(t *testing.T) {
 	}
 	if err := sw.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	g, err := bisect.Grid(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kp, err := bisect.RecursiveKWay(g, 4, bisect.RandomBisector{}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := kp.EdgeCut()
-	if _, err := bisect.RefineKWayPairs(kp, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bisect.DirectRefineKWay(kp, bisect.KWayDirectRefineOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if kp.EdgeCut() > before {
-		t.Fatalf("refinement worsened: %d -> %d", before, kp.EdgeCut())
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"repro/internal/anneal"
 	"repro/internal/coarsen"
 	"repro/internal/core"
-	"repro/internal/fm"
 	"repro/internal/fsx"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -107,24 +106,6 @@ func klRun(g *graph.Graph) (float64, func(b *testing.B), error) {
 	}, nil
 }
 
-func fmRun(g *graph.Graph) (float64, func(b *testing.B), error) {
-	ws := fm.NewRefiner()
-	bis, _, err := fm.Run(g, fm.Options{Workspace: ws}, rng.NewFib(7))
-	if err != nil {
-		return 0, nil, err
-	}
-	return float64(bis.Cut()), func(b *testing.B) {
-		r := rng.NewFib(7)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := fm.Run(g, fm.Options{Workspace: ws}, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}, nil
-}
-
 // klPassSteady measures one steady-state KL pass on a warmed workspace —
 // the allocation-free inner loop itself (allocs_per_op must be 0).
 func klPassSteady(g *graph.Graph) (func(b *testing.B), error) {
@@ -175,7 +156,7 @@ func saRun(g *graph.Graph, opts anneal.Options) (float64, func(b *testing.B), er
 // saRefineSteady measures Refine alone — calibration plus the annealing
 // trial loop — restarted from the same saved state each iteration, so
 // the per-start NewRandom allocation is out of the picture and the row
-// exposes the inner loop the way *_pass_steady_* rows do for KL/FM.
+// exposes the inner loop the way the kl_pass_steady_* row does for KL.
 func saRefineSteady(g *graph.Graph, opts anneal.Options) (func(b *testing.B), error) {
 	start := partition.NewRandom(g, rng.NewFib(9))
 	sides := start.Sides()
@@ -192,23 +173,6 @@ func saRefineSteady(g *graph.Graph, opts anneal.Options) (func(b *testing.B), er
 				b.Fatal(err)
 			}
 			if _, err := anneal.Refine(start, opts, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}, nil
-}
-
-func fmPassSteady(g *graph.Graph) (func(b *testing.B), error) {
-	ws := fm.NewRefiner()
-	bis := partition.NewRandom(g, rng.NewFib(9))
-	if _, _, err := ws.Pass(bis, fm.Options{}); err != nil {
-		return nil, err
-	}
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ws.Pass(bis, fm.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -366,19 +330,11 @@ func run() error {
 		return err
 	}
 	add("kl_run_gnp400_d16", cut, fn)
-	if cut, fn, err = fmRun(g40); err != nil {
-		return err
-	}
-	add("fm_run_gnp400_d4.0", cut, fn)
 	steady, err := klPassSteady(g40)
 	if err != nil {
 		return err
 	}
 	add("kl_pass_steady_gnp400_d4.0", 0, steady)
-	if steady, err = fmPassSteady(g40); err != nil {
-		return err
-	}
-	add("fm_pass_steady_gnp400_d4.0", 0, steady)
 
 	// The SA families: the annealing trial loop is degree-insensitive
 	// (one uniformly random vertex per trial), so one Gnp instance plus
@@ -468,20 +424,6 @@ func run() error {
 		return err
 	}
 	add("mlkl_spec_run_gnp400_d4.0", cut, fn)
-
-	// First-class scenario rows for the k-way and hypergraph engines.
-	if cut, fn, err = kwayRun(g40, 8); err != nil {
-		return err
-	}
-	add("kway_rb8_gnp400_d4.0", cut, fn)
-	nl, err := benchNetlist()
-	if err != nil {
-		return err
-	}
-	if cut, fn, err = hfmRun(nl); err != nil {
-		return err
-	}
-	add("hfm_run_nl400", cut, fn)
 
 	// Rows that exist only in trees with the workspace arena API (the
 	// baseline build stubs this out so snapshots stay comparable).

@@ -8,11 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/coarsen"
-	"repro/internal/fm"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matching"
-	"repro/internal/partition"
 	"repro/internal/rng"
 )
 
@@ -28,10 +26,6 @@ const (
 // still giving every kernel multi-million half-edge arrays to chew on.
 const scaleDeg = 4.0
 
-// scaleHighDeg is the degree of the dense refinement instance, where
-// every committed FM move updates dozens of neighbor gains.
-const scaleHighDeg = 64.0
-
 // scaleSuffix names an instance size the way row names embed it:
 // 1_000_000 → "1m", 10_000_000 → "10m", anything else → "<n>v".
 func scaleSuffix(n int) string {
@@ -43,11 +37,9 @@ func scaleSuffix(n int) string {
 
 // addScaleRows registers the -scale benchmark rows: generation,
 // loading (text parse vs binary read vs mmap), matching, contraction,
-// and FM refinement. The kernels are serial; their rows keep the _t1
+// and the Fiedler solve. The kernels are serial; their rows keep the _t1
 // name so the snapshot trajectory continues. Rows share one generated
 // instance of n vertices; the load rows go through real files in dir.
-// The d64 refinement row always runs at 10⁶ vertices regardless of n,
-// so it stays comparable across snapshots that vary -scale-n.
 func addScaleRows(add func(name string, metric float64, fn func(b *testing.B)), dir string, scaleN int) error {
 	sfx := scaleSuffix(scaleN)
 	p := scaleDeg / float64(scaleN-1)
@@ -155,36 +147,6 @@ func addScaleRows(add func(name string, metric float64, fn func(b *testing.B)), 
 		}
 	})
 
-	// Refinement: one steady-state FM pass on a warmed refiner, on the
-	// sparse instance and on a degree-64 million-vertex one.
-	g64, err := gen.GNP(scaleDefaultN, scaleHighDeg/float64(scaleDefaultN-1), rng.NewFib(43))
-	if err != nil {
-		return err
-	}
-	for _, row := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"scale_fm_pass_gnp" + sfx + "_t1", g},
-		{"scale_fm_pass_gnp1m_d64_t1", g64},
-	} {
-		w := fm.NewRefiner()
-		bis := partition.NewRandom(row.g, rng.NewFib(9))
-		if _, _, err := w.Pass(bis, fm.Options{}); err != nil {
-			return err
-		}
-		add(row.name, 0, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := w.Pass(bis, fm.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	// Spectral Fiedler-solver rows: Lanczos vs power matvec counts (see
-	// scenarios.go).
+	// Spectral Fiedler-solver rows (see scenarios.go).
 	return addSpectralScaleRows(add, scaleN)
 }

@@ -11,9 +11,8 @@
 //     regular planted width) and special families (ladders, grids,
 //     binary trees, cycles, tori, hypercubes);
 //   - the Kernighan–Lin and simulated-annealing bisection algorithms,
-//     the compaction heuristic (CKL, CSA), and extensions: Fiduccia–
-//     Mattheyses, multilevel (recursive compaction), and spectral
-//     bisection;
+//     the compaction heuristic (CKL, CSA), and extensions: multilevel
+//     (recursive compaction) and spectral bisection;
 //   - exact solvers for validation (branch-and-bound, cycle-collection
 //     DP);
 //   - a VLSI netlist substrate with clique/star expansion;

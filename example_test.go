@@ -85,19 +85,6 @@ func ExampleTreeBisectionWidth() {
 	// optimal width: 1
 }
 
-func ExampleRecursiveKWay() {
-	g, _ := bisect.Grid(8, 8)
-	p, err := bisect.RecursiveKWay(g, 4, bisect.Compacted{Inner: bisect.KL{}}, bisect.NewRand(4))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("parts:", p.K())
-	fmt.Println("weights:", p.PartWeights())
-	// Output:
-	// parts: 4
-	// weights: [16 16 16 16]
-}
-
 func ExampleExactBisectionWidth() {
 	g, _ := bisect.Hypercube(3)
 	width, _, err := bisect.ExactBisectionWidth(g)

@@ -14,7 +14,7 @@ import (
 // MatchFunc produces a matching of g (e.g. matching.RandomMaximal).
 type MatchFunc func(g *graph.Graph, r *rng.Rand) []int32
 
-// RefineFunc improves a bisection in place (e.g. a KL or FM refinement
+// RefineFunc improves a bisection in place (e.g. a KL refinement
 // pass). It must not unbalance the bisection beyond what it received.
 type RefineFunc func(b *partition.Bisection, r *rng.Rand)
 

@@ -8,8 +8,8 @@
 //     maximal matching, bisect the contracted graph, project back, and
 //     finish on the original graph;
 //
-// plus the extensions used as baselines and ablations: FM, compacted FM,
-// multilevel (recursive compaction) KL/FM, spectral, greedy growth, and
+// plus the extensions used as baselines and ablations: multilevel
+// (recursive compaction) KL and SA, spectral (Fiedler median split), and
 // random assignment.
 //
 // All algorithms are deterministic functions of the supplied rng.Rand.
@@ -23,11 +23,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/anneal"
 	"repro/internal/coarsen"
-	"repro/internal/fm"
 	"repro/internal/graph"
 	"repro/internal/kl"
 	"repro/internal/matching"
@@ -50,10 +48,10 @@ type Bisector interface {
 }
 
 // Observable is a Bisector whose runs can report trace events. All the
-// algorithmic bisectors (KL, SA, FM) and the composing drivers
-// (Compacted, Multilevel, BestOf, ParallelBestOf) implement it; the
-// trivial baselines (Random, Greedy, Spectral) have no interior dynamics
-// to report and do not.
+// algorithmic bisectors (KL, SA) and the composing drivers (Compacted,
+// Multilevel, BestOf, ParallelBestOf) implement it; the trivial
+// baselines (Random, Spectral) have no interior dynamics to report and
+// do not.
 type Observable interface {
 	Bisector
 	// WithObserver returns a copy of the bisector whose runs report to
@@ -79,7 +77,7 @@ func WithObserver(b Bisector, obs trace.Observer) Bisector {
 // Reusable is a Bisector whose repeated runs can share a reusable
 // refinement workspace (gain buckets, swap logs, undo logs, scratch
 // arrays) so that steady-state passes allocate nothing. The algorithmic
-// refiners (KL, FM, SA) and the composing drivers (Compacted,
+// refiners (KL, SA) and the composing drivers (Compacted,
 // Multilevel, BestOf) implement it; the trivial baselines hold no
 // reusable pass state and do not.
 type Reusable interface {
@@ -141,67 +139,6 @@ func (Random) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error) 
 	return partition.NewRandom(g, r), nil
 }
 
-// Greedy grows side 0 by BFS from a random seed until it holds half the
-// vertex weight — a cheap locality-aware baseline (on grids and ladders
-// it is near-optimal; on random regular graphs it is poor).
-type Greedy struct{}
-
-// Name implements Bisector.
-func (Greedy) Name() string { return "greedy" }
-
-// Bisect implements Bisector.
-func (Greedy) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error) {
-	n := g.N()
-	side := make([]uint8, n)
-	for i := range side {
-		side[i] = 1
-	}
-	if n == 0 {
-		return partition.New(g, side)
-	}
-	half := g.TotalVertexWeight() / 2
-	var grown int64
-	visited := make([]bool, n)
-	queue := make([]int32, 0, n)
-	// BFS from random seeds until the target weight is reached; new seeds
-	// restart the frontier when a component is exhausted.
-	perm := r.Perm(n)
-	pi := 0
-	for grown < half {
-		if len(queue) == 0 {
-			for pi < n && visited[perm[pi]] {
-				pi++
-			}
-			if pi == n {
-				break
-			}
-			v := int32(perm[pi])
-			visited[v] = true
-			queue = append(queue, v)
-		}
-		v := queue[0]
-		queue = queue[1:]
-		w := int64(g.VertexWeight(v))
-		if grown+w > half && grown > 0 {
-			continue // skip vertices that would overshoot; try others
-		}
-		side[v] = 0
-		grown += w
-		for _, e := range g.Neighbors(v) {
-			if !visited[e.To] {
-				visited[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	b, err := partition.New(g, side)
-	if err != nil {
-		return nil, err
-	}
-	partition.RepairBalance(b, partition.MinAchievableImbalance(g.TotalVertexWeight()))
-	return b, nil
-}
-
 // KL is plain Kernighan–Lin from a random balanced start.
 type KL struct{ Opts kl.Options }
 
@@ -226,20 +163,8 @@ func (a SA) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error) {
 	return b, err
 }
 
-// FM is Fiduccia–Mattheyses from a random balanced start.
-type FM struct{ Opts fm.Options }
-
-// Name implements Bisector.
-func (FM) Name() string { return "fm" }
-
-// Bisect implements Bisector.
-func (a FM) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error) {
-	b, _, err := fm.Run(g, a.Opts, r)
-	return b, err
-}
-
-// Spectral is Fiedler-vector bisection (restarted Lanczos by default;
-// see internal/spectral).
+// Spectral is Fiedler-vector bisection (restarted Lanczos; see
+// internal/spectral).
 type Spectral struct{ Opts spectral.Options }
 
 // Name implements Bisector.
@@ -305,12 +230,6 @@ func (a KL) Refine(b *partition.Bisection, r *rng.Rand) error {
 	return err
 }
 
-// Refine implements RefinableBisector for FM.
-func (a FM) Refine(b *partition.Bisection, r *rng.Rand) error {
-	_, err := fm.Refine(b, a.Opts)
-	return err
-}
-
 // Refine implements RefinableBisector for SA.
 func (a SA) Refine(b *partition.Bisection, r *rng.Rand) error {
 	_, err := anneal.Refine(b, a.Opts, r)
@@ -326,12 +245,6 @@ func (a KL) WithObserver(obs trace.Observer) Bisector {
 // WithWorkspace implements Reusable for KL.
 func (a KL) WithWorkspace() Bisector {
 	a.Opts.Workspace = kl.NewRefiner()
-	return a
-}
-
-// WithWorkspace implements Reusable for FM.
-func (a FM) WithWorkspace() Bisector {
-	a.Opts.Workspace = fm.NewRefiner()
 	return a
 }
 
@@ -386,12 +299,6 @@ func (b BestOf) WithWorkspace() Bisector {
 
 // WithObserver implements Observable for SA.
 func (a SA) WithObserver(obs trace.Observer) Bisector {
-	a.Opts.Observer = obs
-	return a
-}
-
-// WithObserver implements Observable for FM.
-func (a FM) WithObserver(obs trace.Observer) Bisector {
 	a.Opts.Observer = obs
 	return a
 }
@@ -605,43 +512,30 @@ func (b BestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error
 }
 
 // New returns the named algorithm with default options. Recognized names:
-// random, greedy, kl, sa, fm, ckl, csa, cfm, mlkl, mlfm, mlsa,
-// mlkl+spec, mlfm+spec, mlsa+spec, spectral. The "+spec" multilevel
-// variants seed the coarsest level from the spectral (Fiedler median)
-// split instead of a random start. mlkl and mlkl+spec bound their KL
-// passes with kl.MultilevelLookahead; kl and ckl run Figure 2 in full.
+// random, kl, sa, spectral, ckl, csa, mlkl, mlsa and mlkl+spec. mlkl+spec
+// seeds the coarsest level from the spectral (Fiedler median) split
+// instead of a random start. mlkl and mlkl+spec bound their KL passes
+// with kl.MultilevelLookahead; kl and ckl run Figure 2 in full.
 func New(name string) (Bisector, error) {
 	switch name {
 	case "random":
 		return Random{}, nil
-	case "greedy":
-		return Greedy{}, nil
 	case "kl":
 		return KL{}, nil
 	case "sa":
 		return SA{}, nil
-	case "fm":
-		return FM{}, nil
 	case "spectral":
 		return Spectral{}, nil
 	case "ckl":
 		return Compacted{Inner: KL{}}, nil
 	case "csa":
 		return Compacted{Inner: SA{}}, nil
-	case "cfm":
-		return Compacted{Inner: FM{}}, nil
 	case "mlkl":
 		return Multilevel{Inner: mlKL}, nil
-	case "mlfm":
-		return Multilevel{Inner: FM{}}, nil
 	case "mlsa":
 		return Multilevel{Inner: SA{}}, nil
 	case "mlkl+spec":
 		return Multilevel{Inner: mlKL, Opts: &coarsen.MultilevelOptions{SpectralInit: true}}, nil
-	case "mlfm+spec":
-		return Multilevel{Inner: FM{}, Opts: &coarsen.MultilevelOptions{SpectralInit: true}}, nil
-	case "mlsa+spec":
-		return Multilevel{Inner: SA{}, Opts: &coarsen.MultilevelOptions{SpectralInit: true}}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown bisector %q (have %v)", name, Names())
 	}
@@ -654,10 +548,7 @@ var mlKL = KL{Opts: kl.Options{Lookahead: kl.MultilevelLookahead}}
 
 // Names lists the registry's algorithm names in sorted order.
 func Names() []string {
-	names := []string{"random", "greedy", "kl", "sa", "fm", "ckl", "csa", "cfm",
-		"mlkl", "mlfm", "mlsa", "mlkl+spec", "mlfm+spec", "mlsa+spec", "spectral"}
-	sort.Strings(names)
-	return names
+	return []string{"ckl", "csa", "kl", "mlkl", "mlkl+spec", "mlsa", "random", "sa", "spectral"}
 }
 
 // HeavyEdgeMatch adapts matching.HeavyEdge to coarsen.MatchFunc, for the

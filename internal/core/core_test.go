@@ -28,16 +28,13 @@ func fastSA() SA {
 func allBisectors() []Bisector {
 	return []Bisector{
 		Random{},
-		Greedy{},
 		KL{},
-		FM{},
 		fastSA(),
 		Spectral{},
 		Compacted{Inner: KL{}},
-		Compacted{Inner: FM{}},
 		Compacted{Inner: fastSA()},
 		Multilevel{Inner: KL{}},
-		Multilevel{Inner: FM{}},
+		Multilevel{Inner: fastSA()},
 	}
 }
 
@@ -103,8 +100,8 @@ func TestCompactedNames(t *testing.T) {
 	if (Compacted{Inner: KL{}}).Name() != "ckl" {
 		t.Fatal("ckl name")
 	}
-	if (Multilevel{Inner: FM{}}).Name() != "mlfm" {
-		t.Fatal("mlfm name")
+	if (Multilevel{Inner: SA{}}).Name() != "mlsa" {
+		t.Fatal("mlsa name")
 	}
 	if (BestOf{Inner: KL{}, Starts: 2}).Name() != "kl×2" {
 		t.Fatal("bestof name")
@@ -178,32 +175,6 @@ func TestCompactedReachesPlantedCutOnDegree4(t *testing.T) {
 	}
 	if b.Cut() > 8 {
 		t.Fatalf("CKL cut %d missed planted width 8", b.Cut())
-	}
-}
-
-func TestGreedyOnGridIsDecent(t *testing.T) {
-	g := mustGraph(gen.Grid(10, 10))
-	b, err := Greedy{}.Bisect(g, rng.NewFib(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Imbalance() != 0 {
-		t.Fatalf("imbalance %d", b.Imbalance())
-	}
-	// Random cut ~90; BFS growth should stay well under.
-	if b.Cut() > 40 {
-		t.Fatalf("greedy grid cut %d", b.Cut())
-	}
-}
-
-func TestGreedyEmptyGraph(t *testing.T) {
-	g := graph.NewBuilder(0).MustBuild()
-	b, err := Greedy{}.Bisect(g, rng.NewFib(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.N() != 0 {
-		t.Fatal("nonzero size")
 	}
 }
 

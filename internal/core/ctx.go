@@ -11,7 +11,7 @@ import (
 )
 
 // Controllable is a Bisector whose runs honor a runctl.Control: they
-// poll it at coarse checkpoints (KL/FM pass boundaries, SA temperature
+// poll it at coarse checkpoints (KL pass boundaries, SA temperature
 // boundaries, multilevel level boundaries, multi-start boundaries) and,
 // when it stops, return their valid best-so-far bisection together with
 // the stop sentinel (runctl.IsStop reports true for it). All the
@@ -77,12 +77,6 @@ func (a KL) WithControl(ctl *runctl.Control) Bisector {
 
 // WithControl implements Controllable for SA.
 func (a SA) WithControl(ctl *runctl.Control) Bisector {
-	a.Opts.Control = ctl
-	return a
-}
-
-// WithControl implements Controllable for FM.
-func (a FM) WithControl(ctl *runctl.Control) Bisector {
 	a.Opts.Control = ctl
 	return a
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestDeterminismMatrix is the repo-wide worker-count invariance gate:
-// ParallelBestOf over one kl, fm, mlkl and mlkl+spec configuration each,
+// ParallelBestOf over one kl, mlkl and mlkl+spec configuration each,
 // at 1, 2, 4 and 8 workers, must produce the identical cut, side
 // assignment and merged trace stream. Every start runs on one goroutine
 // from its own pre-split stream, so which worker runs which start must
@@ -52,7 +52,7 @@ func TestDeterminismMatrix(t *testing.T) {
 
 	// "mlkl+spec" adds the coarsest-level Fiedler solve to the matrix:
 	// it must not perturb the split at any worker count.
-	for _, name := range []string{"kl", "fm", "mlkl", "mlkl+spec"} {
+	for _, name := range []string{"kl", "mlkl", "mlkl+spec"} {
 		ref := run(name, 1)
 		if ref.events == 0 {
 			t.Fatalf("%s: no trace events recorded — the trace hash pins nothing", name)

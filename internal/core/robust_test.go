@@ -220,16 +220,16 @@ func TestRefineCtx(t *testing.T) {
 // A stop that fires while Multilevel uncoarsens must reach the caller.
 // Whenever the control has stopped by the time a run returns, the run
 // returns the stop sentinel beside its valid best-so-far bisection,
-// never a nil error. The mlkl and mlfm runs finish within 27
-// checkpoints, so budgets 1–40 stop them in every phase from coarsening
-// to the finest level's refinement; mlsa polls once per temperature, and
-// budgets up to 200 reach its per-level refinement.
+// never a nil error. The mlkl run finishes within 27 checkpoints, so
+// budgets 1–40 stop it in every phase from coarsening to the finest
+// level's refinement; mlsa polls once per temperature, and budgets up to
+// 200 reach its per-level refinement.
 func TestMultilevelReportsRefineStop(t *testing.T) {
 	g := mustGraph(gen.BReg(4000, 16, 3, rng.NewFib(5)))
 	for _, tc := range []struct {
 		name   string
 		budget int64
-	}{{"mlkl", 40}, {"mlfm", 40}, {"mlsa", 200}} {
+	}{{"mlkl", 40}, {"mlsa", 200}} {
 		base, err := New(tc.name)
 		if err != nil {
 			t.Fatal(err)

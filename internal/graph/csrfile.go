@@ -46,7 +46,7 @@ import (
 // output does, except adjacency symmetry, which is the writer's
 // contract. WriteCSRFile only ever writes symmetric CSR. A forged
 // asymmetric file passes the sweep and is still memory-safe to read,
-// but the algorithms assume symmetry: KL and FM panic on such a graph.
+// but the algorithms assume symmetry: KL panics on such a graph.
 // A caller loading a file it does not trust must call Validate, which
 // checks every mirror, before using the graph, as cmd/bisect does.
 //

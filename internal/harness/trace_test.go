@@ -35,7 +35,7 @@ func TestRunObserverParallelMatchesSequential(t *testing.T) {
 		obs := trace.NewJSONL(&buf)
 		cfg := Config{
 			Seed:       7,
-			Algorithms: []core.Bisector{core.KL{}, core.FM{}},
+			Algorithms: []core.Bisector{core.KL{}, core.Compacted{Inner: core.KL{}}},
 			Parallel:   parallel,
 			Observer:   obs,
 		}

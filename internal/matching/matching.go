@@ -154,53 +154,6 @@ func HeavyEdge(g *graph.Graph, r *rng.Rand) []int32 {
 	return w.HeavyEdge(g, r)
 }
 
-// Augment3 improves a maximal matching in place by flipping length-3
-// augmenting paths (unmatched–matched–matched–unmatched), the blossom-free
-// local step toward a maximum matching. It repeats until no length-3
-// augmentation exists and returns the number of augmentations performed.
-// The resulting matching is strictly larger by that count.
-func Augment3(g *graph.Graph, mate []int32, r *rng.Rand) int {
-	if len(mate) != g.N() {
-		panic("matching: mate array length mismatch")
-	}
-	augmented := 0
-	for {
-		improved := false
-		for _, ui := range r.Perm(g.N()) {
-			u := int32(ui)
-			if mate[u] >= 0 {
-				continue
-			}
-			// u — v — w — x with (v,w) matched and x unmatched, x ≠ u.
-		searchV:
-			for _, ev := range g.Neighbors(u) {
-				v := ev.To
-				w := mate[v]
-				if w < 0 {
-					// v unmatched: direct augmentation (length-1).
-					mate[u], mate[v] = v, u
-					augmented++
-					improved = true
-					break searchV
-				}
-				for _, ex := range g.Neighbors(w) {
-					x := ex.To
-					if x != u && x != v && mate[x] < 0 {
-						mate[u], mate[v] = v, u
-						mate[w], mate[x] = x, w
-						augmented++
-						improved = true
-						break searchV
-					}
-				}
-			}
-		}
-		if !improved {
-			return augmented
-		}
-	}
-}
-
 // Size returns the number of matched edges.
 func Size(mate []int32) int {
 	matched := 0

@@ -146,68 +146,6 @@ func TestHeavyEdgeIsValidAndMaximal(t *testing.T) {
 	}
 }
 
-func TestAugment3GrowsMatching(t *testing.T) {
-	// Path 0-1-2-3 with only the middle edge matched has a length-3
-	// augmenting path; Augment3 must find it and produce a perfect
-	// matching.
-	g := mustGraph(gen.Path(4))
-	mate := []int32{-1, 2, 1, -1}
-	r := rng.NewFib(1)
-	n := Augment3(g, mate, r)
-	if n != 1 {
-		t.Fatalf("augmentations = %d, want 1", n)
-	}
-	if Size(mate) != 2 {
-		t.Fatalf("size after augment = %d, want 2", Size(mate))
-	}
-	if err := Validate(g, mate); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAugment3NeverShrinks(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.NewFib(seed)
-		n := 2 + r.Intn(40)
-		g, err := gen.GNP(n, 0.15, r)
-		if err != nil {
-			return false
-		}
-		mate := RandomMaximal(g, r)
-		before := Size(mate)
-		aug := Augment3(g, mate, r)
-		if Validate(g, mate) != nil {
-			return false
-		}
-		return Size(mate) == before+aug
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAugment3DirectAugmentation(t *testing.T) {
-	// Empty matching on a single edge: Augment3's length-1 case.
-	g := mustGraph(gen.Path(2))
-	mate := []int32{-1, -1}
-	if got := Augment3(g, mate, rng.NewFib(2)); got != 1 {
-		t.Fatalf("augmentations = %d, want 1", got)
-	}
-	if Size(mate) != 1 {
-		t.Fatal("edge not matched")
-	}
-}
-
-func TestAugment3PanicsOnBadMate(t *testing.T) {
-	g := mustGraph(gen.Path(3))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short mate array not rejected")
-		}
-	}()
-	Augment3(g, []int32{-1}, rng.NewFib(1))
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := mustGraph(gen.Path(4))
 	if err := Validate(g, []int32{-1, -1}); err == nil {

@@ -24,9 +24,8 @@ type RandomOptions struct {
 	Window int
 }
 
-// Random generates a synthetic netlist: a standard workload for the
-// hypergraph partitioner when no proprietary benchmark decks are
-// available. Deterministic given r.
+// Random generates a synthetic netlist: a standard workload for netlist
+// partitioning when no proprietary benchmark decks are available. Deterministic given r.
 func Random(opts RandomOptions, r *rng.Rand) (*Netlist, error) {
 	if opts.Cells < 2 {
 		return nil, fmt.Errorf("netlist: Random needs ≥ 2 cells, got %d", opts.Cells)

@@ -88,12 +88,6 @@ func (gb *GainBuckets) Reset(n int, maxGain int64) error {
 // Len returns the number of vertices currently in the structure.
 func (gb *GainBuckets) Len() int { return gb.size }
 
-// Contains reports whether v is present.
-func (gb *GainBuckets) Contains(v int32) bool { return gb.ents[v].bucket >= 0 }
-
-// GainOf returns the recorded gain of v; v must be present.
-func (gb *GainBuckets) GainOf(v int32) int64 { return int64(gb.ents[v].gain) }
-
 func (gb *GainBuckets) idx(gain int64) int32 {
 	if gain < -gb.maxGain || gain > gb.maxGain {
 		panic(fmt.Sprintf("partition: gain %d outside [−%d, %d]", gain, gb.maxGain, gb.maxGain))
@@ -122,22 +116,10 @@ func (gb *GainBuckets) Remove(v int32) {
 	gb.size--
 }
 
-// Update changes v's gain (no-op if unchanged). v must be present.
-func (gb *GainBuckets) Update(v int32, gain int64) {
-	e := &gb.ents[v]
-	if e.bucket < 0 {
-		panic("partition: Update of absent vertex")
-	}
-	if int64(e.gain) != gain {
-		gb.place(v, e, gain)
-	}
-}
-
-// UpdateIfPresent is Contains + Update fused into a single presence
-// lookup — the refinement inner loops call this once per neighbor of
-// every moved vertex. Ordering semantics are exactly Update's: a changed
-// gain re-inserts v at the front of its new bucket; an unchanged gain
-// leaves its position alone.
+// UpdateIfPresent changes v's gain if v is present, and does nothing
+// otherwise. A changed gain re-inserts v at the front of its new bucket;
+// an unchanged gain leaves its position alone. It is the one-step
+// reference the tests hold AddGain and Settle to.
 func (gb *GainBuckets) UpdateIfPresent(v int32, gain int64) {
 	if e := &gb.ents[v]; e.bucket >= 0 && int64(e.gain) != gain {
 		gb.place(v, e, gain)
@@ -205,30 +187,10 @@ func (gb *GainBuckets) Max() (v int32, gain int64, ok bool) {
 	return -1, 0, false
 }
 
-// PopMax removes and returns the maximum-gain vertex.
-func (gb *GainBuckets) PopMax() (v int32, gain int64, ok bool) {
-	v, gain, ok = gb.Max()
-	if ok {
-		gb.Remove(v)
-	}
-	return v, gain, ok
-}
-
-// Descending visits vertices in non-increasing gain order, stopping early
-// when fn returns false. The structure must not be mutated during the
-// walk.
-func (gb *GainBuckets) Descending(fn func(v int32, gain int64) bool) {
-	for c := gb.Cursor(); c.Valid(); c.Next() {
-		if !fn(c.V(), c.Gain()) {
-			return
-		}
-	}
-}
-
-// Cursor is a lightweight descending-order iterator over a GainBuckets.
-// It visits exactly the sequence Descending visits, but through flat,
-// inlinable accessors instead of a callback — the KL pair scan walks two
-// of these in a nested loop, where closure dispatch per scanned pair is
+// Cursor is a lightweight descending-order iterator over a GainBuckets:
+// it visits vertices in non-increasing gain order, LIFO within a bucket,
+// through flat, inlinable accessors — the KL pair scan walks two of these
+// in a nested loop, where closure dispatch per scanned pair is
 // measurable. The structure must not be mutated during the walk.
 type Cursor struct {
 	gb   *GainBuckets

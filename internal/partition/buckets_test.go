@@ -33,11 +33,19 @@ func TestGainBucketsBasics(t *testing.T) {
 	if v != 3 {
 		t.Fatalf("max tie-break = %d, want 3 (LIFO)", v)
 	}
-	if !gb.Contains(1) || gb.Contains(4) {
-		t.Fatal("Contains wrong")
+	// The walk holds exactly the added vertices, with their gains.
+	var got [][2]int64
+	for c := gb.Cursor(); c.Valid(); c.Next() {
+		got = append(got, [2]int64{int64(c.V()), c.Gain()})
 	}
-	if gb.GainOf(1) != -2 {
-		t.Fatalf("GainOf(1) = %d", gb.GainOf(1))
+	want := [][2]int64{{3, 10}, {2, 10}, {0, 3}, {1, -2}}
+	if len(got) != len(want) {
+		t.Fatalf("cursor walk %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cursor walk %v, want %v", got, want)
+		}
 	}
 }
 
@@ -52,10 +60,11 @@ func TestGainBucketsPopOrder(t *testing.T) {
 	}
 	var got []int64
 	for {
-		_, g, ok := gb.PopMax()
+		v, g, ok := gb.Max()
 		if !ok {
 			break
 		}
+		gb.Remove(v)
 		got = append(got, g)
 	}
 	want := append([]int64(nil), gains...)
@@ -74,20 +83,25 @@ func TestGainBucketsUpdate(t *testing.T) {
 	gb, _ := NewGainBuckets(3, 5)
 	gb.Add(0, 1)
 	gb.Add(1, 2)
-	gb.Update(0, 5)
+	gb.UpdateIfPresent(0, 5)
 	v, g, ok := gb.Max()
 	if !ok || v != 0 || g != 5 {
 		t.Fatalf("after update max = (%d,%d)", v, g)
 	}
-	gb.Update(0, -5)
+	gb.UpdateIfPresent(0, -5)
 	v, g, _ = gb.Max()
 	if v != 1 || g != 2 {
 		t.Fatalf("after downdate max = (%d,%d)", v, g)
 	}
-	// No-op update must not disturb structure.
-	gb.Update(1, 2)
+	// No-op update must not disturb structure, and an absent vertex is
+	// ignored.
+	gb.UpdateIfPresent(1, 2)
+	gb.UpdateIfPresent(2, 4)
 	if gb.Len() != 2 {
-		t.Fatal("no-op update changed size")
+		t.Fatal("update changed size")
+	}
+	if v, g, _ = gb.Max(); v != 1 || g != 2 {
+		t.Fatalf("after no-op updates max = (%d,%d)", v, g)
 	}
 }
 
@@ -99,13 +113,12 @@ func TestGainBucketsRemoveMiddle(t *testing.T) {
 	}
 	gb.Remove(2) // middle of list
 	gb.Remove(3) // head
-	seen := map[int32]bool{}
-	gb.Descending(func(v int32, g int64) bool {
-		seen[v] = true
-		return true
-	})
-	if len(seen) != 2 || !seen[0] || !seen[1] {
-		t.Fatalf("after removals saw %v", seen)
+	var seen []int32
+	for c := gb.Cursor(); c.Valid(); c.Next() {
+		seen = append(seen, c.V())
+	}
+	if len(seen) != 2 || seen[0] != 1 || seen[1] != 0 {
+		t.Fatalf("after removals saw %v, want [1 0]", seen)
 	}
 }
 
@@ -116,26 +129,19 @@ func TestGainBucketsDescending(t *testing.T) {
 		gb.Add(int32(v), g)
 	}
 	var walked []int64
-	gb.Descending(func(v int32, g int64) bool {
-		if g != gains[v] {
+	for c := gb.Cursor(); c.Valid(); c.Next() {
+		if v, g := c.V(), c.Gain(); g != gains[v] {
 			t.Fatalf("vertex %d reported gain %d, want %d", v, g, gains[v])
 		}
-		walked = append(walked, g)
-		return true
-	})
+		walked = append(walked, c.Gain())
+	}
+	if len(walked) != len(gains) {
+		t.Fatalf("cursor visited %d of %d vertices", len(walked), len(gains))
+	}
 	for i := 1; i < len(walked); i++ {
 		if walked[i] > walked[i-1] {
-			t.Fatalf("Descending not monotone: %v", walked)
+			t.Fatalf("cursor walk not monotone: %v", walked)
 		}
-	}
-	// Early stop.
-	count := 0
-	gb.Descending(func(int32, int64) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Fatalf("early stop visited %d", count)
 	}
 }
 
@@ -152,7 +158,6 @@ func TestGainBucketsPanics(t *testing.T) {
 	gb.Add(0, 1)
 	mustPanic("double add", func() { gb.Add(0, 2) })
 	mustPanic("remove absent", func() { gb.Remove(1) })
-	mustPanic("update absent", func() { gb.Update(1, 0) })
 	mustPanic("gain out of range", func() { gb.Add(1, 5) })
 }
 
@@ -220,8 +225,8 @@ func TestGainBucketsStress(t *testing.T) {
 		case 2:
 			if _, in := ref[v]; in {
 				g := int64(r.Intn(2*bound+1) - bound)
-				gb.Update(v, g)
-				twin.Update(v, g)
+				gb.UpdateIfPresent(v, g)
+				twin.UpdateIfPresent(v, g)
 				ref[v] = g
 			}
 		case 3:
@@ -305,6 +310,6 @@ func BenchmarkGainBucketsChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := int32(r.Intn(n))
-		gb.Update(v, int64(r.Intn(129)-64))
+		gb.UpdateIfPresent(v, int64(r.Intn(129)-64))
 	}
 }

@@ -2,7 +2,7 @@
 // algorithms: cancellation (from a context.Context), wall-clock deadlines
 // (via context deadlines), and deterministic checkpoint budgets.
 //
-// A *Control is polled at coarse algorithm checkpoints — once per KL/FM
+// A *Control is polled at coarse algorithm checkpoints — once per KL
 // pass, once per SA temperature, once per multilevel coarsening level,
 // once per harness cell — never inside a hot inner loop, so an attached
 // control costs a few nanoseconds per pass and a nil control costs one

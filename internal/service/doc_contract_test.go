@@ -5,7 +5,10 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // docs/SERVICE.md is the authoritative API contract; these tests parse
@@ -73,4 +76,20 @@ func TestDocContractErrorCodes(t *testing.T) {
 		t.Fatal("no error-code table rows found in docs/SERVICE.md")
 	}
 	diffSets(t, "error code", documented, ErrorCodes())
+}
+
+// TestDocContractAlgorithms: the job-spec table's `algorithm` row lists
+// exactly the registry's names.
+func TestDocContractAlgorithms(t *testing.T) {
+	doc := readServiceDoc(t)
+	row := regexp.MustCompile("(?m)^\\| `algorithm` \\|.*$").FindString(doc)
+	if row == "" {
+		t.Fatal("no `algorithm` row found in docs/SERVICE.md's job-spec table")
+	}
+	cells := strings.Split(row, "|")
+	var documented []string
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(cells[len(cells)-2], -1) {
+		documented = append(documented, m[1])
+	}
+	diffSets(t, "algorithm", documented, core.Names())
 }

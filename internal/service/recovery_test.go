@@ -4,8 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fsx"
+	"repro/internal/partition"
 )
 
 // TestRestartRecovery pins docs/SERVICE.md "Persistence format": after a
@@ -155,5 +159,82 @@ func TestRestartKeepsEventCounts(t *testing.T) {
 		term.Events != before.Events || term.EventsDropped != before.EventsDropped {
 		t.Fatalf("after a restart the stream is %+v, want one terminal frame with %d events, %d dropped",
 			frames, before.Events, before.EventsDropped)
+	}
+}
+
+// TestRestartRetiredAlgorithms: a state directory may hold records that
+// name an algorithm the registry no longer has. After a restart the
+// unfinished one fails with an error naming the unknown bisector, the
+// finished one keeps serving its result and terminal frame from its
+// record, an ordinary job beside them completes, and the daemon stays
+// up.
+func TestRestartRetiredAlgorithms(t *testing.T) {
+	dir := t.TempDir()
+	g := testGraph(t, 120, 4, 23)
+	srv1, err := New(Config{StateDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	ref := uploadGraph(t, ts1, g)
+	ts1.Close()
+	srv1.Close()
+
+	st, err := newStore(dir, fsx.OS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UnixMilli()
+	sides := make([]byte, g.N())
+	for v := g.N() / 2; v < g.N(); v++ {
+		sides[v] = 1
+	}
+	cut := partition.CutOf(g, sides)
+	recs := []jobView{
+		{ID: "j-000001-00000001", Algorithm: "fm", State: StateQueued},
+		{ID: "j-000002-00000002", Algorithm: "greedy", State: StateDone,
+			StartedUnixMS: now, FinishedUnixMS: now, Events: 3,
+			Result: &Result{Cut: cut, Seconds: 0.5}, Sides: sides},
+		{ID: "j-000003-00000003", Algorithm: "ckl", State: StateQueued},
+	}
+	for _, rec := range recs {
+		rec.Schema, rec.Graph, rec.Starts, rec.Seed, rec.SubmittedUnixMS = jobSchema, ref, 1, 4, now
+		if err := st.saveJob(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv2, err := New(Config{StateDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		srv2.Close()
+	})
+
+	if v := waitTerminal(t, ts2, recs[0].ID); v.State != StateFailed || !strings.Contains(v.Error, `unknown bisector "fm"`) {
+		t.Fatalf("queued fm job ended %q (%s), want failed naming the unknown bisector", v.State, v.Error)
+	}
+	res := resultOf(t, ts2, recs[1].ID)
+	if res.Cut != cut || len(res.Sides) != len(sides) {
+		t.Fatalf("done greedy job serves cut %d over %d sides, want %d over %d", res.Cut, len(res.Sides), cut, len(sides))
+	}
+	for v, s := range sides {
+		if res.Sides[v] != int(s) {
+			t.Fatalf("done greedy job's sides diverge from its record at vertex %d", v)
+		}
+	}
+	frames := sseFrames(t, ts2, recs[1].ID, "")
+	if len(frames) != 1 {
+		t.Fatalf("done greedy job streams %d frames, want its terminal frame alone", len(frames))
+	}
+	wantTerminal(t, frames[0], StateDone, 3)
+	if v := waitTerminal(t, ts2, recs[2].ID); v.State != StateDone {
+		t.Fatalf("queued ckl job ended %q (%s)", v.State, v.Error)
+	}
+	if v := waitTerminal(t, ts2, submitJob(t, ts2, map[string]any{"graph": ref, "algorithm": "kl", "seed": 5})); v.State != StateDone {
+		t.Fatalf("a job submitted after the restart ended %q (%s)", v.State, v.Error)
 	}
 }

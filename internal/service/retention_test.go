@@ -429,3 +429,75 @@ func TestRecordWritesOrdered(t *testing.T) {
 		t.Fatalf("the record of a done job says %q", rec.State)
 	}
 }
+
+// commitLogFS logs the bytes of every file committed by rename, by final
+// path, in commit order.
+type commitLogFS struct {
+	fsx.FS
+	mu      sync.Mutex
+	commits map[string][][]byte
+}
+
+func (f *commitLogFS) Rename(oldpath, newpath string) error {
+	data, err := f.FS.ReadFile(oldpath)
+	if err != nil {
+		return err
+	}
+	if err := f.FS.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	f.commits[newpath] = append(f.commits[newpath], data)
+	f.mu.Unlock()
+	return nil
+}
+
+// TestRecordWrittenTwice: a finished job's record is written twice, at
+// accept and at completion, and the last write is terminal. A blocker
+// holds the single worker until every accept write has landed, so no
+// accept snapshot can see the job finished (a finished snapshot would
+// make the completion write redundant).
+func TestRecordWrittenTwice(t *testing.T) {
+	dir := t.TempDir()
+	fs := &commitLogFS{FS: fsx.OS, commits: map[string][][]byte{}}
+	srv, err := New(Config{StateDir: dir, Workers: 1, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	ref := uploadGraph(t, ts, testGraph(t, 400, 4, 17))
+	blocker := submitJob(t, ts, map[string]any{"graph": ref, "algorithm": "kl", "starts": 4096, "seed": 1})
+	var ids []string
+	for seed := 2; seed <= 7; seed++ {
+		ids = append(ids, submitJob(t, ts, map[string]any{"graph": ref, "algorithm": "kl", "starts": 1, "seed": seed}))
+	}
+	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+blocker, nil, nil)
+	for _, id := range ids {
+		if v := waitTerminal(t, ts, id); v.State != StateDone {
+			t.Fatalf("job %s ended %q (%s)", id, v.State, v.Error)
+		}
+	}
+	ts.Close()
+	srv.Close() // joins the worker: every write of every job has returned
+
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for _, id := range ids {
+		path := filepath.Join(dir, "jobs", id+".json")
+		writes := fs.commits[path]
+		if len(writes) != 2 {
+			t.Fatalf("job %s: record written %d times, want 2", id, len(writes))
+		}
+		payload, err := fsx.SplitCRC(path, writes[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec jobView
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.State != StateDone {
+			t.Fatalf("job %s: last record write says %q, want done", id, rec.State)
+		}
+	}
+}

@@ -255,7 +255,7 @@ func (s *Server) recover() ([]*job, error) {
 				s.cache.put(hash, j.g)
 				requeue = append(requeue, j)
 			}
-			if j.state != rec.State || rec.State == StateRunning {
+			if j.state != rec.State {
 				// A failed rewrite degrades persistence rather than aborting
 				// recovery: the old record still re-queues correctly on the
 				// next restart.

@@ -551,7 +551,7 @@ func TestLongPollAndList(t *testing.T) {
 	if !v.State.terminal() {
 		t.Fatalf("long poll returned non-terminal state %q", v.State)
 	}
-	id2 := submitJob(t, ts, map[string]any{"graph": ref, "algorithm": "fm", "seed": 2})
+	id2 := submitJob(t, ts, map[string]any{"graph": ref, "algorithm": "ckl", "seed": 2})
 	var list struct {
 		Jobs []jobView `json:"jobs"`
 	}

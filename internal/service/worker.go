@@ -54,7 +54,8 @@ func (s *Server) runJob(j *job, bisectors map[string]core.Bisector) (ok bool) {
 	j.cancelRun = cancel
 	g := j.g
 	j.mu.Unlock()
-	s.persistJob(j)
+	// The claim is not persisted: recovery re-runs a queued record just
+	// as it would a running one.
 
 	ok = true
 	defer func() {

@@ -9,10 +9,9 @@ import (
 )
 
 // This file implements the restarted Lanczos Fiedler solver. It runs
-// the Lanczos recurrence on the same shifted operator the power path
-// iterates, M = cI − L (c = 2·max weighted degree), whose dominant
-// eigenpair in the complement of the all-ones vector is (c − λ₂, the
-// Fiedler vector):
+// the Lanczos recurrence on the shifted operator M = cI − L (c = 2·max
+// weighted degree), whose dominant eigenpair in the complement of the
+// all-ones vector is (c − λ₂, the Fiedler vector):
 //
 //	β_j q_{j+1} = M q_j − α_j q_j − β_{j−1} q_{j−1}
 //
@@ -46,7 +45,8 @@ func (w *Workspace) lanczosFiedler(g *graph.Graph, o Options, r *rng.Rand) ([]fl
 	}
 	w.ensureLanczos(mb)
 
-	// Deterministic start vector: the same n draws the power path uses.
+	// Deterministic start vector: the same n draws the power-iteration
+	// oracle in the tests uses.
 	x := w.x
 	for i := range x {
 		x[i] = r.Float64() - 0.5

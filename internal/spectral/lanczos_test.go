@@ -135,19 +135,24 @@ func TestGoldenSpectral(t *testing.T) {
 	}
 }
 
-// TestLanczosPowerEquivalence drives both solvers to a tight tolerance
-// on a connected planted-regular instance: both must identify the same
-// median split (up to the Fiedler vector's global sign, which flips
-// both sides).
+// TestLanczosPowerEquivalence drives Lanczos and the power-iteration
+// oracle to a tight tolerance on a connected planted-regular instance:
+// both must identify the same median split (up to the Fiedler vector's
+// global sign, which flips both sides).
 func TestLanczosPowerEquivalence(t *testing.T) {
 	g := mustGraph(gen.BReg(400, 6, 4, rng.NewFib(71)))
-	lb, err := Bisect(g, Options{Tol: 1e-12, MaxIters: 100000}, rng.NewFib(73))
+	opts := Options{Tol: 1e-12, MaxIters: 100000}
+	lb, err := Bisect(g, opts, rng.NewFib(73))
 	if err != nil {
 		t.Fatalf("lanczos: %v", err)
 	}
-	pb, err := Bisect(g, Options{Tol: 1e-12, MaxIters: 100000, DisableLanczos: true}, rng.NewFib(73))
+	pf, err := NewWorkspace().powerFiedler(g, opts, rng.NewFib(73))
 	if err != nil {
 		t.Fatalf("power: %v", err)
+	}
+	pb, err := medianSplit(g, pf)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if lb.Cut() != pb.Cut() {
 		t.Fatalf("cuts differ: lanczos %d, power %d", lb.Cut(), pb.Cut())
@@ -167,17 +172,17 @@ func TestLanczosPowerEquivalence(t *testing.T) {
 	}
 }
 
-// TestLanczosFewerMatVecs quantifies the tentpole claim on a mid-size
-// instance: at matching accuracy Lanczos must reach convergence in at
-// least 5× fewer matvecs than power iteration (BENCH_8 pins the same
-// ratio at 10^5 vertices).
+// TestLanczosFewerMatVecs quantifies Lanczos's advantage on a mid-size
+// instance: at matching accuracy it must reach convergence in at least
+// 5× fewer matvecs than the power-iteration oracle (BENCH_8 pins the
+// same ratio at 10^5 vertices).
 func TestLanczosFewerMatVecs(t *testing.T) {
 	g := mustGraph(gen.GNP(10000, 4.0/9999.0, rng.NewFib(75)))
 	var sl, sp Stats
 	if _, err := Fiedler(g, Options{Tol: 1e-8, MaxIters: 200000, Stats: &sl}, rng.NewFib(77)); err != nil {
 		t.Fatalf("lanczos: %v", err)
 	}
-	if _, err := Fiedler(g, Options{Tol: 1e-8, MaxIters: 200000, DisableLanczos: true, Stats: &sp}, rng.NewFib(77)); err != nil {
+	if _, err := NewWorkspace().powerFiedler(g, Options{Tol: 1e-8, MaxIters: 200000, Stats: &sp}, rng.NewFib(77)); err != nil {
 		t.Fatalf("power: %v", err)
 	}
 	if !sl.Converged || !sp.Converged {
@@ -220,10 +225,9 @@ func TestFiedlerNotConverged(t *testing.T) {
 	if !IsNotConverged(err) || math.IsNaN(lb) {
 		t.Fatalf("BisectionLowerBound: want bound + ErrNotConverged, got %g / %v", lb, err)
 	}
-	// The power path reports the same typed error.
-	opts.DisableLanczos = true
-	if _, err := Fiedler(g, opts, rng.NewFib(81)); !IsNotConverged(err) {
-		t.Fatalf("power path: want ErrNotConverged, got %v", err)
+	// The power-iteration oracle reports the same typed error.
+	if _, err := NewWorkspace().powerFiedler(g, opts, rng.NewFib(81)); !IsNotConverged(err) {
+		t.Fatalf("power oracle: want ErrNotConverged, got %v", err)
 	}
 }
 
@@ -236,28 +240,21 @@ func asNotConverged(err error, out **ErrNotConverged) bool {
 }
 
 // TestFiedlerSteadyAllocs is the zero-alloc contract for the warm
-// solver: with a reused Workspace, repeat Fiedler solves (both paths)
-// must not touch the heap.
+// solver: with a reused Workspace, repeat Fiedler solves must not touch
+// the heap.
 func TestFiedlerSteadyAllocs(t *testing.T) {
 	g := mustGraph(gen.BReg(2000, 10, 4, rng.NewFib(85)))
-	w := NewWorkspace()
-	for _, o := range []Options{
-		{Workspace: w},
-		{Workspace: w, DisableLanczos: true},
-	} {
-		opts := o
-		r := rng.NewFib(87)
+	opts := Options{Workspace: NewWorkspace()}
+	r := rng.NewFib(87)
+	if _, err := Fiedler(g, opts, r); err != nil && !IsNotConverged(err) {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := Fiedler(g, opts, r); err != nil && !IsNotConverged(err) {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := Fiedler(g, opts, r); err != nil && !IsNotConverged(err) {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("warm Fiedler (DisableLanczos=%v) allocates %.1f per run, want 0",
-				opts.DisableLanczos, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Fiedler allocates %.1f per run, want 0", allocs)
 	}
 }

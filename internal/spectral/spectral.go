@@ -1,19 +1,18 @@
 // Package spectral implements spectral bisection: split the vertices
 // at the median of the Fiedler vector (the eigenvector of the graph
-// Laplacian with the second-smallest eigenvalue). The default solver
-// is restarted Lanczos with full reorthogonalization — several-fold
-// fewer matvecs than the deflated power iteration it replaced on
+// Laplacian with the second-smallest eigenvalue). The solver is
+// restarted Lanczos with full reorthogonalization — several-fold fewer
+// matvecs than the deflated power iteration it replaced on
 // well-separated spectra, and a certified answer on small-gap
-// instances where power iteration's stopping rule stalls on the
-// wrong vector (see docs/PERFORMANCE.md §BENCH_8). Power iteration
-// remains available behind DisableLanczos as an ablation/equivalence
-// baseline. Both solvers share a reusable zero-alloc Workspace.
+// instances where power iteration's stopping rule stalls on the wrong
+// vector (see docs/PERFORMANCE.md §BENCH_8). Power iteration survives
+// only in the tests, as the Lanczos oracle. A reusable Workspace makes
+// warm solves allocation-free.
 package spectral
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -23,24 +22,17 @@ import (
 
 // Options configures the Fiedler solver.
 type Options struct {
-	// MaxIters caps the total number of Laplacian matvecs (default
-	// 500). For the power path one iteration is one matvec; for the
-	// Lanczos path the cap spans all restarts.
+	// MaxIters caps the total number of Laplacian matvecs over all
+	// Lanczos restarts (default 500).
 	MaxIters int
-	// Tol is the convergence threshold (default 1e-7). The Lanczos
-	// path converges when the Ritz residual ‖Lx − λ₂x‖, relative to
-	// the spectral shift c = 2·max weighted degree, drops below Tol;
-	// the power path keeps its historical criterion, the iterate
-	// change under the infinity norm.
+	// Tol is the convergence threshold (default 1e-7): the solve
+	// converges when the Ritz residual ‖Lx − λ₂x‖, relative to the
+	// spectral shift c = 2·max weighted degree, drops below Tol.
 	Tol float64
 	// MaxBasis bounds the Lanczos basis (default 32 vectors). Larger
 	// bases converge in fewer restarts at the cost of O(MaxBasis·n)
 	// workspace memory and O(MaxBasis²·n) reorthogonalization work.
 	MaxBasis int
-	// DisableLanczos falls back to the original deflated power
-	// iteration — the ablation path for equivalence tests and the
-	// BENCH_8 matvec-count comparison.
-	DisableLanczos bool
 	// Workspace, when non-nil, supplies reusable solver storage so
 	// steady-state solves allocate nothing. The returned Fiedler
 	// vector aliases it and is valid until the workspace's next use.
@@ -65,9 +57,9 @@ func (o Options) withDefaults() Options {
 // Stats reports counters from a Fiedler solve.
 type Stats struct {
 	// MatVecs is the number of Laplacian matrix-vector products — the
-	// dominant cost of either solver and the unit BENCH_8 compares.
+	// dominant cost of a solve and the unit BENCH_8 compares.
 	MatVecs int
-	// Restarts counts Lanczos restarts (0 for the power path).
+	// Restarts counts Lanczos restarts.
 	Restarts int
 	// Residual is the final eigenresidual estimate ‖Lx − λ₂x‖
 	// relative to the spectral shift c.
@@ -85,7 +77,7 @@ type Stats struct {
 // as a quality warning rather than a failure.
 type ErrNotConverged struct {
 	// Residual is the last eigenresidual estimate, relative to the
-	// spectral shift c (exact for the Lanczos path).
+	// spectral shift c.
 	Residual float64
 	// Tol is the threshold the residual failed to pass.
 	Tol float64
@@ -105,10 +97,9 @@ func IsNotConverged(err error) bool {
 }
 
 // Fiedler approximates the Fiedler vector of g with the restarted
-// Lanczos solver (or deflated power iteration under DisableLanczos).
-// Both run on M = cI − L with the all-ones vector deflated, so the
-// dominant remaining eigendirection is the Laplacian's second-
-// smallest, and both draw the same deterministic start vector from r.
+// Lanczos solver. It runs on M = cI − L with the all-ones vector
+// deflated, so the dominant remaining eigendirection is the Laplacian's
+// second-smallest, and draws its deterministic start vector from r.
 // The returned vector has unit Euclidean norm and zero mean; for
 // edgeless graphs it is an arbitrary zero-mean unit vector. When the
 // solve stops at MaxIters the vector is returned together with
@@ -124,69 +115,7 @@ func Fiedler(g *graph.Graph, opts Options, r *rng.Rand) ([]float64, error) {
 		w = NewWorkspace()
 	}
 	w.ensure(g)
-	if o.DisableLanczos {
-		return w.powerFiedler(g, o, r)
-	}
 	return w.lanczosFiedler(g, o, r)
-}
-
-// powerFiedler is the original deflated power iteration on M = cI − L,
-// kept as the ablation baseline. One iteration is one matvec; a final
-// extra matvec computes the Rayleigh quotient and true residual for
-// Stats/ErrNotConverged.
-func (w *Workspace) powerFiedler(g *graph.Graph, o Options, r *rng.Rand) ([]float64, error) {
-	c := w.cshift
-	x, y := w.x, w.y
-	for i := range x {
-		x[i] = r.Float64() - 0.5
-	}
-	w.deflate(x)
-	w.normalize(x)
-	matvecs := 0
-	converged := false
-	for iter := 0; iter < o.MaxIters; iter++ {
-		w.matvec(g, y, x, c)
-		matvecs++
-		w.deflate(y)
-		if w.nrm(y) < 1e-12 {
-			// Iterate collapsed (e.g. x was already an exact
-			// eigenvector of the deflated complement); restart from
-			// fresh noise.
-			for i := range y {
-				y[i] = r.Float64() - 0.5
-			}
-			w.deflate(y)
-		}
-		w.normalize(y)
-		d := 0.0
-		for i := range x {
-			if diff := math.Abs(y[i] - x[i]); diff > d {
-				d = diff
-			}
-		}
-		x, y = y, x
-		if d < o.Tol {
-			converged = true
-			break
-		}
-	}
-	// One extra matvec yields the Rayleigh quotient θ = xᵀMx (x is
-	// unit) and the exact relative residual ‖Mx − θx‖/c.
-	w.matvec(g, y, x, c)
-	matvecs++
-	theta := w.dot(x, y)
-	w.axpy(y, -theta, x)
-	resid := w.nrm(y) / c
-	if o.Stats != nil {
-		*o.Stats = Stats{
-			MatVecs: matvecs, Residual: resid,
-			Lambda2: c - theta, Converged: converged,
-		}
-	}
-	if !converged {
-		return x, &ErrNotConverged{Residual: resid, Tol: o.Tol, MatVecs: matvecs}
-	}
-	return x, nil
 }
 
 // Bisect splits g at the median Fiedler value: the n/2 vertices with
@@ -200,6 +129,16 @@ func Bisect(g *graph.Graph, opts Options, r *rng.Rand) (*partition.Bisection, er
 	if ferr != nil && !IsNotConverged(ferr) {
 		return nil, ferr
 	}
+	p, err := medianSplit(g, f)
+	if err != nil {
+		return nil, err
+	}
+	return p, ferr
+}
+
+// medianSplit puts the n/2 vertices with the smallest coordinates of f
+// on side 0, breaking ties by vertex id.
+func medianSplit(g *graph.Graph, f []float64) (*partition.Bisection, error) {
 	n := g.N()
 	order := make([]int, n)
 	for i := range order {
@@ -212,9 +151,5 @@ func Bisect(g *graph.Graph, opts Options, r *rng.Rand) (*partition.Bisection, er
 			side[v] = 1
 		}
 	}
-	p, err := partition.New(g, side)
-	if err != nil {
-		return nil, err
-	}
-	return p, ferr
+	return partition.New(g, side)
 }

@@ -17,7 +17,7 @@ var csvHeader = []string{
 }
 
 // CSVCurve flattens every event into one CSV row — the convergence-curve
-// export: filter rows on type=pass_done (KL/FM) or type=temp_done (SA)
+// export: filter rows on type=pass_done (KL) or type=temp_done (SA)
 // and plot cut or accept_ratio against index to reproduce the curves
 // discussed in docs/ALGORITHMS.md.
 //

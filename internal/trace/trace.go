@@ -1,7 +1,7 @@
 // Package trace is the repository's observability layer: a small event
 // model that exposes the *dynamics* of the bisection algorithms — KL's
-// per-pass convergence, SA's temperature/acceptance decay, FM's move
-// prefixes, and the compaction pipeline's level-by-level progress — to
+// per-pass convergence, SA's temperature/acceptance decay, and the
+// compaction pipeline's level-by-level progress — to
 // pluggable observers, without perturbing the algorithms themselves.
 //
 // The contract has three parts:
@@ -41,11 +41,11 @@ package trace
 type Type string
 
 const (
-	// TypeMoveBatch is an intra-pass (KL/FM) or intra-temperature (SA)
+	// TypeMoveBatch is an intra-pass (KL) or intra-temperature (SA)
 	// progress sample, emitted every MoveBatchSize tentative moves (or
 	// SAMoveBatchSize trials) plus once for the final partial batch.
 	TypeMoveBatch Type = "move_batch"
-	// TypePassDone is emitted by KL and FM after each refinement pass.
+	// TypePassDone is emitted by KL after each refinement pass.
 	TypePassDone Type = "pass_done"
 	// TypeTempDone is emitted by SA after each temperature plateau.
 	TypeTempDone Type = "temp_done"
@@ -65,7 +65,7 @@ const (
 type Event struct {
 	// Type is the event discriminator.
 	Type Type `json:"type"`
-	// Algo identifies the emitter: "kl", "sa", "fm", "coarsen", a
+	// Algo identifies the emitter: "kl", "sa", "coarsen", a
 	// composed driver name ("ckl", "kl×2", "kl∥4"), or "harness".
 	Algo string `json:"algo"`
 	// Start is the index of the enclosing multi-start driver's start
@@ -84,12 +84,12 @@ type Event struct {
 	Label string `json:"label,omitempty"`
 
 	// Cut is the current cut after the event; BestCut the best cut seen
-	// so far in the enclosing run (for KL/FM passes the two coincide,
+	// so far in the enclosing run (for KL passes the two coincide,
 	// since a kept prefix never worsens the cut).
 	Cut     int64 `json:"cut"`
 	BestCut int64 `json:"best_cut"`
-	// Imbalance is |w(V0) − w(V1)| after the event (SA states and FM
-	// mid-pass states may be unbalanced).
+	// Imbalance is |w(V0) − w(V1)| after the event (SA states may be
+	// unbalanced).
 	Imbalance int64 `json:"imbalance,omitempty"`
 
 	// Gain is the cumulative kept gain: for pass_done the pass's cut
@@ -99,8 +99,8 @@ type Event struct {
 	// MaxGain is the largest single pair/move gain observed in the batch
 	// or pass.
 	MaxGain int64 `json:"max_gain,omitempty"`
-	// Moves counts kept pair-swaps (KL), kept single moves (FM), or
-	// tentative moves so far within a pass (move_batch).
+	// Moves counts kept pair-swaps (KL) or tentative moves so far
+	// within a pass (move_batch).
 	Moves int `json:"moves,omitempty"`
 	// Scanned counts candidate pairs examined by KL's selection scan.
 	Scanned int64 `json:"scanned,omitempty"`
@@ -129,7 +129,7 @@ type Event struct {
 	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
 }
 
-// MoveBatchSize is the KL/FM move_batch granularity: one event per this
+// MoveBatchSize is the KL move_batch granularity: one event per this
 // many tentative moves within a pass.
 const MoveBatchSize = 64
 

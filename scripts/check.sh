@@ -79,10 +79,11 @@ go test -count=1 ./internal/faultfs/ ./internal/fsx/
 # must quarantine on restart (typed error, evidence preserved, the rest
 # of the state recovered), and a persistence failure must degrade
 # serving instead of failing jobs. Retention: a job's record writes land
-# in state order, and a finished job whose record is durable is served
-# from it with only an index left in memory (a live heap bound per job).
-echo "==> go test -run 'TestCorrupt|TestDegraded|TestReadyz|TestRecordWritesOrdered|TestRetention|TestCheckpointCorrupt|TestCheckpointGarbage|TestCheckpointWriteFailure' (quarantine, degraded-mode and retention gates)"
-go test -count=1 -run 'TestCorrupt|TestDegraded|TestReadyz|TestRecordWritesOrdered|TestRetention' ./internal/service/
+# in state order, a finished job's record is written exactly twice, and a
+# finished job whose record is durable is served from it with only an
+# index left in memory (a live heap bound per job).
+echo "==> go test -run 'TestCorrupt|TestDegraded|TestReadyz|TestRecordWritesOrdered|TestRecordWrittenTwice|TestRetention|TestCheckpointCorrupt|TestCheckpointGarbage|TestCheckpointWriteFailure' (quarantine, degraded-mode and retention gates)"
+go test -count=1 -run 'TestCorrupt|TestDegraded|TestReadyz|TestRecordWritesOrdered|TestRecordWrittenTwice|TestRetention' ./internal/service/
 go test -count=1 -run 'TestCheckpointCorrupt|TestCheckpointGarbage|TestCheckpointWriteFailure' ./internal/harness/
 
 # Chaos gate: a real daemon subprocess under a seeded fault schedule,
@@ -146,11 +147,11 @@ cmp "$smokedir/sides.spec.plain" "$smokedir/sides.spec.race" \
 # The zero-alloc contracts: matching, contraction, and the full warm
 # compact/project cycle must not touch the heap in steady state, and
 # neither may a warm SA Refiner's whole run
-# (TestRefineSteadyStateZeroAlloc, and its KL/FM counterparts) or a
-# warm Fiedler solve. The bench gate below checks the same property from
-# the benchmark side.
-echo "==> go test -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/fm/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/ (alloc contract)"
-go test -count=1 -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/fm/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/
+# (TestRefineSteadyStateZeroAlloc, and its KL counterpart) or a warm
+# Fiedler solve. The bench gate below checks the same property from the
+# benchmark side.
+echo "==> go test -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/ (alloc contract)"
+go test -count=1 -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/
 
 # cmd/benchmark is a module of its own, so `go test ./...` above never
 # reaches it. Its test runs every workload at tiny scale and certifies
@@ -162,7 +163,7 @@ echo "==> go run ./cmd/bench -quick  (snapshot -> $out)"
 go run ./cmd/bench -quick -o "$out"
 
 # The quick suite records allocs_per_op for every steady-state row —
-# the KL/FM passes, the SA refine loop, and the warm compaction cycle;
+# the KL pass, the SA refine loop, and the warm compaction cycle;
 # all must be zero (the alloc regression tests enforce the same bound
 # under `go test`, this is the belt to their suspenders).
 awk '
