@@ -67,7 +67,8 @@ type (
 	Compacted = core.Compacted
 	// Multilevel wraps a RefinableBisector with recursive compaction.
 	Multilevel = core.Multilevel
-	// BestOf repeats a Bisector and keeps the best cut.
+	// BestOf repeats a Bisector and keeps the best cut; wrap it in
+	// WithWorkspace to run every start on one reusable workspace.
 	BestOf = core.BestOf
 	// ParallelBestOf runs independent starts concurrently.
 	ParallelBestOf = core.ParallelBestOf

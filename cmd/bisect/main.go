@@ -165,7 +165,7 @@ func run() (interrupted bool, err error) {
 		runtime.ReadMemStats(&memBefore)
 	}
 	t0 := time.Now()
-	runner := bisect.WithControl(bisect.BestOf{Inner: a, Starts: *starts, Observer: obs}, ctl)
+	runner := bisect.WithControl(bisect.WithWorkspace(bisect.BestOf{Inner: a, Starts: *starts, Observer: obs}), ctl)
 	best, err := runner.Bisect(g, r)
 	if err != nil {
 		if !bisect.IsStopError(err) || best == nil {

@@ -75,11 +75,11 @@ func WithObserver(b Bisector, obs trace.Observer) Bisector {
 }
 
 // Reusable is a Bisector whose repeated runs can share a reusable
-// refinement workspace (gain buckets, swap logs, undo logs, scratch
-// arrays) so that steady-state passes allocate nothing. The algorithmic
-// refiners (KL, SA) and the composing drivers (Compacted,
-// Multilevel, BestOf) implement it; the trivial baselines hold no
-// reusable pass state and do not.
+// workspace (gain buckets, swap logs, undo logs, solver bases, scratch
+// arrays) so that steady-state runs allocate little or nothing. The
+// algorithmic refiners (KL, SA), Spectral's eigensolver and the composing
+// drivers (Compacted, Multilevel, BestOf) implement it; Random holds no
+// reusable state and does not.
 type Reusable interface {
 	Bisector
 	// WithWorkspace returns a copy of the bisector owning a freshly
@@ -90,9 +90,9 @@ type Reusable interface {
 }
 
 // WithWorkspace attaches a private reusable workspace to b if b is
-// Reusable; otherwise it returns b unchanged. Drivers that run many
-// starts (BestOf, ParallelBestOf, the harness) call this once per
-// goroutine so every start after the first runs allocation-free.
+// Reusable; otherwise it returns b unchanged. ParallelBestOf and the
+// harness call this once per goroutine, and a caller wraps a BestOf in
+// it, so every start after the first runs allocation-free.
 func WithWorkspace(b Bisector) Bisector {
 	if ru, ok := b.(Reusable); ok {
 		return ru.WithWorkspace()
@@ -288,8 +288,8 @@ func (m Multilevel) WithWorkspace() Bisector {
 	return m
 }
 
-// WithWorkspace implements Reusable for BestOf: the inner workspace is
-// shared across the sequential starts.
+// WithWorkspace implements Reusable for BestOf: it attaches one
+// workspace to Inner, which every sequential start then reuses.
 func (b BestOf) WithWorkspace() Bisector {
 	if b.Inner != nil {
 		b.Inner = WithWorkspace(b.Inner)
@@ -433,9 +433,12 @@ func (m Multilevel) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, e
 	return b, stopErr
 }
 
-// BestOf runs the inner bisector k times on independent random streams
-// and keeps the lowest cut — the paper's best-of-two-starts protocol is
-// BestOf{Inner, 2}.
+// BestOf runs the inner bisector k times, one start after another on
+// the one random stream, and keeps the lowest cut — the paper's
+// best-of-two-starts protocol is BestOf{Inner, 2}. Every start runs
+// Inner as given: WithWorkspace(BestOf{…}) attaches one workspace that
+// all the starts share, and a BestOf over an Inner that already owns a
+// workspace (bisectd's per-worker bisectors) reuses that one.
 type BestOf struct {
 	Inner  Bisector
 	Starts int
@@ -467,9 +470,6 @@ func (b BestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error
 	if starts <= 0 {
 		starts = 1
 	}
-	// One reusable workspace shared by all the sequential starts (a no-op
-	// for inner bisectors without reusable state).
-	base := WithWorkspace(b.Inner)
 	var best *partition.Bisection
 	var stopErr error
 	for i := 0; i < starts; i++ {
@@ -482,7 +482,7 @@ func (b BestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error
 				break
 			}
 		}
-		inner := base
+		inner := b.Inner
 		if b.Observer != nil {
 			// Starts run sequentially on one stream, so events can flow
 			// straight through; only the start stamp is added.

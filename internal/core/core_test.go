@@ -136,6 +136,32 @@ func TestBestOfNeverWorseThanSingle(t *testing.T) {
 	}
 }
 
+// TestBestOfReusesCallerWorkspace pins the workspace contract of the
+// multi-start loop: a warm WithWorkspace(BestOf{KL, 4}) runs its four
+// starts on the one workspace it was given, so a run allocates exactly
+// what four warm single starts do, never a fresh workspace per call.
+func TestBestOfReusesCallerWorkspace(t *testing.T) {
+	g := mustGraph(gen.BReg(400, 8, 3, rng.NewFib(3)))
+	r := rng.NewFib(5)
+	single := WithWorkspace(KL{})
+	multi := WithWorkspace(BestOf{Inner: KL{}, Starts: 4})
+	for _, b := range []Bisector{single, multi} {
+		if _, err := b.Bisect(g, r); err != nil { // warm the workspace
+			t.Fatal(err)
+		}
+	}
+	run := func(b Bisector) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := b.Bisect(g, r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, four := run(single), run(multi); four != 4*one {
+		t.Fatalf("warm best-of-4 allocates %v per run, want 4 × %v (one warm start)", four, one)
+	}
+}
+
 func TestCKLBeatsKLOnLadders(t *testing.T) {
 	// The paper's Table 1 claim, in miniature: averaged over seeds,
 	// compacted KL must find cuts at least as small as plain KL on

@@ -29,7 +29,7 @@ func TestWorkspaceSteadyAllocs(t *testing.T) {
 		{"HeavyEdge", func(w *Workspace, r *rng.Rand) []int32 { return w.HeavyEdge(g, r) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := NewWorkspace()
+			w := new(Workspace)
 			r := rng.NewFib(7)
 			tc.match(w, r) // size the buffers
 			var mate []int32
@@ -53,7 +53,7 @@ func TestWorkspaceSteadyAllocs(t *testing.T) {
 // same stream and produce the same matching, for both policies.
 func TestWorkspaceMatchesPackage(t *testing.T) {
 	g := allocTestGraph(t)
-	w := NewWorkspace()
+	w := new(Workspace)
 	r1, r2 := rng.NewFib(9), rng.NewFib(9)
 	for round := 0; round < 3; round++ {
 		a, b := RandomMaximal(g, r1), w.RandomMaximal(g, r2)

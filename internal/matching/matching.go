@@ -25,11 +25,6 @@ type Workspace struct {
 	cand []int32
 }
 
-// NewWorkspace returns an empty Workspace. Buffers are sized lazily on
-// first use and grown as needed, so one workspace serves graphs of any
-// size.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
 // resetMate returns the mate buffer resized to n and filled with -1.
 func (w *Workspace) resetMate(n int) []int32 {
 	if cap(w.mate) < n {

@@ -6,7 +6,8 @@ import "fmt"
 // dense array of doubly-linked vertex lists indexed by gain, supporting
 // O(1) insert/remove/update and amortized-O(1) max extraction. Gains must
 // lie in [−maxGain, +maxGain], where maxGain is the maximum weighted
-// degree of the graph.
+// degree of the graph. The zero value holds no vertices; Reset sizes
+// it for a graph.
 //
 // Within a bucket, vertices are kept in LIFO order, the tie-breaking rule
 // of the original FM paper.
@@ -41,16 +42,6 @@ type entry struct {
 // Weighted degrees beyond this would indicate misuse (the repository's
 // graphs stay in the low thousands).
 const maxBucketSpan = 1 << 24
-
-// NewGainBuckets returns an empty structure for n vertices with gains in
-// [−maxGain, maxGain].
-func NewGainBuckets(n int, maxGain int64) (*GainBuckets, error) {
-	gb := &GainBuckets{}
-	if err := gb.Reset(n, maxGain); err != nil {
-		return nil, err
-	}
-	return gb, nil
-}
 
 // Reset re-initializes the structure to empty for n vertices with gains
 // in [−maxGain, maxGain], reusing the existing arrays whenever they are

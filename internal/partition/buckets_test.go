@@ -7,8 +7,18 @@ import (
 	"repro/internal/rng"
 )
 
+// newGainBuckets returns an empty structure for n vertices with gains in
+// [−maxGain, maxGain].
+func newGainBuckets(n int, maxGain int64) (*GainBuckets, error) {
+	gb := &GainBuckets{}
+	if err := gb.Reset(n, maxGain); err != nil {
+		return nil, err
+	}
+	return gb, nil
+}
+
 func TestGainBucketsBasics(t *testing.T) {
-	gb, err := NewGainBuckets(5, 10)
+	gb, err := newGainBuckets(5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +60,7 @@ func TestGainBucketsBasics(t *testing.T) {
 }
 
 func TestGainBucketsPopOrder(t *testing.T) {
-	gb, err := NewGainBuckets(6, 6)
+	gb, err := newGainBuckets(6, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +90,7 @@ func TestGainBucketsPopOrder(t *testing.T) {
 }
 
 func TestGainBucketsUpdate(t *testing.T) {
-	gb, _ := NewGainBuckets(3, 5)
+	gb, _ := newGainBuckets(3, 5)
 	gb.Add(0, 1)
 	gb.Add(1, 2)
 	gb.UpdateIfPresent(0, 5)
@@ -106,7 +116,7 @@ func TestGainBucketsUpdate(t *testing.T) {
 }
 
 func TestGainBucketsRemoveMiddle(t *testing.T) {
-	gb, _ := NewGainBuckets(4, 3)
+	gb, _ := newGainBuckets(4, 3)
 	// All in same bucket; list order (LIFO) is 3,2,1,0.
 	for v := int32(0); v < 4; v++ {
 		gb.Add(v, 1)
@@ -123,7 +133,7 @@ func TestGainBucketsRemoveMiddle(t *testing.T) {
 }
 
 func TestGainBucketsDescending(t *testing.T) {
-	gb, _ := NewGainBuckets(5, 8)
+	gb, _ := newGainBuckets(5, 8)
 	gains := []int64{5, -8, 3, 3, 0}
 	for v, g := range gains {
 		gb.Add(int32(v), g)
@@ -146,7 +156,7 @@ func TestGainBucketsDescending(t *testing.T) {
 }
 
 func TestGainBucketsPanics(t *testing.T) {
-	gb, _ := NewGainBuckets(2, 4)
+	gb, _ := newGainBuckets(2, 4)
 	mustPanic := func(name string, fn func()) {
 		defer func() {
 			if recover() == nil {
@@ -162,10 +172,10 @@ func TestGainBucketsPanics(t *testing.T) {
 }
 
 func TestGainBucketsErrors(t *testing.T) {
-	if _, err := NewGainBuckets(2, -1); err == nil {
+	if _, err := newGainBuckets(2, -1); err == nil {
 		t.Fatal("negative bound accepted")
 	}
-	if _, err := NewGainBuckets(2, maxBucketSpan+1); err == nil {
+	if _, err := newGainBuckets(2, maxBucketSpan+1); err == nil {
 		t.Fatal("huge bound accepted")
 	}
 }
@@ -191,11 +201,11 @@ func TestGainBucketsStress(t *testing.T) {
 	r := rng.NewFib(33)
 	const n = 200
 	const bound = 50
-	gb, err := NewGainBuckets(n, bound)
+	gb, err := newGainBuckets(n, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := NewGainBuckets(n, bound)
+	twin, err := newGainBuckets(n, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +309,7 @@ func TestGainBucketsStress(t *testing.T) {
 
 func BenchmarkGainBucketsChurn(b *testing.B) {
 	const n = 5000
-	gb, err := NewGainBuckets(n, 64)
+	gb, err := newGainBuckets(n, 64)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,10 +7,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/runctl"
-	"repro/internal/trace"
 )
 
 // workerLoop is one worker of the fixed pool. Each worker owns a lazily
@@ -78,56 +76,26 @@ func (s *Server) runJob(j *job, bisectors map[string]core.Bisector) (ok bool) {
 		bisectors[j.spec.Algorithm] = base
 	}
 
-	// The multi-start loop below is core.BestOf.Bisect with the
-	// workspace owned by the worker instead of the run: one sequential
-	// random stream, best cut kept, control polled (without consuming
-	// budget) between starts. Results and event streams are therefore
-	// stream-identical to BestOf{Inner, Starts} on the same seed — the
-	// reproducibility contract of docs/SERVICE.md, pinned by the tests.
-	ctl := runctl.New(runCtx, j.spec.Budget)
-	r := rng.NewFib(j.spec.Seed)
+	// One core.BestOf run over the worker's workspace bisector, so a
+	// job's result and event stream are those of BestOf{Inner, Starts}
+	// on the same seed: the reproducibility contract of docs/SERVICE.md.
+	runner := core.WithControl(core.BestOf{Inner: base, Starts: j.spec.Starts, Observer: j}, runctl.New(runCtx, j.spec.Budget))
 	t0 := time.Now()
-	var best *partition.Bisection
-	var stopErr error
-	for i := 0; i < j.spec.Starts; i++ {
-		if i > 0 {
-			if stopErr = ctl.Err(); stopErr != nil {
-				break
-			}
-		}
-		inner := core.WithObserver(base, trace.WithStart(j, i))
-		inner = core.WithControl(inner, ctl)
-		cand, err := inner.Bisect(g, r)
-		if err != nil {
-			if !runctl.IsStop(err) || cand == nil {
-				j.fail(err.Error(), time.Now().UnixMilli())
-				s.persistJob(j)
-				return true
-			}
-			stopErr = err
-		}
-		if cand != nil && (best == nil || cand.Cut() < best.Cut()) {
-			best = cand
-		}
-		if stopErr != nil {
-			break
-		}
-	}
+	best, err := runner.Bisect(g, rng.NewFib(j.spec.Seed))
 	seconds := time.Since(t0).Seconds()
-	if best == nil {
-		j.fail("no result produced", time.Now().UnixMilli())
-		s.persistJob(j)
-		return true
-	}
 
 	stopped := ""
 	switch {
-	case stopErr == nil:
-	case errors.Is(stopErr, runctl.ErrBudgetExceeded):
+	case err == nil:
+	case !runctl.IsStop(err) || best == nil:
+		j.fail(err.Error(), time.Now().UnixMilli())
+		s.persistJob(j)
+		return true
+	case errors.Is(err, runctl.ErrBudgetExceeded):
 		stopped = "budget"
-	case errors.Is(stopErr, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
 		stopped = "deadline"
-	case errors.Is(stopErr, context.Canceled):
+	case errors.Is(err, context.Canceled):
 		j.mu.Lock()
 		user := j.userCancel
 		j.mu.Unlock()
@@ -144,14 +112,6 @@ func (s *Server) runJob(j *job, bisectors map[string]core.Bisector) (ok bool) {
 		stopped = "stopped"
 	}
 
-	// Final run_done exactly as BestOf emits it: the kept cut under the
-	// composed driver name.
-	j.Observe(trace.Event{
-		Type:  trace.TypeRunDone,
-		Algo:  fmt.Sprintf("%s×%d", j.spec.Algorithm, j.spec.Starts),
-		Index: j.spec.Starts,
-		Cut:   best.Cut(), BestCut: best.Cut(), Imbalance: best.Imbalance(),
-	})
 	j.complete(Result{
 		Cut: best.Cut(), Imbalance: best.Imbalance(),
 		Seconds: seconds, Stopped: stopped,

@@ -143,3 +143,57 @@ func BenchmarkFiedlerGrid32(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLanczosBReg100000 times Lanczos Fiedler solves on a
+// planted-bisection Gbreg(100000, 10000, 4) instance, with the basis
+// sized so the solve converges without a restart. It carries on the
+// scale_spectral_lanczos_breg100000v row of BENCH_8.json, whose metric
+// was the matvec count.
+func BenchmarkLanczosBReg100000(b *testing.B) {
+	g := mustGraph(gen.BReg(100_000, 10_000, 4, rng.NewFib(42)))
+	benchmarkFiedler(b, g, Options{MaxBasis: 48, MaxIters: 20_000}, -1)
+}
+
+// BenchmarkLanczosGrid500x200 times Fiedler solves of a 500×200 grid,
+// the small-spectral-gap regime where Lanczos must grind to the true
+// Fiedler vector, and fails unless the median split is the optimal
+// 200-edge one. One solve takes 35–50 s on a 2-vCPU host, which is why
+// this check is a benchmark and not a test. It carries on the
+// scale_spectral_lanczos_grid500x200 row of BENCH_8.json.
+func BenchmarkLanczosGrid500x200(b *testing.B) {
+	g := mustGraph(gen.Grid(500, 200))
+	benchmarkFiedler(b, g, Options{MaxIters: 20_000}, 200)
+}
+
+// benchmarkFiedler times Fiedler solves of g on one reused workspace
+// (TestFiedlerSteadyAllocs gates its allocations), each from the same
+// start vector, so every solve is the same and matvecs/op is exact. A
+// nonnegative wantCut fails any median split that cuts a different
+// number of edges; the split is not timed.
+func benchmarkFiedler(b *testing.B, g *graph.Graph, opts Options, wantCut int64) {
+	var st Stats
+	opts.Workspace = NewWorkspace()
+	opts.Stats = &st
+	src := rng.NewFibonacci(7)
+	r := rng.New(src)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Seed(7)
+		f, err := Fiedler(g, opts, r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if wantCut >= 0 {
+			b.StopTimer()
+			p, err := medianSplit(g, f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if p.Cut() != wantCut {
+				b.Fatalf("median split cuts %d edges, want the optimal %d", p.Cut(), wantCut)
+			}
+			b.StartTimer()
+		}
+	}
+	b.ReportMetric(float64(st.MatVecs), "matvecs/op")
+}

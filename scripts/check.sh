@@ -1,24 +1,14 @@
 #!/bin/sh
 # Tier-2 verification gate. Tier 1 is `go build ./... && go test ./...`;
-# this script adds vet, the race detector over the whole module, and a
-# quick machine-readable benchmark snapshot so a perf regression or a
-# reappearing steady-state allocation is visible before merge.
+# this script adds vet, gofmt, the race detector over the whole module,
+# the fault, chaos and fuzz gates, end-to-end CLI smokes and the
+# zero-alloc contracts. Performance is measured by cmd/benchmark (see
+# its README), not here.
 #
-# Usage: scripts/check.sh [output.json] [baseline.json]
-#   output.json    where to write the quick benchmark snapshot
-#                  (default: bench-check.json in the repo root, gitignored
-#                  territory — committed snapshots are BENCH_N.json,
-#                  written by `go run ./cmd/bench`; see docs/PERFORMANCE.md)
-#   baseline.json  optional committed snapshot (e.g. BENCH_2.json) to diff
-#                  the fresh snapshot against with cmd/benchdiff; the gate
-#                  fails on >10% regression in any recorded series. Compare
-#                  against a baseline measured on the same machine — the
-#                  committed snapshots record their environment in "notes".
+# Usage: scripts/check.sh
 set -eu
 
 cd "$(dirname "$0")/.."
-out="${1:-bench-check.json}"
-baseline="${2:-}"
 
 echo "==> go vet ./..."
 go vet ./...
@@ -148,8 +138,7 @@ cmp "$smokedir/sides.spec.plain" "$smokedir/sides.spec.race" \
 # compact/project cycle must not touch the heap in steady state, and
 # neither may a warm SA Refiner's whole run
 # (TestRefineSteadyStateZeroAlloc, and its KL counterpart) or a warm
-# Fiedler solve. The bench gate below checks the same property from the
-# benchmark side.
+# Fiedler solve.
 echo "==> go test -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/ (alloc contract)"
 go test -count=1 -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/
 
@@ -159,26 +148,4 @@ go test -count=1 -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./
 echo "==> (cd cmd/benchmark && go test .) (tiny-scale certified run of every workload)"
 (cd cmd/benchmark && go test -count=1 .)
 
-echo "==> go run ./cmd/bench -quick  (snapshot -> $out)"
-go run ./cmd/bench -quick -o "$out"
-
-# The quick suite records allocs_per_op for every steady-state row —
-# the KL pass, the SA refine loop, and the warm compaction cycle;
-# all must be zero (the alloc regression tests enforce the same bound
-# under `go test`, this is the belt to their suspenders).
-awk '
-  /"name": ".*_steady_/ { steady = 1 }
-  steady && /"allocs_per_op":/ {
-    gsub(/[^0-9]/, "", $2)
-    if ($2 + 0 != 0) { bad = 1 }
-    steady = 0
-  }
-  END { exit bad }
-' "$out" || { echo "FAIL: steady-state benchmark allocates (see $out)"; exit 1; }
-
-if [ -n "$baseline" ]; then
-  echo "==> go run ./cmd/benchdiff $baseline $out"
-  go run ./cmd/benchdiff "$baseline" "$out"
-fi
-
-echo "OK: vet, build, race tests, daemon load smoke, kill-and-resume, fault/chaos gates, fuzz smoke, alloc contracts, the benchmark's tiny run, and quick benchmarks all passed"
+echo "OK: vet, build, race tests, daemon load smoke, kill-and-resume, fault/chaos gates, fuzz smoke, alloc contracts and the benchmark's tiny run all passed"
