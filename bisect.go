@@ -70,8 +70,6 @@ type (
 	// BestOf repeats a Bisector and keeps the best cut; wrap it in
 	// WithWorkspace to run every start on one reusable workspace.
 	BestOf = core.BestOf
-	// ParallelBestOf runs independent starts concurrently.
-	ParallelBestOf = core.ParallelBestOf
 	// RandomBisector assigns sides uniformly at random under balance.
 	RandomBisector = core.Random
 
@@ -345,11 +343,6 @@ type (
 	// ControllableBisector is a Bisector whose runs can be interrupted
 	// at coarse checkpoints, returning their best-so-far bisection.
 	ControllableBisector = core.Controllable
-	// PoolError aggregates the failed starts of a ParallelBestOf run;
-	// it can accompany a usable best-of-survivors bisection.
-	PoolError = core.PoolError
-	// PanicError is a panic captured inside one start of a parallel run.
-	PanicError = core.PanicError
 )
 
 // ErrBudgetExceeded is returned (possibly wrapped) by runs stopped by a

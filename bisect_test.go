@@ -220,18 +220,18 @@ func TestFacadeNetlist(t *testing.T) {
 }
 
 func TestFacadeExtensions(t *testing.T) {
-	// Parallel best-of, tree DP, spectral bound and relabeling — all
-	// through the public API.
+	// Best-of, tree DP, spectral bound and relabeling — all through the
+	// public API.
 	g, err := bisect.Grid(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := bisect.ParallelBestOf{Inner: bisect.KL{}, Starts: 3}.Bisect(g, bisect.NewRand(2))
+	pb, err := bisect.BestOf{Inner: bisect.KL{}, Starts: 3}.Bisect(g, bisect.NewRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pb.Imbalance() != 0 {
-		t.Fatal("parallel best-of unbalanced")
+		t.Fatal("best-of unbalanced")
 	}
 	tree, err := bisect.CompleteBinaryTree(14)
 	if err != nil {

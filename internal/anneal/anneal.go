@@ -70,7 +70,7 @@ type Options struct {
 	// records, acceptance memo, undo log, best-state buffer) so repeated
 	// runs allocate nothing. A nil Workspace makes Run/Refine allocate
 	// a private one. Workspaces are not safe for concurrent use; give
-	// each goroutine its own (see core.ParallelBestOf).
+	// each goroutine its own (see core.WithWorkspace).
 	Workspace *Refiner
 	// Observer, when non-nil, receives move_batch, temp_done, and
 	// run_done trace events (see docs/OBSERVABILITY.md) — the

@@ -122,7 +122,7 @@ func costAt(cut int64, d2 float64, alpha float64) float64 {
 // asserted by TestRefineSteadyStateZeroAlloc). Refiners carry no
 // algorithm state between calls — using one never changes results — but
 // they are not safe for concurrent use; give each goroutine its own (see
-// core.ParallelBestOf).
+// core.WithWorkspace).
 type Refiner struct {
 	recs      []vertexRec // the run's live state; b is rebuilt from bestSides at the end
 	bestSides []uint8     // best state seen, materialized from the log

@@ -28,8 +28,8 @@ import (
 // contraction byte for byte (the golden fixture pins both, and
 // FuzzContractEquivalence and TestContractChainMatchesModel hold the
 // kernel to a map-based model). A Workspace must not be shared across
-// goroutines; core.WithWorkspace and ParallelBestOf create one per
-// worker.
+// goroutines; core.WithWorkspace creates one per harness row and per
+// bisectd worker.
 type Workspace struct {
 	match  matching.Workspace
 	levels []*level

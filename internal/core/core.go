@@ -16,8 +16,8 @@
 //
 // Algorithms and drivers that can report their dynamics implement
 // Observable; WithObserver attaches a trace.Observer to any Bisector
-// (a no-op for baselines). Parallel drivers buffer events per start
-// and replay them in order, so traces stay deterministic — see
+// (a no-op for baselines). Every run executes on one goroutine, so its
+// event stream is a deterministic function of the seed — see
 // internal/trace and docs/OBSERVABILITY.md.
 package core
 
@@ -49,9 +49,8 @@ type Bisector interface {
 
 // Observable is a Bisector whose runs can report trace events. All the
 // algorithmic bisectors (KL, SA) and the composing drivers (Compacted,
-// Multilevel, BestOf, ParallelBestOf) implement it; the trivial
-// baselines (Random, Spectral) have no interior dynamics to report and
-// do not.
+// Multilevel, BestOf) implement it; the trivial baselines (Random,
+// Spectral) have no interior dynamics to report and do not.
 type Observable interface {
 	Bisector
 	// WithObserver returns a copy of the bisector whose runs report to
@@ -90,9 +89,10 @@ type Reusable interface {
 }
 
 // WithWorkspace attaches a private reusable workspace to b if b is
-// Reusable; otherwise it returns b unchanged. ParallelBestOf and the
-// harness call this once per goroutine, and a caller wraps a BestOf in
-// it, so every start after the first runs allocation-free.
+// Reusable; otherwise it returns b unchanged. cmd/bisect wraps its
+// BestOf in it once per run and the harness once per (row, algorithm);
+// each bisectd worker wraps every algorithm once and runs BestOf over
+// it. Every start after the first then runs allocation-free.
 func WithWorkspace(b Bisector) Bisector {
 	if ru, ok := b.(Reusable); ok {
 		return ru.WithWorkspace()
@@ -101,7 +101,7 @@ func WithWorkspace(b Bisector) Bisector {
 }
 
 // WithParallel returns b unchanged: every run executes on one
-// goroutine, and parallelism lives across starts (ParallelBestOf).
+// goroutine, and parallelism lives across harness rows and bisectd jobs.
 //
 // Deprecated: kept only for cmd/benchmark, its one caller; the next
 // change to that benchmark removes both.
@@ -443,7 +443,9 @@ type BestOf struct {
 	Inner  Bisector
 	Starts int
 	// Observer, when non-nil, receives the inner runs' events (stamped
-	// with their start index) and a final run_done with the kept cut.
+	// with their start index) and a final run_done with the kept cut,
+	// whose Index is the number of starts run: fewer than Starts when
+	// the control stopped the run.
 	Observer trace.Observer
 	// Control, when non-nil, is polled (without consuming budget) between
 	// starts, and interrupted inner runs' best-so-far results stay in the
@@ -472,6 +474,7 @@ func (b BestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error
 	}
 	var best *partition.Bisection
 	var stopErr error
+	ran := 0
 	for i := 0; i < starts; i++ {
 		// Poll between starts, never before the first: an already-stopped
 		// control still yields one valid candidate from the inner run's
@@ -489,6 +492,7 @@ func (b BestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error
 			inner = WithObserver(inner, trace.WithStart(b.Observer, i))
 		}
 		cand, err := inner.Bisect(g, r)
+		ran++
 		if err != nil {
 			if !runctl.IsStop(err) || cand == nil {
 				return nil, err
@@ -504,7 +508,7 @@ func (b BestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error
 	}
 	if b.Observer != nil && best != nil {
 		b.Observer.Observe(trace.Event{
-			Type: trace.TypeRunDone, Algo: b.Name(), Index: starts,
+			Type: trace.TypeRunDone, Algo: b.Name(), Index: ran,
 			Cut: best.Cut(), BestCut: best.Cut(), Imbalance: best.Imbalance(),
 		})
 	}

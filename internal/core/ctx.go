@@ -119,16 +119,3 @@ func (b BestOf) WithControl(ctl *runctl.Control) Bisector {
 	}
 	return b
 }
-
-// WithControl implements Controllable for ParallelBestOf: the control is
-// shared by all concurrent starts — each polls it through the inner
-// bisector's own checkpoints, and a budget is drawn from jointly.
-// Cancellation makes in-flight starts return their best-so-far quickly;
-// the driver then keeps the best surviving candidate.
-func (p ParallelBestOf) WithControl(ctl *runctl.Control) Bisector {
-	p.Control = ctl
-	if p.Inner != nil {
-		p.Inner = WithControl(p.Inner, ctl)
-	}
-	return p
-}

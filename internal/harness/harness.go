@@ -13,11 +13,12 @@
 // Tables are declarative (a list of GraphSpec rows); the runner is
 // deterministic given Config.Seed.
 //
-// Config.Observer traces a table run: every event is stamped with its
-// row label, each (algorithm, instance) pair closes with a
-// phase:"harness" run_done, and rows are buffered and replayed in
-// table order so parallel runs stream the same bytes as sequential
-// ones (see docs/OBSERVABILITY.md).
+// Each (algorithm, instance) cell is one core.BestOf run over
+// Config.Starts starts. Config.Observer traces a table run: every event
+// is stamped with its row label, each cell closes with BestOf's run_done
+// and then a phase:"harness" run_done, and rows are buffered and
+// replayed in table order so parallel runs stream the same bytes as
+// sequential ones (see docs/OBSERVABILITY.md).
 package harness
 
 import (
@@ -77,8 +78,9 @@ type Config struct {
 	Parallel int
 	// Observer, when non-nil, receives the trace events of every
 	// algorithm run, stamped with the row label and start index, plus
-	// one harness-phase run_done per (algorithm, instance) carrying the
-	// best-of-starts cut. Each row buffers its events and Run replays
+	// per (algorithm, instance) BestOf's run_done and then a
+	// harness-phase run_done carrying the best-of-starts cut and the
+	// cell's time. Each row buffers its events and Run replays
 	// the buffers in row order after the row completes, so the delivered
 	// stream is identical for sequential and parallel runs of the same
 	// seed. A nil Observer adds no work.
@@ -250,14 +252,15 @@ func runRow(spec GraphSpec, rowIdx int, c Config) (RowResult, *trace.Recorder, e
 		rec = trace.NewRecorder(0)
 		rowObs = trace.WithLabel(rec, spec.Label)
 	}
-	// One reusable workspace per (row, algorithm): rows may run on
-	// separate goroutines, so workspaces are never shared across rows,
-	// but within a row every instance and start reuses the same one. The
-	// shared control (if any) rides along so cancellation reaches every
-	// algorithm's own checkpoints.
+	// One best-of-starts bisector per (row, algorithm), each with one
+	// reusable workspace: rows may run on separate goroutines, so
+	// workspaces are never shared across rows, but within a row every
+	// instance and start reuses the same one. The shared control (if
+	// any) rides along so cancellation reaches every algorithm's own
+	// checkpoints.
 	algs := make([]core.Bisector, len(c.Algorithms))
 	for i, alg := range c.Algorithms {
-		algs[i] = core.WithWorkspace(core.WithControl(alg, c.Control))
+		algs[i] = core.WithObserver(core.WithWorkspace(core.WithControl(core.BestOf{Inner: alg, Starts: c.Starts}, c.Control)), rowObs)
 	}
 	cuts := map[string][]int64{}
 	secs := map[string][]float64{}
@@ -306,25 +309,16 @@ instances:
 		for algIdx, alg := range c.Algorithms {
 			ar := base.Split()
 			start := time.Now()
-			best := int64(1) << 62
-			for s := 0; s < c.Starts; s++ {
-				a := algs[algIdx]
-				if rowObs != nil {
-					a = core.WithObserver(algs[algIdx], trace.WithStart(rowObs, s))
+			b, err := algs[algIdx].Bisect(g, ar)
+			if err != nil {
+				if runctl.IsStop(err) {
+					stopErr = err
+					break instances
 				}
-				b, err := a.Bisect(g, ar)
-				if err != nil {
-					if runctl.IsStop(err) {
-						stopErr = err
-						break instances
-					}
-					return RowResult{}, nil, fmt.Errorf("%s: %v", alg.Name(), err)
-				}
-				if b.Cut() < best {
-					best = b.Cut()
-				}
+				return RowResult{}, nil, fmt.Errorf("%s: %v", alg.Name(), err)
 			}
 			elapsed := time.Since(start).Seconds()
+			best := b.Cut()
 			if rowObs != nil {
 				rowObs.Observe(trace.Event{
 					Type: trace.TypeRunDone, Algo: alg.Name(), Phase: "harness",

@@ -73,7 +73,7 @@ type Options struct {
 	// buckets, swap log, scratch stamps) so repeated runs allocate
 	// nothing. A nil Workspace makes Run/Refine/Pass allocate a private
 	// one. Workspaces are not safe for concurrent use; give each
-	// goroutine its own (see core.ParallelBestOf).
+	// goroutine its own (see core.WithWorkspace).
 	Workspace *Refiner
 	// Observer, when non-nil, receives move_batch, pass_done, and
 	// run_done trace events (see docs/OBSERVABILITY.md). Observers never

@@ -35,9 +35,10 @@ var ErrBudgetExceeded = errors.New("runctl: checkpoint budget exceeded")
 // useful; construct one with New, FromContext, or WithBudget. A nil
 // *Control is valid everywhere and means "never stop".
 //
-// A Control may be shared across goroutines (ParallelBestOf hands one
-// control to every worker): the budget is decremented atomically, and a
-// shared budget is consumed jointly by all checkpoints that poll it.
+// A Control may be shared across goroutines (the harness hands one
+// campaign control to every parallel row): the budget is decremented
+// atomically, and a shared budget is consumed jointly by all checkpoints
+// that poll it.
 type Control struct {
 	ctx     context.Context // nil when only a budget is attached
 	done    <-chan struct{} // ctx.Done(), cached

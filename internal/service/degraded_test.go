@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,6 +125,68 @@ func TestDegradedModeServing(t *testing.T) {
 	doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+v.ID, nil, &after)
 	if after.Persistence != "" {
 		t.Fatalf("job still flagged %q after flush", after.Persistence)
+	}
+}
+
+// gatedFS holds every commit of a job record (a rename into jobs/)
+// while gate is set, announcing it on held until release is closed.
+type gatedFS struct {
+	fsx.FS
+	gate    atomic.Bool
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (f *gatedFS) Rename(oldpath, newpath string) error {
+	if f.gate.Load() && filepath.Base(filepath.Dir(newpath)) == "jobs" {
+		select {
+		case f.held <- struct{}{}:
+		case <-f.release:
+		}
+		<-f.release
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+// TestReadyzDegradedUntilFlushed: after the store heals, readyz keeps
+// reporting degraded until the re-arm flush has written every record
+// that accumulated in memory; "ok" means nothing waits for the disk.
+func TestReadyzDegradedUntilFlushed(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultfs.New(fsx.OS, faultfs.Plan{Seed: 3, PWrite: 1})
+	ffs.SetDisabled(true)
+	gfs := &gatedFS{FS: ffs, held: make(chan struct{}), release: make(chan struct{})}
+	_, ts := newTestServer(t, Config{
+		StateDir: dir, Workers: 1, FS: gfs, PersistProbe: 20 * time.Millisecond,
+	})
+	ref := uploadGraph(t, ts, testGraph(t, 200, 4, 9))
+
+	ffs.SetDisabled(false)
+	id := submitJob(t, ts, map[string]any{"graph": ref, "algorithm": "kl", "starts": 2, "seed": 5})
+	if v := waitTerminal(t, ts, id); v.State != StateDone {
+		t.Fatalf("job under degraded persistence ended %q (%s)", v.State, v.Error)
+	}
+
+	// Heal the store with the flush's record commit held.
+	gfs.gate.Store(true)
+	ffs.SetDisabled(true)
+	select {
+	case <-gfs.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the probe never started the flush")
+	}
+	if got := persistenceState(t, readyz(t, ts)); got != "degraded" {
+		t.Errorf("readyz reports %q while the flush still holds a record, want degraded", got)
+	}
+	gfs.gate.Store(false)
+	close(gfs.release)
+	for deadline := time.Now().Add(10 * time.Second); persistenceState(t, readyz(t, ts)) != "ok"; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("probe never re-armed persistence")
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs", id+".json")); err != nil {
+		t.Fatalf("readyz reports ok but the record is not on disk: %v", err)
 	}
 }
 

@@ -67,8 +67,8 @@ type Config struct {
 	Heartbeat time.Duration
 	// PersistProbe is the interval at which degraded persistence re-probes
 	// the state directory (a small atomic write to <state>/.probe); a
-	// successful probe re-arms persistence and flushes unpersisted
-	// records. Default 2s. Ignored without a StateDir.
+	// successful probe flushes unpersisted records and then re-arms
+	// persistence. Default 2s. Ignored without a StateDir.
 	PersistProbe time.Duration
 	// FS is the filesystem the store and probe write through (nil =
 	// fsx.OS). Fault-injection tests substitute internal/faultfs here.
@@ -313,21 +313,28 @@ func (s *Server) persistFail(err error) {
 }
 
 // persistOK notes a successful store write; if the server was degraded,
-// it re-arms and flushes everything that accumulated in memory.
+// it flushes everything that accumulated in memory and re-arms once the
+// flush has landed, so readyz never reports ok while a record still
+// waits for the disk. A write that fails meanwhile keeps it degraded.
 func (s *Server) persistOK() {
 	s.pmu.Lock()
-	wasDegraded := s.degraded
-	s.degraded = false
+	wasDegraded, failures := s.degraded, s.pfailures
 	s.pmu.Unlock()
-	if wasDegraded {
-		s.flushUnpersisted()
+	if !wasDegraded || !s.flushUnpersisted() {
+		return
 	}
+	s.pmu.Lock()
+	if s.pfailures == failures {
+		s.degraded = false
+	}
+	s.pmu.Unlock()
 }
 
 // flushUnpersisted retries every write that failed while degraded:
-// graph uploads first (jobs reference them), then job records. The
-// first failure re-degrades and leaves the rest for the next re-arm.
-func (s *Server) flushUnpersisted() {
+// graph uploads first (jobs reference them), then job records. It
+// reports false at the first failure, which keeps the server degraded
+// and leaves the rest for the next re-arm.
+func (s *Server) flushUnpersisted() bool {
 	s.pmu.Lock()
 	graphs := s.dirtyGraphs
 	s.dirtyGraphs = map[string][]byte{}
@@ -338,7 +345,7 @@ func (s *Server) flushUnpersisted() {
 			s.dirtyGraphs[hash] = canonical
 			s.pmu.Unlock()
 			s.persistFail(err)
-			return
+			return false
 		}
 	}
 	s.mu.Lock()
@@ -351,9 +358,10 @@ func (s *Server) flushUnpersisted() {
 		}
 		if err := s.writeRecord(j); err != nil {
 			s.persistFail(err)
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // probeLoop periodically re-probes a degraded store with a small atomic

@@ -12,12 +12,12 @@ import (
 )
 
 // workerLoop is one worker of the fixed pool. Each worker owns a lazily
-// built set of workspace-attached bisectors (core.WithWorkspace — the
-// same zero-alloc machinery ParallelBestOf gives its pool workers), so
-// after warm-up a worker serves jobs without allocating per start. A
-// panicking job poisons only its worker's workspace set, which is
-// discarded and rebuilt, mirroring ParallelBestOf's poisoned-start
-// recovery.
+// built set of workspace-attached bisectors (core.WithWorkspace), so
+// after warm-up a worker serves jobs without allocating per start. The
+// recover in runJob is the daemon's one panic boundary: a panicking job
+// fails with "panic: …" instead of taking the process down, and since
+// it may have left its worker's workspaces corrupted, the worker
+// discards the whole set and rebuilds it.
 func (s *Server) workerLoop() {
 	defer s.wg.Done()
 	bisectors := make(map[string]core.Bisector)

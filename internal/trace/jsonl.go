@@ -11,9 +11,9 @@ import (
 // runs and machines; this is the property the golden-fixture tests and
 // the regression-artifact workflow rely on.
 //
-// JSONL is not safe for concurrent use; parallel drivers buffer into
-// per-start Recorders and replay sequentially (see MergeStarts), which
-// is also what keeps the output deterministic.
+// JSONL is not safe for concurrent use; parallel harness rows buffer
+// into per-row Recorders and replay sequentially (see
+// Recorder.ReplayTo), which is also what keeps the output deterministic.
 type JSONL struct {
 	// Timing, when true, preserves the ElapsedNS/AllocBytes fields.
 	// They are wall-clock measurements and differ run to run, so the

@@ -5,10 +5,10 @@ package trace
 // dropped; with capacity ≤ 0 it grows without bound. The zero Recorder
 // is an unbounded recorder ready for use.
 //
-// Recorder is the buffering half of the deterministic-merge story: a
-// concurrent driver gives each start its own Recorder and, after all
-// goroutines join, replays them in start order (MergeStarts), producing
-// an event stream independent of goroutine scheduling.
+// Recorder is how concurrent work keeps one deterministic stream: the
+// harness gives each table row its own Recorder and, after the rows
+// join, replays them in row order (ReplayTo), so the delivered stream
+// does not depend on goroutine scheduling.
 type Recorder struct {
 	capacity int
 	buf      []Event
@@ -88,23 +88,5 @@ func (r *Recorder) ReplayTo(obs Observer) {
 	}
 	for _, e := range r.buf {
 		obs.Observe(e)
-	}
-}
-
-// MergeStarts replays each recorder's events into obs in slice order,
-// rewriting every event's Start field to the recorder's index. Nil
-// recorders are skipped. Because the replay happens after the concurrent
-// starts have joined and follows the fixed slice order, the merged
-// stream is a deterministic function of the recorders' contents — the
-// goroutine schedule that filled them cannot show through.
-func MergeStarts(obs Observer, recs []*Recorder) {
-	if obs == nil {
-		return
-	}
-	for i, rec := range recs {
-		if rec == nil {
-			continue
-		}
-		rec.ReplayTo(WithStart(obs, i))
 	}
 }

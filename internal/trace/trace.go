@@ -13,19 +13,20 @@
 //
 //   - Determinism. Observers never touch the algorithms' random streams,
 //     so attaching or detaching one cannot change a result. Event streams
-//     themselves are deterministic functions of the seed: concurrent
-//     drivers (core.ParallelBestOf, harness row parallelism) buffer
-//     events per start/row in a Recorder and replay them in index order
-//     after joining, so the merged stream is schedule-independent. The
+//     themselves are deterministic functions of the seed: every run
+//     executes on one goroutine, and the one concurrent driver (harness
+//     row parallelism) buffers events per row in a Recorder and replays
+//     them in row order after joining, so the merged stream is
+//     schedule-independent. The
 //     only non-deterministic fields are the wall-clock and allocation
 //     counters (ElapsedNS, AllocBytes); the serializing observers zero
 //     them unless explicitly asked for timing, which is why identical
 //     seeds yield byte-identical JSONL.
 //
 //   - Single-goroutine delivery. An observer attached to one algorithm
-//     run is called from one goroutine at a time; parallel drivers give
-//     each start its own Recorder and merge afterwards. Observers
-//     therefore do not need internal locking.
+//     run is called from one goroutine at a time; parallel harness rows
+//     each record into their own Recorder and are replayed afterwards.
+//     Observers therefore do not need internal locking.
 //
 // Concrete observers: Recorder (ring-buffered in-memory), JSONL
 // (streaming one JSON object per line), and CSVCurve (a flat table for
@@ -65,16 +66,19 @@ const (
 type Event struct {
 	// Type is the event discriminator.
 	Type Type `json:"type"`
-	// Algo identifies the emitter: "kl", "sa", "coarsen", a
-	// composed driver name ("ckl", "kl×2", "kl∥4"), or "harness".
+	// Algo identifies the emitter: "kl", "sa", "coarsen", or a
+	// composed driver name ("ckl", "kl×2"). The harness's own run_done
+	// carries the cell's algorithm name and Phase "harness".
 	Algo string `json:"algo"`
 	// Start is the index of the enclosing multi-start driver's start
-	// (BestOf / ParallelBestOf / harness starts); 0 when there is none.
-	// A nested driver overwrites the stamp of its inner runs.
+	// (BestOf, which cmd/bisect, bisectd and the harness run); 0 when
+	// there is none. A nested driver overwrites the stamp of its inner
+	// runs.
 	Start int `json:"start"`
 	// Index is the primary ordinal of the event: pass number, temperature
 	// step, level number, batch number within the pass/temperature, or —
-	// for run_done — the total number of passes/temperatures executed.
+	// for run_done — the total number of passes, temperatures or starts
+	// executed.
 	Index int `json:"index"`
 	// Phase distinguishes level_done sub-kinds ("coarsen", "initial",
 	// "uncoarsen") and marks harness-emitted run_done events ("harness").

@@ -98,29 +98,6 @@ func TestMulti(t *testing.T) {
 	}
 }
 
-func TestMergeStartsDeterministicOrder(t *testing.T) {
-	recs := make([]*Recorder, 3)
-	for i := range recs {
-		recs[i] = NewRecorder(0)
-		for k := 0; k < 2; k++ {
-			recs[i].Observe(ev(k))
-		}
-	}
-	var got []Event
-	MergeStarts(observerFunc(func(e Event) { got = append(got, e) }), recs)
-	if len(got) != 6 {
-		t.Fatalf("merged %d events, want 6", len(got))
-	}
-	for i, e := range got {
-		if want := i / 2; e.Start != want {
-			t.Fatalf("event %d merged with start %d, want %d", i, e.Start, want)
-		}
-		if want := i % 2; e.Index != want {
-			t.Fatalf("event %d merged with index %d, want %d", i, e.Index, want)
-		}
-	}
-}
-
 func TestJSONLDeterministicAndTimingGated(t *testing.T) {
 	e := Event{Type: TypeTempDone, Algo: "sa", Index: 4, Cut: 42, BestCut: 40,
 		Trials: 1000, Accepted: 250, AcceptRatio: 0.25, Temp: 1.5,

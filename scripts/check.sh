@@ -34,15 +34,16 @@ go test -count=1 -run '^TestBuilderAtVertexCap$' ./internal/graph/
 echo "==> go test -race -skip '^TestBuilderAtVertexCap\$' ./..."
 go test -race -skip '^TestBuilderAtVertexCap$' ./...
 
-# The parallel paths (N goroutines annealing over per-chain workspaces;
-# parallel multi-start over per-worker compaction arenas; the poisoned-
-# start recovery path, where one panicking start must neither deadlock
-# the pool nor corrupt the survivors' aggregation; the worker-count
-# determinism matrix) get extra race-detector exercise beyond the single
-# pass the full run gives them: repeated runs vary goroutine
-# interleavings.
-echo "==> go test -race -count=3 -run 'TestParallel|TestDeterminismMatrix' ./internal/core/"
-go test -race -count=3 -run 'TestParallel|TestDeterminismMatrix' ./internal/core/
+# Every run executes on one goroutine; outside the daemon, in-process
+# parallelism is the harness's row fan-out (experiments -parallel). Rows
+# run concurrently, each with its own workspaces and event recorder,
+# and share the campaign's control and checkpoint file; each test below
+# must match a sequential run (cuts, the replayed trace stream, a resume
+# from a checkpoint written by parallel rows). They get extra
+# race-detector exercise beyond the single pass the full run gives
+# them: repeated runs vary goroutine interleavings.
+echo "==> go test -race -count=3 -run 'TestParallelRunMatchesSequential|TestRunObserverParallelMatchesSequential|TestCheckpointParallelRows' ./internal/harness/"
+go test -race -count=3 -run 'TestParallelRunMatchesSequential|TestRunObserverParallelMatchesSequential|TestCheckpointParallelRows' ./internal/harness/
 
 # The service daemon is the most concurrency-dense package in the tree
 # (worker pool, SSE streamers, long-pollers, and HTTP handlers all share
