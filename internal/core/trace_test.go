@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/gen"
@@ -55,6 +56,48 @@ func TestBestOfStartStamps(t *testing.T) {
 		if len(seen) != tc.ran || !seen[0] || !seen[tc.ran-1] {
 			t.Fatalf("%s: events from starts %v, want 0…%d", tc.name, seen, tc.ran-1)
 		}
+	}
+}
+
+// TestBestOfObserverDeterminism pins the multi-start half of the
+// observability contract: the JSONL stream of a BestOf run is
+// byte-identical across runs of one seed, and attaching the observer
+// does not change the chosen bisection.
+func TestBestOfObserverDeterminism(t *testing.T) {
+	g, err := gen.GNP(300, 0.03, rng.NewFib(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func() ([]byte, int64) {
+		var buf bytes.Buffer
+		obs := trace.NewJSONL(&buf)
+		b, err := BestOf{Inner: KL{}, Starts: 4, Observer: obs}.Bisect(g, rng.NewFib(12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if obs.Err() != nil {
+			t.Fatal(obs.Err())
+		}
+		return buf.Bytes(), b.Cut()
+	}
+	s1, cut1 := stream()
+	s2, cut2 := stream()
+	if cut1 != cut2 {
+		t.Fatalf("cuts differ across runs: %d vs %d", cut1, cut2)
+	}
+	if !bytes.Equal(s1, s2) {
+		t.Fatalf("JSONL streams differ across runs:\n%s\nvs\n%s", s1, s2)
+	}
+	if len(s1) == 0 {
+		t.Fatal("no events recorded")
+	}
+
+	plain, err := BestOf{Inner: KL{}, Starts: 4}.Bisect(g, rng.NewFib(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Cut() != cut1 {
+		t.Fatalf("observer changed the best-of result: %d vs %d", plain.Cut(), cut1)
 	}
 }
 
