@@ -165,7 +165,13 @@ func run() (interrupted bool, err error) {
 		runtime.ReadMemStats(&memBefore)
 	}
 	t0 := time.Now()
-	runner := bisect.WithControl(bisect.WithWorkspace(bisect.BestOf{Inner: a, Starts: *starts, Observer: obs}), ctl)
+	bestOf := bisect.BestOf{Inner: a, Starts: *starts}
+	var counter *startCounter
+	if obs != nil {
+		counter = &startCounter{obs: obs, algo: bestOf.Name()}
+		bestOf.Observer = counter
+	}
+	runner := bisect.WithControl(bisect.WithWorkspace(bestOf), ctl)
 	best, err := runner.Bisect(g, r)
 	if err != nil {
 		if !bisect.IsStopError(err) || best == nil {
@@ -179,7 +185,7 @@ func run() (interrupted bool, err error) {
 		var memAfter runtime.MemStats
 		runtime.ReadMemStats(&memAfter)
 		obs.Observe(bisect.TraceEvent{
-			Type: "run_done", Algo: "bisect", Index: *starts,
+			Type: "run_done", Algo: "bisect", Index: counter.ran,
 			Cut: best.Cut(), BestCut: best.Cut(), Imbalance: best.Imbalance(),
 			ElapsedNS:  elapsed.Nanoseconds(),
 			AllocBytes: memAfter.TotalAlloc - memBefore.TotalAlloc,
@@ -203,7 +209,14 @@ func run() (interrupted bool, err error) {
 		}
 	}
 	n0, n1 := best.CountSides()
-	fmt.Printf("algorithm: %s (best of %d starts)\n", *alg, *starts)
+	switch {
+	case !interrupted:
+		fmt.Printf("algorithm: %s (best of %d starts)\n", *alg, *starts)
+	case counter != nil:
+		fmt.Printf("algorithm: %s (stopped early; %d of %d starts run)\n", *alg, counter.ran, *starts)
+	default:
+		fmt.Printf("algorithm: %s (stopped early; fewer than %d starts finished)\n", *alg, *starts)
+	}
 	fmt.Printf("cut: %d\n", best.Cut())
 	fmt.Printf("sides: %d / %d (weights %d / %d)\n", n0, n1, best.SideWeight(0), best.SideWeight(1))
 	fmt.Printf("time: %s\n", elapsed.Round(time.Millisecond))
@@ -225,6 +238,22 @@ func run() (interrupted bool, err error) {
 		fmt.Printf("assignment written to %s\n", *out)
 	}
 	return interrupted, nil
+}
+
+// startCounter forwards every event to obs and keeps the start count
+// from the run_done of the multi-start driver named algo: fewer than
+// -starts when the run was stopped early.
+type startCounter struct {
+	obs  bisect.TraceObserver
+	algo string
+	ran  int
+}
+
+func (c *startCounter) Observe(e bisect.TraceEvent) {
+	if e.Type == "run_done" && e.Algo == c.algo {
+		c.ran = e.Index
+	}
+	c.obs.Observe(e)
 }
 
 func detectFormat(explicit, path string) string {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -70,5 +71,63 @@ func TestForgedAsymmetricBCSRRejected(t *testing.T) {
 	_, err = run()
 	if err == nil || !strings.Contains(err.Error(), "asymmetric") {
 		t.Fatalf("run on a forged asymmetric BCSR file: err = %v, want an asymmetry error", err)
+	}
+}
+
+// TestStoppedRunReportsStartsRun: a run that -budget stops after its
+// first start must not claim the starts it never ran, neither in the
+// trace's closing run_done nor in the summary line.
+func TestStoppedRunReportsStartsRun(t *testing.T) {
+	savedArgs, savedStdout := os.Args, os.Stdout
+	t.Cleanup(func() { os.Args, os.Stdout = savedArgs, savedStdout })
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.jsonl")
+	stdout, err := os.Create(filepath.Join(dir, "stdout.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	os.Stdout = stdout
+	flag.CommandLine = flag.NewFlagSet("bisect", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	os.Args = []string{"bisect", "-in", "../../testdata/breg200.el", "-alg", "kl", "-starts", "4", "-budget", "1", "-trace", tracePath}
+	interrupted, err := run()
+	os.Stdout = savedStdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !interrupted {
+		t.Fatal("-budget 1 did not stop the run")
+	}
+
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type event struct {
+		Type  string `json:"type"`
+		Algo  string `json:"algo"`
+		Index int    `json:"index"`
+	}
+	var last event
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var e event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if e.Type == "run_done" {
+			last = e
+		}
+	}
+	if last.Algo != "bisect" || last.Index != 1 {
+		t.Errorf("last run_done = %+v, want algo bisect with index 1 (starts run)", last)
+	}
+
+	out, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(out), "best of 4 starts") {
+		t.Errorf("summary claims starts that never ran:\n%s", out)
 	}
 }

@@ -14,8 +14,7 @@ func runArgs(args ...string) error {
 	flag.CommandLine = flag.NewFlagSet("experiments", flag.ContinueOnError)
 	flag.CommandLine.SetOutput(io.Discard)
 	os.Args = append([]string{"experiments"}, args...)
-	_, err := run()
-	return err
+	return run()
 }
 
 // TestStartsBelowOneRejected pins the usage check on -starts: the

@@ -101,7 +101,7 @@ func WithWorkspace(b Bisector) Bisector {
 }
 
 // WithParallel returns b unchanged: every run executes on one
-// goroutine, and parallelism lives across harness rows and bisectd jobs.
+// goroutine, and the only parallelism is across bisectd jobs.
 //
 // Deprecated: kept only for cmd/benchmark, its one caller; the next
 // change to that benchmark removes both.

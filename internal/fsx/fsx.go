@@ -1,7 +1,7 @@
 // Package fsx holds the repository's crash-safe filesystem helpers.
 // Every artifact a run leaves behind — benchmark snapshots, harness
-// CSV/JSON exports, trace files, checkpoints — goes through the same
-// write-temp + fsync + rename protocol, so a crash (or SIGKILL) at any
+// CSV/JSON exports, trace files, service job records — goes through the
+// same write-temp + fsync + rename protocol, so a crash (or SIGKILL) at any
 // instant leaves either the previous complete file or the new complete
 // file on disk, never a torn half-write. Stray temp files from killed
 // writers are ignorable (and are cleaned up by the next successful write

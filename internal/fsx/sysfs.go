@@ -6,11 +6,11 @@ import (
 )
 
 // FS is the filesystem seam behind the atomic-write protocol and the
-// persistence layers built on it (the service job/graph store, harness
-// checkpoints, BENCH snapshot writes). Production code uses OS; tests
-// substitute internal/faultfs to inject deterministic storage failures
-// — ENOSPC, fsync errors, failed renames, short writes, read-back
-// corruption — without touching a real disk's failure modes.
+// persistence layers built on it (the service job/graph store, BENCH
+// snapshot writes). Production code uses OS; tests substitute
+// internal/faultfs to inject deterministic storage failures — ENOSPC,
+// fsync errors, failed renames, short writes, read-back corruption —
+// without touching a real disk's failure modes.
 //
 // The interface is deliberately exactly the operations the repository's
 // persistence code performs, nothing more: a fault injector that
@@ -47,9 +47,9 @@ type File interface {
 }
 
 // OS is the real filesystem. Package-level helpers (WriteFileAtomic,
-// NewAtomicFile) use it; components that persist long-lived state (the
-// service store, harness checkpoints) accept an FS so tests can swap in
-// a fault injector per instance without global state.
+// NewAtomicFile) use it; the component that persists long-lived state
+// (the service store) accepts an FS so tests can swap in a fault
+// injector per instance without global state.
 var OS FS = osFS{}
 
 type osFS struct{}

@@ -13,24 +13,22 @@
 // Tables are declarative (a list of GraphSpec rows); the runner is
 // deterministic given Config.Seed.
 //
-// Each (algorithm, instance) cell is one core.BestOf run over
-// Config.Starts starts. Config.Observer traces a table run: every event
-// is stamped with its row label, each cell closes with BestOf's run_done
-// and then a phase:"harness" run_done, and rows are buffered and
-// replayed in table order so parallel runs stream the same bytes as
-// sequential ones (see docs/OBSERVABILITY.md).
+// Rows, instances and algorithms run one after another on one
+// goroutine, and each (algorithm, instance) cell is one core.BestOf run
+// over Config.Starts starts. Config.Observer traces a table run: every
+// event is stamped with its row label, and each cell closes with
+// BestOf's run_done and then a phase:"harness" run_done (see
+// docs/OBSERVABILITY.md).
 package harness
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/anneal"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/runctl"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -67,37 +65,14 @@ type Config struct {
 	// CKL (in that column order).
 	Algorithms []core.Bisector
 	// SAOpts overrides the annealing schedule for the default algorithm
-	// set (benchmarks use faster schedules; zero value = JAMS defaults).
+	// set (cmd/experiments passes PeriodSA; zero value = JAMS defaults).
 	SAOpts anneal.Options
-	// Parallel runs table rows on up to this many goroutines (0 or 1 =
-	// sequential). Results are identical to a sequential run — every
-	// (row, instance) has its own pre-derived random stream — but the
-	// timing columns then measure contended wall-clock and should not be
-	// compared across a parallel run; use sequential runs for the paper's
-	// speed-up columns.
-	Parallel int
 	// Observer, when non-nil, receives the trace events of every
 	// algorithm run, stamped with the row label and start index, plus
 	// per (algorithm, instance) BestOf's run_done and then a
 	// harness-phase run_done carrying the best-of-starts cut and the
-	// cell's time. Each row buffers its events and Run replays
-	// the buffers in row order after the row completes, so the delivered
-	// stream is identical for sequential and parallel runs of the same
-	// seed. A nil Observer adds no work.
+	// cell's time. A nil Observer adds no work.
 	Observer trace.Observer
-	// Control, when non-nil, makes the campaign interruptible: the runner
-	// polls it (without consuming checkpoint budget) before every
-	// (row, instance) cell and shares it with every algorithm run, so a
-	// cancellation stops work within one algorithm checkpoint. Run then
-	// returns the partial TableResult built from the cells that completed,
-	// together with the stop sentinel (runctl.IsStop reports true).
-	// Interrupted cells are discarded, never half-aggregated.
-	Control *runctl.Control
-	// Checkpoint, when non-nil, persists every completed (row, instance)
-	// cell to disk and splices previously recorded cells into the result
-	// instead of recomputing them — see Checkpoint. Cells skipped on
-	// resume re-emit no trace events.
-	Checkpoint *Checkpoint
 }
 
 func (c Config) withDefaults() Config {
@@ -166,125 +141,43 @@ type TableResult struct {
 	Rows       []RowResult
 }
 
-// Run executes the table under the config. With Config.Control, an
-// interrupted campaign returns the partial TableResult alongside the
-// stop sentinel; any other non-nil error means the result is unusable.
+// Run executes the table under the config.
 func Run(t Table, cfg Config) (*TableResult, error) {
 	c := cfg.withDefaults()
 	names := make([]string, len(c.Algorithms))
 	for i, a := range c.Algorithms {
 		names[i] = a.Name()
 	}
-	if c.Checkpoint != nil {
-		hdr := checkpointHeader{Schema: checkpointSchema, Table: t.ID, Seed: c.Seed, Starts: c.Starts, Algorithms: names}
-		if err := c.Checkpoint.prime(hdr); err != nil {
-			return nil, err
-		}
-	}
 	res := &TableResult{ID: t.ID, Title: t.Title, Algorithms: names}
 	res.Rows = make([]RowResult, len(t.Specs))
-	if c.Parallel > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, c.Parallel)
-		errs := make([]error, len(t.Specs))
-		recs := make([]*trace.Recorder, len(t.Specs))
-		for rowIdx, spec := range t.Specs {
-			wg.Add(1)
-			go func(rowIdx int, spec GraphSpec) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				res.Rows[rowIdx], recs[rowIdx], errs[rowIdx] = runRow(spec, rowIdx, c)
-			}(rowIdx, spec)
-		}
-		wg.Wait()
-		var stopErr error
-		for rowIdx, err := range errs {
-			if err == nil {
-				continue
-			}
-			if runctl.IsStop(err) {
-				if stopErr == nil {
-					stopErr = err
-				}
-				continue
-			}
-			return nil, fmt.Errorf("harness: table %s row %q: %w", t.ID, t.Specs[rowIdx].Label, err)
-		}
-		// Row buffers replay in table order after the join, so the
-		// merged stream does not depend on row scheduling.
-		for _, rec := range recs {
-			if rec != nil {
-				rec.ReplayTo(c.Observer)
-			}
-		}
-		return res, stopErr
-	}
 	for rowIdx, spec := range t.Specs {
-		row, rec, err := runRow(spec, rowIdx, c)
-		if err != nil && !runctl.IsStop(err) {
+		row, err := runRow(spec, rowIdx, c)
+		if err != nil {
 			return nil, fmt.Errorf("harness: table %s row %q: %w", t.ID, spec.Label, err)
 		}
 		res.Rows[rowIdx] = row
-		if rec != nil {
-			rec.ReplayTo(c.Observer)
-		}
-		if err != nil {
-			return res, err
-		}
 	}
 	return res, nil
 }
 
-func runRow(spec GraphSpec, rowIdx int, c Config) (RowResult, *trace.Recorder, error) {
+func runRow(spec GraphSpec, rowIdx int, c Config) (RowResult, error) {
 	instances := spec.Instances
 	if instances <= 0 {
 		instances = 1
 	}
 	if spec.Generate == nil {
-		return RowResult{}, nil, fmt.Errorf("nil generator")
+		return RowResult{}, fmt.Errorf("nil generator")
 	}
-	// Rows may run concurrently, so each buffers its events locally; the
-	// caller replays the buffers in row order.
-	var rec *trace.Recorder
-	var rowObs trace.Observer
-	if c.Observer != nil {
-		rec = trace.NewRecorder(0)
-		rowObs = trace.WithLabel(rec, spec.Label)
-	}
+	rowObs := trace.WithLabel(c.Observer, spec.Label)
 	// One best-of-starts bisector per (row, algorithm), each with one
-	// reusable workspace: rows may run on separate goroutines, so
-	// workspaces are never shared across rows, but within a row every
-	// instance and start reuses the same one. The shared control (if
-	// any) rides along so cancellation reaches every algorithm's own
-	// checkpoints.
+	// reusable workspace that every instance and start of the row reuses.
 	algs := make([]core.Bisector, len(c.Algorithms))
 	for i, alg := range c.Algorithms {
-		algs[i] = core.WithObserver(core.WithWorkspace(core.WithControl(core.BestOf{Inner: alg, Starts: c.Starts}, c.Control)), rowObs)
+		algs[i] = core.WithObserver(core.WithWorkspace(core.BestOf{Inner: alg, Starts: c.Starts}), rowObs)
 	}
 	cuts := map[string][]int64{}
 	secs := map[string][]float64{}
-	var stopErr error
-instances:
 	for inst := 0; inst < instances; inst++ {
-		// A stopped control abandons the campaign at the cell boundary;
-		// Err never consumes checkpoint budget, so the harness polls do
-		// not perturb the algorithms' own budget accounting.
-		if stopErr = c.Control.Err(); stopErr != nil {
-			break
-		}
-		if c.Checkpoint != nil {
-			if cell, ok := c.Checkpoint.lookup(rowIdx, inst); ok {
-				// Splice the recorded cell: the random stream for every
-				// other cell is derived independently from (seed, row,
-				// instance), so skipping this one shifts nothing.
-				for _, alg := range c.Algorithms {
-					cuts[alg.Name()] = append(cuts[alg.Name()], cell.Cuts[alg.Name()])
-					secs[alg.Name()] = append(secs[alg.Name()], cell.Secs[alg.Name()])
-				}
-				continue
-			}
-		}
 		// One deterministic stream per (row, instance) for generation,
 		// split into per-algorithm streams so algorithms see identical
 		// graphs but independent randomness.
@@ -298,24 +191,14 @@ instances:
 		base := rng.NewFib(mix(c.Seed, uint64(rowIdx), uint64(inst)))
 		g, err := spec.Generate(base)
 		if err != nil {
-			return RowResult{}, nil, err
+			return RowResult{}, err
 		}
-		// Stage the instance locally and commit it only when every
-		// algorithm finished uninterrupted: a cancelled cell must never
-		// be half-aggregated or checkpointed, because its cuts differ
-		// from what an uncancelled run would record.
-		instCuts := map[string]int64{}
-		instSecs := map[string]float64{}
 		for algIdx, alg := range c.Algorithms {
 			ar := base.Split()
 			start := time.Now()
 			b, err := algs[algIdx].Bisect(g, ar)
 			if err != nil {
-				if runctl.IsStop(err) {
-					stopErr = err
-					break instances
-				}
-				return RowResult{}, nil, fmt.Errorf("%s: %v", alg.Name(), err)
+				return RowResult{}, fmt.Errorf("%s: %v", alg.Name(), err)
 			}
 			elapsed := time.Since(start).Seconds()
 			best := b.Cut()
@@ -326,18 +209,8 @@ instances:
 					ElapsedNS: int64(elapsed * 1e9),
 				})
 			}
-			instCuts[alg.Name()] = best
-			instSecs[alg.Name()] = elapsed
-		}
-		for _, alg := range c.Algorithms {
-			cuts[alg.Name()] = append(cuts[alg.Name()], instCuts[alg.Name()])
-			secs[alg.Name()] = append(secs[alg.Name()], instSecs[alg.Name()])
-		}
-		if c.Checkpoint != nil {
-			cell := checkpointCell{Row: rowIdx, Inst: inst, Label: spec.Label, Cuts: instCuts, Secs: instSecs}
-			if err := c.Checkpoint.record(cell); err != nil {
-				return RowResult{}, nil, err
-			}
+			cuts[alg.Name()] = append(cuts[alg.Name()], best)
+			secs[alg.Name()] = append(secs[alg.Name()], elapsed)
 		}
 	}
 	row := RowResult{
@@ -367,7 +240,7 @@ instances:
 			row.SpeedUp[name] = stats.SpeedUp(cell.Seconds, comp.Seconds)
 		}
 	}
-	return row, rec, stopErr
+	return row, nil
 }
 
 // mix hashes (seed, row, instance) into an independent stream seed.

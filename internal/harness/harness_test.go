@@ -313,25 +313,3 @@ func TestFindingString(t *testing.T) {
 		t.Fatal("missing FAILS verdict")
 	}
 }
-
-func TestParallelRunMatchesSequential(t *testing.T) {
-	table := BRegTable(100, 3, []int{2, 6, 10}, 2)
-	cfg := Config{Seed: 13, Starts: 2, Algorithms: []core.Bisector{core.KL{}, core.Compacted{Inner: core.KL{}}}}
-	seq, err := Run(table, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallel = 4
-	par, err := Run(table, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq.Rows {
-		for _, alg := range seq.Algorithms {
-			if seq.Rows[i].Cells[alg].Cut != par.Rows[i].Cells[alg].Cut {
-				t.Fatalf("row %d %s: sequential cut %v != parallel %v",
-					i, alg, seq.Rows[i].Cells[alg].Cut, par.Rows[i].Cells[alg].Cut)
-			}
-		}
-	}
-}

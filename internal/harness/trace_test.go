@@ -25,18 +25,16 @@ func traceTable() Table {
 	return Table{ID: "TR", Title: "trace test", Specs: []GraphSpec{spec("n=100", 100), spec("n=140", 140)}}
 }
 
-// TestRunObserverParallelMatchesSequential is the harness half of the
-// deterministic-merge contract: with row buffering and in-order replay,
-// a parallel table run must deliver the same JSONL byte stream as a
-// sequential run of the same seed — and the same table results.
-func TestRunObserverParallelMatchesSequential(t *testing.T) {
-	run := func(parallel int) ([]byte, *TableResult) {
+// TestRunObserverSameSeedIdentical is the harness half of the
+// determinism contract: two runs of one seed deliver the same JSONL byte
+// stream — and the same table results.
+func TestRunObserverSameSeedIdentical(t *testing.T) {
+	run := func() ([]byte, *TableResult) {
 		var buf bytes.Buffer
 		obs := trace.NewJSONL(&buf)
 		cfg := Config{
 			Seed:       7,
 			Algorithms: []core.Bisector{core.KL{}, core.Compacted{Inner: core.KL{}}},
-			Parallel:   parallel,
 			Observer:   obs,
 		}
 		res, err := Run(traceTable(), cfg)
@@ -48,18 +46,18 @@ func TestRunObserverParallelMatchesSequential(t *testing.T) {
 		}
 		return buf.Bytes(), res
 	}
-	seqStream, seqRes := run(1)
-	parStream, parRes := run(4)
-	if !bytes.Equal(seqStream, parStream) {
-		t.Fatalf("parallel run delivered a different event stream:\nseq:\n%s\npar:\n%s", seqStream, parStream)
+	firstStream, firstRes := run()
+	secondStream, secondRes := run()
+	if !bytes.Equal(firstStream, secondStream) {
+		t.Fatalf("two runs of one seed delivered different event streams:\nfirst:\n%s\nsecond:\n%s", firstStream, secondStream)
 	}
-	if len(seqStream) == 0 {
+	if len(firstStream) == 0 {
 		t.Fatal("no events delivered")
 	}
-	for i := range seqRes.Rows {
-		for name, cell := range seqRes.Rows[i].Cells {
-			if parRes.Rows[i].Cells[name].Cut != cell.Cut {
-				t.Fatalf("row %d alg %s: cuts differ between sequential and parallel", i, name)
+	for i := range firstRes.Rows {
+		for name, cell := range firstRes.Rows[i].Cells {
+			if secondRes.Rows[i].Cells[name].Cut != cell.Cut {
+				t.Fatalf("row %d alg %s: cuts differ between two runs of one seed", i, name)
 			}
 		}
 	}

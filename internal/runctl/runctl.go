@@ -4,14 +4,14 @@
 //
 // A *Control is polled at coarse algorithm checkpoints — once per KL
 // pass, once per SA temperature, once per multilevel coarsening level,
-// once per harness cell — never inside a hot inner loop, so an attached
-// control costs a few nanoseconds per pass and a nil control costs one
-// predicted branch. When a checkpoint fires, the algorithm stops where it
-// stands, materializes its valid best-so-far result, and returns it
-// together with a typed sentinel (ErrBudgetExceeded, context.Canceled, or
-// context.DeadlineExceeded) instead of tearing the run down. Callers test
-// for truncation with IsStop and decide whether the partial result is
-// usable.
+// once between BestOf starts — never inside a hot inner loop, so an
+// attached control costs a few nanoseconds per pass and a nil control
+// costs one predicted branch. When a checkpoint fires, the algorithm
+// stops where it stands, materializes its valid best-so-far result, and
+// returns it together with a typed sentinel (ErrBudgetExceeded,
+// context.Canceled, or context.DeadlineExceeded) instead of tearing the
+// run down. Callers test for truncation with IsStop and decide whether
+// the partial result is usable.
 //
 // Controls never touch the random stream: attaching one to a run that is
 // not cancelled produces bit-identical results to no control at all (the
@@ -35,8 +35,7 @@ var ErrBudgetExceeded = errors.New("runctl: checkpoint budget exceeded")
 // useful; construct one with New, FromContext, or WithBudget. A nil
 // *Control is valid everywhere and means "never stop".
 //
-// A Control may be shared across goroutines (the harness hands one
-// campaign control to every parallel row): the budget is decremented
+// A Control may be shared across goroutines: the budget is decremented
 // atomically, and a shared budget is consumed jointly by all checkpoints
 // that poll it.
 type Control struct {

@@ -4,11 +4,6 @@ package trace
 // capacity it keeps the most recent events and counts the rest as
 // dropped; with capacity ≤ 0 it grows without bound. The zero Recorder
 // is an unbounded recorder ready for use.
-//
-// Recorder is how concurrent work keeps one deterministic stream: the
-// harness gives each table row its own Recorder and, after the rows
-// join, replays them in row order (ReplayTo), so the delivered stream
-// does not depend on goroutine scheduling.
 type Recorder struct {
 	capacity int
 	buf      []Event
@@ -69,24 +64,4 @@ func (r *Recorder) Reset() {
 	r.head = 0
 	r.wrapped = false
 	r.dropped = 0
-}
-
-// ReplayTo forwards the retained events oldest-first to obs. It is a
-// no-op when obs is nil.
-func (r *Recorder) ReplayTo(obs Observer) {
-	if obs == nil {
-		return
-	}
-	if r.wrapped {
-		for _, e := range r.buf[r.head:] {
-			obs.Observe(e)
-		}
-		for _, e := range r.buf[:r.head] {
-			obs.Observe(e)
-		}
-		return
-	}
-	for _, e := range r.buf {
-		obs.Observe(e)
-	}
 }

@@ -13,20 +13,16 @@
 //
 //   - Determinism. Observers never touch the algorithms' random streams,
 //     so attaching or detaching one cannot change a result. Event streams
-//     themselves are deterministic functions of the seed: every run
-//     executes on one goroutine, and the one concurrent driver (harness
-//     row parallelism) buffers events per row in a Recorder and replays
-//     them in row order after joining, so the merged stream is
-//     schedule-independent. The
-//     only non-deterministic fields are the wall-clock and allocation
+//     themselves are deterministic functions of the seed: every run,
+//     and every harness table, executes on one goroutine. The only
+//     non-deterministic fields are the wall-clock and allocation
 //     counters (ElapsedNS, AllocBytes); the serializing observers zero
 //     them unless explicitly asked for timing, which is why identical
 //     seeds yield byte-identical JSONL.
 //
 //   - Single-goroutine delivery. An observer attached to one algorithm
-//     run is called from one goroutine at a time; parallel harness rows
-//     each record into their own Recorder and are replayed afterwards.
-//     Observers therefore do not need internal locking.
+//     run is called from one goroutine at a time, so observers do not
+//     need internal locking.
 //
 // Concrete observers: Recorder (ring-buffered in-memory), JSONL
 // (streaming one JSON object per line), and CSVCurve (a flat table for
