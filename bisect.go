@@ -3,18 +3,15 @@ package bisect
 import (
 	"context"
 	"io"
-	iofs "io/fs"
 
 	"repro/internal/anneal"
 	"repro/internal/coarsen"
 	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/fsx"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kl"
 	"repro/internal/matching"
-	"repro/internal/netlist"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/runctl"
@@ -40,15 +37,15 @@ type (
 	RefinableBisector = core.RefinableBisector
 	// Rand is the deterministic random source used by every algorithm.
 	Rand = rng.Rand
-	// Netlist is a VLSI netlist (cells and multi-terminal nets).
-	Netlist = netlist.Netlist
 
 	// KLOptions configures Kernighan–Lin.
 	KLOptions = kl.Options
 	// KLStats reports what a Kernighan–Lin run did (passes, swaps,
 	// scanned pairs, cut trajectory).
 	KLStats = kl.Stats
-	// KLRefiner is the reusable zero-allocation workspace for KL passes.
+	// KLRefiner is the reusable zero-allocation workspace for KL passes;
+	// its zero value is ready for KLOptions.Workspace, and WithWorkspace
+	// attaches one to a composed bisector.
 	KLRefiner = kl.Refiner
 	// SAOptions configures simulated annealing (JAMS'89 schedule).
 	SAOptions = anneal.Options
@@ -61,8 +58,6 @@ type (
 	KL = core.KL
 	// SA is plain simulated annealing (Bisector).
 	SA = core.SA
-	// Spectral is Fiedler-vector bisection (Bisector).
-	Spectral = core.Spectral
 	// Compacted wraps a RefinableBisector with the paper's compaction.
 	Compacted = core.Compacted
 	// Multilevel wraps a RefinableBisector with recursive compaction.
@@ -70,8 +65,6 @@ type (
 	// BestOf repeats a Bisector and keeps the best cut; wrap it in
 	// WithWorkspace to run every start on one reusable workspace.
 	BestOf = core.BestOf
-	// RandomBisector assigns sides uniformly at random under balance.
-	RandomBisector = core.Random
 
 	// TraceEvent is one observability event (see docs/OBSERVABILITY.md
 	// for the schema).
@@ -101,11 +94,6 @@ func NewRand(seed uint64) *Rand { return rng.NewFib(seed) }
 func RunKL(g *Graph, opts KLOptions, r *Rand) (*Bisection, KLStats, error) {
 	return kl.Run(g, opts, r)
 }
-
-// NewKLRefiner returns a reusable KL workspace; pass it via
-// KLOptions.Workspace to make repeated runs allocation-free. See
-// docs/PERFORMANCE.md.
-func NewKLRefiner() *KLRefiner { return kl.NewRefiner() }
 
 // WithWorkspace attaches a private reusable refinement workspace to b
 // if its algorithm supports one (KL, SA, spectral, and the drivers
@@ -146,14 +134,8 @@ func NewTraceJSONL(w io.Writer) *TraceJSONL { return trace.NewJSONL(w) }
 // table to w; call Flush when done.
 func NewTraceCSV(w io.Writer) *TraceCSV { return trace.NewCSVCurve(w) }
 
-// MultiTraceObserver fans events out to every non-nil argument.
-func MultiTraceObserver(obs ...TraceObserver) TraceObserver { return trace.Multi(obs...) }
-
 // NewBisection wraps an explicit side assignment (entries 0/1).
 func NewBisection(g *Graph, side []uint8) (*Bisection, error) { return partition.New(g, side) }
-
-// NewRandomBisection returns a random balanced bisection.
-func NewRandomBisection(g *Graph, r *Rand) *Bisection { return partition.NewRandom(g, r) }
 
 // CutOf computes the weighted cut of a side assignment.
 func CutOf(g *Graph, side []uint8) int64 { return partition.CutOf(g, side) }
@@ -205,9 +187,6 @@ func Ladder3N(n int) (*Graph, error) { return gen.Ladder3N(n) }
 // Grid returns the rows×cols grid graph.
 func Grid(rows, cols int) (*Graph, error) { return gen.Grid(rows, cols) }
 
-// Torus returns the rows×cols torus.
-func Torus(rows, cols int) (*Graph, error) { return gen.Torus(rows, cols) }
-
 // CompleteBinaryTree returns the heap-layout binary tree on n vertices.
 func CompleteBinaryTree(n int) (*Graph, error) { return gen.CompleteBinaryTree(n) }
 
@@ -222,28 +201,6 @@ func CompleteBipartite(a, b int) (*Graph, error) { return gen.CompleteBipartite(
 
 // Caterpillar returns a caterpillar tree.
 func Caterpillar(spine, legs int) (*Graph, error) { return gen.Caterpillar(spine, legs) }
-
-// WattsStrogatz samples a small-world graph (ring lattice with rewiring).
-func WattsStrogatz(n, k int, beta float64, r *Rand) (*Graph, error) {
-	return gen.WattsStrogatz(n, k, beta, r)
-}
-
-// Geometric samples a random geometric graph on the unit square.
-func Geometric(n int, radius float64, r *Rand) (*Graph, error) { return gen.Geometric(n, radius, r) }
-
-// GeometricRadiusForAvgDegree converts a target average degree to a
-// Geometric radius.
-func GeometricRadiusForAvgDegree(n int, avgDeg float64) (float64, error) {
-	return gen.GeometricRadiusForAvgDegree(n, avgDeg)
-}
-
-// RandomNetlistOptions parameterizes RandomNetlist.
-type RandomNetlistOptions = netlist.RandomOptions
-
-// RandomNetlist generates a synthetic netlist with Rent-style locality.
-func RandomNetlist(opts RandomNetlistOptions, r *Rand) (*Netlist, error) {
-	return netlist.Random(opts, r)
-}
 
 // Serialization.
 
@@ -295,19 +252,8 @@ func CycleCollectionWidth(g *Graph) (int64, error) { return exact.CycleCollectio
 
 // Matching and compaction primitives.
 
-// RandomMaximalMatching returns a random maximal matching as a mate
-// array (−1 = unmatched).
-func RandomMaximalMatching(g *Graph, r *Rand) []int32 { return matching.RandomMaximal(g, r) }
-
 // HeavyEdgeMatching returns a maximal matching preferring heavy edges.
 func HeavyEdgeMatching(g *Graph, r *Rand) []int32 { return matching.HeavyEdge(g, r) }
-
-// Contraction records a fine↔coarse correspondence.
-type Contraction = coarsen.Contraction
-
-// Contract coalesces the matched pairs of mate into a weighted coarse
-// graph.
-func Contract(g *Graph, mate []int32) (*Contraction, error) { return coarsen.Contract(g, mate) }
 
 // RepairBalance greedily restores weight balance and returns the final
 // imbalance.
@@ -322,32 +268,19 @@ func PermuteGraph(g *Graph, perm []int32) (*Graph, error) { return graph.Permute
 // O(n²) with a witness.
 func TreeBisectionWidth(g *Graph) (int64, []uint8, error) { return exact.TreeBisectionWidth(g) }
 
-// Lambda2 estimates the algebraic connectivity (second-smallest Laplacian
-// eigenvalue) via the Fiedler vector's Rayleigh quotient.
-func Lambda2(g *Graph, opts SpectralOptions, r *Rand) (float64, error) {
-	return spectral.Lambda2(g, opts, r)
-}
-
-// SpectralLowerBound returns the Fiedler lower bound λ₂·|V|/4 on the
-// bisection width (approximate: λ₂ is estimated).
+// SpectralLowerBound returns the Fiedler estimate λ₂·|V|/4 of a lower
+// bound on the bisection width. λ₂ is estimated from above, so the value
+// is not a certificate; when the eigensolve does not converge the error
+// says so, and the value beside it bounds nothing.
 func SpectralLowerBound(g *Graph, opts SpectralOptions, r *Rand) (float64, error) {
 	return spectral.BisectionLowerBound(g, opts, r)
 }
 
 // Run control (docs/ROBUSTNESS.md).
 
-type (
-	// RunControl carries cancellation and checkpoint budgets into
-	// algorithm runs; see WithControl and BisectCtx.
-	RunControl = runctl.Control
-	// ControllableBisector is a Bisector whose runs can be interrupted
-	// at coarse checkpoints, returning their best-so-far bisection.
-	ControllableBisector = core.Controllable
-)
-
-// ErrBudgetExceeded is returned (possibly wrapped) by runs stopped by a
-// checkpoint budget; IsStopError reports true for it.
-var ErrBudgetExceeded = runctl.ErrBudgetExceeded
+// RunControl carries cancellation and checkpoint budgets into algorithm
+// runs; see WithControl and BisectCtx.
+type RunControl = runctl.Control
 
 // NewRunControl returns a control that stops at ctx's cancellation or
 // after budget checkpoint polls, whichever comes first (budget ≤ 0 =
@@ -370,24 +303,3 @@ func WithControl(b Bisector, ctl *RunControl) Bisector { return core.WithControl
 func BisectCtx(ctx context.Context, b Bisector, g *Graph, r *Rand) (*Bisection, error) {
 	return core.BisectCtx(ctx, b, g, r)
 }
-
-// RefineCtx improves bis in place under ctx; see BisectCtx.
-func RefineCtx(ctx context.Context, b RefinableBisector, bis *Bisection, r *Rand) error {
-	return core.RefineCtx(ctx, b, bis, r)
-}
-
-// WriteFileAtomic writes data to path atomically (temp file in the same
-// directory + fsync + rename), so readers never observe a partial file
-// and a crash mid-write leaves any previous contents intact.
-func WriteFileAtomic(path string, data []byte, perm uint32) error {
-	return fsx.WriteFileAtomic(path, data, iofs.FileMode(perm))
-}
-
-// NewNetlist returns an empty VLSI netlist.
-func NewNetlist() *Netlist { return netlist.New() }
-
-// ParseNetlist reads the netlist text format.
-func ParseNetlist(r io.Reader) (*Netlist, error) { return netlist.Parse(r) }
-
-// WriteNetlist writes the netlist text format.
-func WriteNetlist(w io.Writer, nl *Netlist) error { return netlist.Write(w, nl) }

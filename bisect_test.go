@@ -96,8 +96,6 @@ func TestFacadeGenerators(t *testing.T) {
 	add("ladder3n", g8, e8)
 	g9, e9 := bisect.Grid(3, 4)
 	add("grid", g9, e9)
-	g10, e10 := bisect.Torus(3, 3)
-	add("torus", g10, e10)
 	g11, e11 := bisect.CompleteBinaryTree(7)
 	add("btree", g11, e11)
 	g12, e12 := bisect.Hypercube(3)
@@ -168,59 +166,22 @@ func TestFacadeExactAndPrimitives(t *testing.T) {
 	if err != nil || cw != 2 {
 		t.Fatalf("cycle width %d, %v", cw, err)
 	}
-	r := bisect.NewRand(6)
-	mate := bisect.RandomMaximalMatching(g, r)
-	c, err := bisect.Contract(g, mate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Coarse.TotalVertexWeight() != 8 {
-		t.Fatal("contraction lost weight")
-	}
-	hem := bisect.HeavyEdgeMatching(g, r)
+	hem := bisect.HeavyEdgeMatching(g, bisect.NewRand(6))
 	if len(hem) != 8 {
 		t.Fatal("heavy-edge matching length")
 	}
-	b := bisect.NewRandomBisection(g, r)
+	b, err := bisect.NewBisection(g, []uint8{0, 1, 1, 1, 1, 1, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	bisect.RepairBalance(b, 0)
 	if b.Imbalance() != 0 {
 		t.Fatal("repair failed")
 	}
 }
 
-func TestFacadeNetlist(t *testing.T) {
-	nl := bisect.NewNetlist()
-	if err := nl.AddCell("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := nl.AddCell("b", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := nl.AddNet("n", "a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := bisect.WriteNetlist(&buf, nl); err != nil {
-		t.Fatal(err)
-	}
-	nl2, err := bisect.ParseNetlist(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nl2.NumCells() != 2 || nl2.NumNets() != 1 {
-		t.Fatal("netlist round trip mismatch")
-	}
-	g, err := nl2.CliqueExpand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 2 || g.M() != 1 {
-		t.Fatal("clique expansion mismatch")
-	}
-}
-
 func TestFacadeExtensions(t *testing.T) {
-	// Best-of, tree DP, spectral bound and relabeling — all through the
+	// Best-of, tree DP, spectral bound and relabeling, all through the
 	// public API.
 	g, err := bisect.Grid(8, 8)
 	if err != nil {
@@ -244,13 +205,6 @@ func TestFacadeExtensions(t *testing.T) {
 	if w != 1 {
 		t.Fatalf("tree width %d, want 1", w)
 	}
-	l2, err := bisect.Lambda2(g, bisect.SpectralOptions{}, bisect.NewRand(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2 <= 0 {
-		t.Fatalf("λ₂ = %v on a connected graph", l2)
-	}
 	lb, err := bisect.SpectralLowerBound(g, bisect.SpectralOptions{}, bisect.NewRand(3))
 	if err != nil {
 		t.Fatal(err)
@@ -267,51 +221,10 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 }
 
-func TestFacadeGeometricAndRandomNetlist(t *testing.T) {
-	r := bisect.NewRand(11)
-	rad, err := bisect.GeometricRadiusForAvgDegree(500, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := bisect.Geometric(500, rad, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Geometric graphs have genuinely small separators; CKL should beat a
-	// random cut by a wide margin.
-	randCut := bisect.NewRandomBisection(g, r).Cut()
-	b, err := bisect.Compacted{Inner: bisect.KL{}}.Bisect(g, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Cut()*4 > randCut {
-		t.Fatalf("CKL cut %d vs random %d: geometric structure not exploited", b.Cut(), randCut)
-	}
-
-	nl, err := bisect.RandomNetlist(bisect.RandomNetlistOptions{Cells: 80, Nets: 100, MaxPins: 4, Locality: 0.8}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nl.NumCells() != 80 {
-		t.Fatalf("random netlist has %d cells, want 80", nl.NumCells())
-	}
-}
-
 func TestFacadeRemainingWrappers(t *testing.T) {
-	r := bisect.NewRand(13)
 	p, err := bisect.TwoSetForAvgDegree(200, 3, 8)
 	if err != nil || p <= 0 {
 		t.Fatalf("TwoSetForAvgDegree: %v %v", p, err)
-	}
-	sw, err := bisect.WattsStrogatz(60, 4, 0.2, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

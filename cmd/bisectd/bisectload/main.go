@@ -2,7 +2,7 @@
 // hundreds to thousands of concurrent clients hammering a daemon with
 // bisection jobs and records throughput and latency percentiles in the
 // repro-bench/v1 snapshot format (BENCH_5.json is a committed run; see
-// docs/PERFORMANCE.md and docs/SERVICE.md "Operational notes").
+// docs/SERVICE.md "Operational notes").
 //
 //	go run ./cmd/bisectd/bisectload -self -clients 200,1000 -jobs 1000 -o BENCH_5.json
 //	go run ./cmd/bisectd/bisectload -addr localhost:8080 -clients 500 -jobs 2000

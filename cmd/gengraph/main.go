@@ -10,7 +10,7 @@
 //	gengraph -model gnp -n 1000000 -deg 8 -stream -out g.el
 //	gengraph -model gnp -n 1000000 -deg 8 -format csr -out g.csr
 //	gengraph -model grid -rows 32 -cols 32
-//	gengraph -model ladder|ladder3n|btree|cycle|hypercube|torus ...
+//	gengraph -model ladder|ladder3n|btree|cycle|hypercube|complete|regular ...
 //
 // -format csr writes the binary CSR (BCSR) layout that bisect and
 // bisectd memory-map on load; see docs/PERFORMANCE.md for the format.
@@ -37,14 +37,14 @@ func main() {
 }
 
 func run() error {
-	model := flag.String("model", "", "breg | 2set | gnp | regular | grid | torus | ladder | ladder3n | btree | cycle | hypercube | complete | geometric | smallworld")
+	model := flag.String("model", "", "breg | 2set | gnp | regular | grid | ladder | ladder3n | btree | cycle | hypercube | complete")
 	n := flag.Int("n", 1000, "vertex count (breg/2set/gnp/regular/ladder*/btree/cycle/complete)")
 	b := flag.Int("b", 16, "planted bisection width (breg/2set)")
 	d := flag.Int("d", 3, "degree (breg/regular) or dimension (hypercube)")
 	deg := flag.Float64("deg", 3.0, "target average degree (2set/gnp)")
 	p := flag.Float64("p", -1, "edge probability (gnp; overrides -deg when ≥ 0)")
-	rows := flag.Int("rows", 32, "rows (grid/torus)")
-	cols := flag.Int("cols", 32, "cols (grid/torus)")
+	rows := flag.Int("rows", 32, "rows (grid)")
+	cols := flag.Int("cols", 32, "cols (grid)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	out := flag.String("out", "", "output file (default stdout)")
 	format := flag.String("format", "edgelist", "edgelist | metis | json | csr")
@@ -77,8 +77,6 @@ func run() error {
 		g, err = bisect.RandomRegular(*n, *d, r)
 	case "grid":
 		g, err = bisect.Grid(*rows, *cols)
-	case "torus":
-		g, err = bisect.Torus(*rows, *cols)
 	case "ladder":
 		g, err = bisect.Ladder(*n / 2)
 	case "ladder3n":
@@ -91,18 +89,6 @@ func run() error {
 		g, err = bisect.Hypercube(*d)
 	case "complete":
 		g, err = bisect.Complete(*n)
-	case "geometric":
-		var rad float64
-		rad, err = bisect.GeometricRadiusForAvgDegree(*n, *deg)
-		if err == nil {
-			g, err = bisect.Geometric(*n, rad, r)
-		}
-	case "smallworld":
-		beta := *p
-		if beta < 0 {
-			beta = 0.1
-		}
-		g, err = bisect.WattsStrogatz(*n, *d, beta, r)
 	case "":
 		flag.Usage()
 		return fmt.Errorf("missing -model")

@@ -9,13 +9,13 @@
 //     serialization formats (native edge list, METIS, JSON);
 //   - the paper's graph models (𝒢np, 𝒢2set planted bisection, 𝒢breg
 //     regular planted width) and special families (ladders, grids,
-//     binary trees, cycles, tori, hypercubes);
+//     binary trees, and paths, cycles, hypercubes, complete bipartite
+//     graphs and caterpillars, whose known widths test the solvers);
 //   - the Kernighan–Lin and simulated-annealing bisection algorithms,
 //     the compaction heuristic (CKL, CSA), and extensions: multilevel
 //     (recursive compaction) and spectral bisection;
 //   - exact solvers for validation (branch-and-bound, cycle-collection
-//     DP);
-//   - a VLSI netlist substrate with clique/star expansion;
+//     and forest DPs);
 //   - an experiment harness reproducing every table in the paper's
 //     appendix and checking its five Observations.
 //

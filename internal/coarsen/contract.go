@@ -47,13 +47,6 @@ type Contraction struct {
 	owner *level
 }
 
-// Members returns the fine vertices merged into coarse vertex cv: the
-// smaller-id member first, and −1 as the second when cv is an
-// uncontracted singleton.
-func (c *Contraction) Members(cv int32) (a, b int32) {
-	return c.members[2*cv], c.members[2*cv+1]
-}
-
 // Contract builds the coarse graph obtained by coalescing each matched
 // pair of the given matching into a single vertex. Matched pairs must
 // form a valid matching of g (checked). Edges that become internal to a

@@ -28,7 +28,6 @@ import (
 	"repro/internal/coarsen"
 	"repro/internal/graph"
 	"repro/internal/kl"
-	"repro/internal/matching"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/runctl"
@@ -554,7 +553,3 @@ var mlKL = KL{Opts: kl.Options{Lookahead: kl.MultilevelLookahead}}
 func Names() []string {
 	return []string{"ckl", "csa", "kl", "mlkl", "mlkl+spec", "mlsa", "random", "sa", "spectral"}
 }
-
-// HeavyEdgeMatch adapts matching.HeavyEdge to coarsen.MatchFunc, for the
-// matching-policy ablation.
-func HeavyEdgeMatch(g *graph.Graph, r *rng.Rand) []int32 { return matching.HeavyEdge(g, r) }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/matching"
 	"repro/internal/partition"
 	"repro/internal/rng"
 )
@@ -236,14 +237,15 @@ func TestMultilevelMatchesExactOnSmallGraphs(t *testing.T) {
 	}
 }
 
+// matching.HeavyEdge has coarsen.MatchFunc's signature, so the
+// matching-policy ablation passes it to Compacted as it is.
 func TestHeavyEdgeMatchAdapter(t *testing.T) {
 	g := mustGraph(gen.Cycle(8))
-	mate := HeavyEdgeMatch(g, rng.NewFib(1))
+	mate := matching.HeavyEdge(g, rng.NewFib(1))
 	if len(mate) != 8 {
 		t.Fatalf("mate length %d", len(mate))
 	}
-	// Usable as a Compacted matching policy.
-	b, err := (Compacted{Inner: KL{}, Match: HeavyEdgeMatch}).Bisect(g, rng.NewFib(2))
+	b, err := (Compacted{Inner: KL{}, Match: matching.HeavyEdge}).Bisect(g, rng.NewFib(2))
 	if err != nil {
 		t.Fatal(err)
 	}

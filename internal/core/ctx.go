@@ -62,13 +62,6 @@ func BisectCtx(ctx context.Context, b Bisector, g *graph.Graph, r *rng.Rand) (*p
 	return WithControl(b, runctl.FromContext(ctx)).Bisect(g, r)
 }
 
-// RefineCtx improves bis in place under ctx; the refinement stops at its
-// next checkpoint when ctx is done, leaving bis at the last completed
-// checkpoint's state, and returns ctx's error. See BisectCtx.
-func RefineCtx(ctx context.Context, b RefinableBisector, bis *partition.Bisection, r *rng.Rand) error {
-	return withControlRefinable(b, runctl.FromContext(ctx)).Refine(bis, r)
-}
-
 // WithControl implements Controllable for KL.
 func (a KL) WithControl(ctl *runctl.Control) Bisector {
 	a.Opts.Control = ctl

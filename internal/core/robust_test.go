@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/runctl"
 )
@@ -81,27 +80,6 @@ func TestBisectCtx(t *testing.T) {
 	}
 	if verr := b.Validate(); verr != nil {
 		t.Fatal(verr)
-	}
-}
-
-// RefineCtx stops at the next checkpoint, leaving a valid bisection.
-func TestRefineCtx(t *testing.T) {
-	g := mustGraph(gen.GNP(60, 0.12, rng.NewFib(12)))
-	b := partition.NewRandom(g, rng.NewFib(13))
-	before := b.Cut()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := RefineCtx(ctx, KL{}, b, rng.NewFib(14)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if b.Cut() != before {
-		t.Fatal("pre-cancelled RefineCtx modified the bisection")
-	}
-	if err := RefineCtx(context.Background(), KL{}, b, rng.NewFib(14)); err != nil {
-		t.Fatal(err)
-	}
-	if b.Cut() > before {
-		t.Fatal("refinement worsened the cut")
 	}
 }
 

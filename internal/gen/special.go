@@ -3,9 +3,10 @@ package gen
 // Deterministic special graph families. The paper tests grid graphs,
 // ladder graphs (its known KL-adversarial example), and complete binary
 // trees; cycle collections arise as the degree-2 case of 𝒢breg that
-// Section VI discusses. The remaining families (path, torus, hypercube,
-// caterpillar, complete bipartite) are standard topologies used in tests,
-// examples, and ablations.
+// Section VI discusses. The remaining families (path, hypercube,
+// caterpillar, complete bipartite, complete) are standard topologies
+// whose bisection widths are known, used by tests and the exact
+// oracles.
 
 import (
 	"fmt"
@@ -117,25 +118,6 @@ func Grid(rows, cols int) (*graph.Graph, error) {
 			if r+1 < rows {
 				b.AddEdge(v, v+int32(cols))
 			}
-		}
-	}
-	return b.Build()
-}
-
-// Torus returns the rows×cols torus (grid with wrap-around edges).
-// Requires rows, cols ≥ 3 so no wrap edge duplicates a grid edge.
-func Torus(rows, cols int) (*graph.Graph, error) {
-	if rows < 3 || cols < 3 {
-		return nil, fmt.Errorf("gen: Torus needs dimensions ≥ 3, got %dx%d", rows, cols)
-	}
-	b := graph.NewBuilder(rows * cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			v := int32(r*cols + c)
-			right := int32(r*cols + (c+1)%cols)
-			down := int32(((r+1)%rows)*cols + c)
-			b.AddEdge(v, right)
-			b.AddEdge(v, down)
 		}
 	}
 	return b.Build()

@@ -48,8 +48,8 @@ func TestEmptyGraph(t *testing.T) {
 	if g.N() != 0 || g.M() != 0 {
 		t.Fatalf("empty graph: n=%d m=%d", g.N(), g.M())
 	}
-	if !g.IsConnected() {
-		t.Fatal("empty graph should be connected by convention")
+	if _, count := g.Components(); count != 0 {
+		t.Fatalf("empty graph has %d components", count)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -63,9 +63,6 @@ func TestIsolatedVertices(t *testing.T) {
 	g := NewBuilder(5).MustBuild()
 	if g.N() != 5 || g.M() != 0 {
 		t.Fatalf("n=%d m=%d", g.N(), g.M())
-	}
-	if g.IsConnected() {
-		t.Fatal("5 isolated vertices should not be connected")
 	}
 	if got := len(g.ComponentSizes()); got != 5 {
 		t.Fatalf("want 5 components, got %d", got)
@@ -236,43 +233,6 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestBFSOnPath(t *testing.T) {
-	g := path(t, 6)
-	d := g.BFS(0)
-	for i := 0; i < 6; i++ {
-		if d[i] != int32(i) {
-			t.Fatalf("BFS dist to %d = %d, want %d", i, d[i], i)
-		}
-	}
-	if ecc := g.Eccentricity(0); ecc != 5 {
-		t.Fatalf("eccentricity of path end = %d, want 5", ecc)
-	}
-}
-
-func TestBFSUnreachable(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddEdge(0, 1)
-	g := b.MustBuild()
-	d := g.BFS(0)
-	if d[2] != -1 {
-		t.Fatalf("unreachable vertex distance %d, want -1", d[2])
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := path(t, 5) // degrees: 1,2,2,2,1
-	h := g.DegreeHistogram()
-	want := []int{0, 2, 3}
-	if len(h) != len(want) {
-		t.Fatalf("histogram %v, want %v", h, want)
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("histogram %v, want %v", h, want)
-		}
-	}
-}
-
 func TestIsRegular(t *testing.T) {
 	if !cycleGraph(t, 8).IsRegular(2) {
 		t.Fatal("cycle should be 2-regular")
@@ -282,21 +242,6 @@ func TestIsRegular(t *testing.T) {
 	}
 	if !complete(t, 5).IsRegular(4) {
 		t.Fatal("K5 should be 4-regular")
-	}
-}
-
-func TestCountTriangles(t *testing.T) {
-	if got := complete(t, 4).CountTriangles(); got != 4 {
-		t.Fatalf("K4 triangles = %d, want 4", got)
-	}
-	if got := complete(t, 5).CountTriangles(); got != 10 {
-		t.Fatalf("K5 triangles = %d, want 10", got)
-	}
-	if got := cycleGraph(t, 6).CountTriangles(); got != 0 {
-		t.Fatalf("C6 triangles = %d, want 0", got)
-	}
-	if got := cycleGraph(t, 3).CountTriangles(); got != 1 {
-		t.Fatalf("C3 triangles = %d, want 1", got)
 	}
 }
 

@@ -1,8 +1,7 @@
 package graph
 
-// This file provides structural queries used by the experiment harness and
-// by tests: connected components, BFS distances, degree histograms, and
-// eccentricity-style summaries.
+// This file provides the structural queries the exact solvers and the
+// tests use: connected components, their sizes, and regularity.
 
 // Components returns a component id for every vertex (ids are dense,
 // 0..k-1 in order of first discovery) and the number of components.
@@ -34,13 +33,6 @@ func (g *Graph) Components() (id []int32, count int) {
 	return id, count
 }
 
-// IsConnected reports whether the graph has at most one connected
-// component (the empty graph is connected by convention).
-func (g *Graph) IsConnected() bool {
-	_, c := g.Components()
-	return c <= 1
-}
-
 // ComponentSizes returns the vertex count of each connected component.
 func (g *Graph) ComponentSizes() []int {
 	id, count := g.Components()
@@ -51,53 +43,6 @@ func (g *Graph) ComponentSizes() []int {
 	return sizes
 }
 
-// BFS returns the unweighted distance from src to every vertex, with -1
-// for unreachable vertices.
-func (g *Graph) BFS(src int32) []int32 {
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range g.Neighbors(u) {
-			if dist[e.To] < 0 {
-				dist[e.To] = dist[u] + 1
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return dist
-}
-
-// Eccentricity returns the largest finite BFS distance from src, or -1 if
-// src reaches no other vertex.
-func (g *Graph) Eccentricity(src int32) int32 {
-	max := int32(-1)
-	for v, d := range g.BFS(src) {
-		if int32(v) != src && d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// DegreeHistogram returns h where h[d] is the number of vertices with
-// degree d; len(h) = MaxDegree()+1 (len 0 for the empty graph).
-func (g *Graph) DegreeHistogram() []int {
-	if g.N() == 0 {
-		return nil
-	}
-	h := make([]int, g.MaxDegree()+1)
-	for v := int32(0); int(v) < g.N(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
 // IsRegular reports whether every vertex has degree d.
 func (g *Graph) IsRegular(d int) bool {
 	for v := int32(0); int(v) < g.N(); v++ {
@@ -106,32 +51,4 @@ func (g *Graph) IsRegular(d int) bool {
 		}
 	}
 	return true
-}
-
-// CountTriangles returns the number of triangles, used by generator tests
-// as a structural fingerprint. O(sum of deg² ) — fine at test sizes.
-func (g *Graph) CountTriangles() int64 {
-	var t int64
-	mark := make([]bool, g.N())
-	for u := int32(0); int(u) < g.N(); u++ {
-		for _, e := range g.Neighbors(u) {
-			mark[e.To] = true
-		}
-		for _, e := range g.Neighbors(u) {
-			v := e.To
-			if v < u {
-				continue
-			}
-			for _, f := range g.Neighbors(v) {
-				w := f.To
-				if w > v && mark[w] {
-					t++
-				}
-			}
-		}
-		for _, e := range g.Neighbors(u) {
-			mark[e.To] = false
-		}
-	}
-	return t
 }

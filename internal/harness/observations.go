@@ -59,8 +59,8 @@ func cutExcessRatio(tr *TableResult, alg string) float64 {
 
 // Observation2 checks "compaction improves performance on small-degree
 // graphs both in time and quality": on 𝒢breg(·, b, 3) both CKL and CSA
-// must deliver large positive cut improvements, and CKL must also be
-// faster than plain KL on average.
+// must deliver large positive cut improvements. CKL's mean speed-up is
+// reported but not checked: it rests on one wall-clock run per cell.
 func Observation2(d3 *TableResult) Finding {
 	f := Finding{ID: "O2", Claim: "compaction improves quality (and KL speed) on degree-3 graphs"}
 	klImp := d3.MeanImprovement("kl")

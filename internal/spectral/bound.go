@@ -43,11 +43,10 @@ func rayleigh(g *graph.Graph, x []float64) float64 {
 // BisectionLowerBound returns the classical spectral lower bound on the
 // bisection width of a 2n-vertex graph: width ≥ λ₂·n/2 = λ₂·|V|/4
 // (Fiedler/Donath–Hoffman). Because Lambda2 is an estimate from above,
-// the returned value is an approximate certificate; its slack against
-// the heuristics' cuts is reported by the harness, not used as ground
-// truth. The graph must have an even number of vertices. A
-// *ErrNotConverged from the solver is passed through alongside the
-// best-effort bound.
+// the returned value is an estimate, not a certificate; cmd/cutstat
+// reports a cut's slack against it. The graph must have an even number
+// of vertices. A *ErrNotConverged from the solver is passed through
+// alongside the best-effort value, which then bounds nothing.
 func BisectionLowerBound(g *graph.Graph, opts Options, r *rng.Rand) (float64, error) {
 	if g.N()%2 != 0 {
 		return 0, fmt.Errorf("spectral: odd vertex count %d", g.N())

@@ -27,7 +27,7 @@ import (
 // restarts from the Ritz vector. Each restart squeezes the whole
 // Krylov space's worth of progress out of MaxBasis matvecs, which is
 // why Lanczos reaches the split in orders of magnitude fewer matvecs
-// than power iteration (see docs/PERFORMANCE.md, BENCH_8).
+// than power iteration (BENCH_8.json; docs/ALGORITHMS.md).
 
 // breakdownEps declares a Lanczos breakdown when the next basis vector's
 // norm (relative to the shift c) falls below it: the Krylov space is an

@@ -5,7 +5,7 @@
 // matvecs than the deflated power iteration it replaced on
 // well-separated spectra, and a certified answer on small-gap
 // instances where power iteration's stopping rule stalls on the wrong
-// vector (see docs/PERFORMANCE.md §BENCH_8). Power iteration survives
+// vector (BENCH_8.json; docs/ALGORITHMS.md). Power iteration survives
 // only in the tests, as the Lanczos oracle. A reusable Workspace makes
 // warm solves allocation-free.
 package spectral

@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -51,18 +50,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// MeanInt64 returns the mean of an integer sample (0 for empty).
-func MeanInt64(xs []int64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
 // Improvement returns the paper's relative improvement column,
 // (base − improved)/base × 100 (percent). A zero base with a zero
 // improved value is 0% (no room, no loss); a zero base with a positive
@@ -82,6 +69,3 @@ func Improvement(base, improved float64) float64 {
 // (t_without − t_with)/t_without × 100 (percent); positive means the
 // compacted variant was faster.
 func SpeedUp(without, with float64) float64 { return Improvement(without, with) }
-
-// FormatPct renders a percentage with one decimal, e.g. "93.8".
-func FormatPct(p float64) string { return fmt.Sprintf("%.1f", p) }

@@ -62,15 +62,6 @@ func TestSummarizePropertyBounds(t *testing.T) {
 	}
 }
 
-func TestMeanInt64(t *testing.T) {
-	if MeanInt64(nil) != 0 {
-		t.Fatal("empty mean")
-	}
-	if got := MeanInt64([]int64{2, 4, 9}); !almostEq(got, 5) {
-		t.Fatalf("mean %v", got)
-	}
-}
-
 func TestImprovement(t *testing.T) {
 	if got := Improvement(100, 10); !almostEq(got, 90) {
 		t.Fatalf("improvement %v", got)
@@ -96,11 +87,5 @@ func TestSpeedUp(t *testing.T) {
 	}
 	if got := SpeedUp(4, 8); !almostEq(got, -100) {
 		t.Fatalf("slowdown %v", got)
-	}
-}
-
-func TestFormatPct(t *testing.T) {
-	if FormatPct(93.75) != "93.8" {
-		t.Fatalf("FormatPct: %q", FormatPct(93.75))
 	}
 }

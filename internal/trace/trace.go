@@ -192,31 +192,3 @@ func WithLabel(obs Observer, label string) Observer {
 	}
 	return labelObserver{obs: obs, label: label}
 }
-
-// multiObserver fans events out to several observers in order.
-type multiObserver []Observer
-
-func (m multiObserver) Observe(e Event) {
-	for _, o := range m {
-		o.Observe(e)
-	}
-}
-
-// Multi returns an observer that forwards every event to each non-nil
-// argument in order. With zero non-nil arguments it returns nil, so
-// Multi(nil, nil) composes cleanly with the nil fast path.
-func Multi(obs ...Observer) Observer {
-	out := make(multiObserver, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			out = append(out, o)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}

@@ -77,21 +77,6 @@ func TestWithStartAndLabel(t *testing.T) {
 	}
 }
 
-func TestMulti(t *testing.T) {
-	var a, b []Event
-	multi := Multi(nil,
-		observerFunc(func(e Event) { a = append(a, e) }),
-		nil,
-		observerFunc(func(e Event) { b = append(b, e) }))
-	multi.Observe(ev(7))
-	if len(a) != 1 || len(b) != 1 {
-		t.Fatalf("fan-out delivered %d/%d events, want 1/1", len(a), len(b))
-	}
-	if Multi(nil, nil) != nil {
-		t.Fatal("Multi of all-nil must be nil")
-	}
-}
-
 func TestJSONLDeterministicAndTimingGated(t *testing.T) {
 	e := Event{Type: TypeTempDone, Algo: "sa", Index: 4, Cut: 42, BestCut: 40,
 		Trials: 1000, Accepted: 250, AcceptRatio: 0.25, Temp: 1.5,

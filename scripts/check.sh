@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-2 verification gate. Tier 1 is `go build ./... && go test ./...`;
 # this script adds vet, gofmt, the race detector over the whole module,
-# the fault, chaos and fuzz gates, end-to-end CLI smokes and the
-# zero-alloc contracts. Performance is measured by cmd/benchmark (see
+# the fault, chaos and fuzz gates, a run of every example, end-to-end
+# CLI smokes and the zero-alloc contracts. Performance is measured by cmd/benchmark (see
 # its README), not here.
 #
 # Usage: scripts/check.sh
@@ -23,6 +23,14 @@ fi
 
 echo "==> go build ./..."
 go build ./...
+
+# The build step only compiles the examples; each must also run to
+# completion and exit 0. Each takes under a second (service-client
+# starts an in-process daemon on a loopback port).
+for ex in examples/*/; do
+  echo "==> go run ./$ex"
+  go run "./$ex" >/dev/null || { echo "FAIL: ./$ex exited non-zero"; exit 1; }
+done
 
 # TestBuilderAtVertexCap builds a real 2^27-vertex graph on a single
 # goroutine (2.6 GB peak RSS without -race), so the race detector has
@@ -142,4 +150,4 @@ go test -count=1 -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./
 echo "==> (cd cmd/benchmark && go test .) (tiny-scale certified run of every workload)"
 (cd cmd/benchmark && go test -count=1 .)
 
-echo "OK: vet, build, race tests, paper reproduction, daemon load smoke, fault/chaos gates, fuzz smoke, alloc contracts and the benchmark's tiny run all passed"
+echo "OK: vet, build, examples, race tests, paper reproduction, daemon load smoke, fault/chaos gates, fuzz smoke, alloc contracts and the benchmark's tiny run all passed"

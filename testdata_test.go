@@ -34,18 +34,3 @@ func TestSampleGraphFile(t *testing.T) {
 		t.Fatalf("sample graph cut %d, planted 8", b.Cut())
 	}
 }
-
-func TestSampleNetlistFile(t *testing.T) {
-	f, err := os.Open("testdata/sample.netlist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	nl, err := bisect.ParseNetlist(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nl.NumCells() != 6 || nl.NumNets() != 7 {
-		t.Fatalf("sample netlist: cells=%d nets=%d", nl.NumCells(), nl.NumNets())
-	}
-}
