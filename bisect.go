@@ -78,8 +78,6 @@ type (
 	TraceRecorder = trace.Recorder
 	// TraceJSONL streams events as JSON Lines (deterministic by default).
 	TraceJSONL = trace.JSONL
-	// TraceCSV flattens events into a CSV convergence-curve table.
-	TraceCSV = trace.CSVCurve
 	// ObservableBisector is a Bisector whose runs can report trace
 	// events.
 	ObservableBisector = core.Observable
@@ -130,10 +128,6 @@ func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(ca
 // unless its Timing field is set.
 func NewTraceJSONL(w io.Writer) *TraceJSONL { return trace.NewJSONL(w) }
 
-// NewTraceCSV returns an observer writing a flat CSV convergence-curve
-// table to w; call Flush when done.
-func NewTraceCSV(w io.Writer) *TraceCSV { return trace.NewCSVCurve(w) }
-
 // NewBisection wraps an explicit side assignment (entries 0/1).
 func NewBisection(g *Graph, side []uint8) (*Bisection, error) { return partition.New(g, side) }
 
@@ -144,13 +138,6 @@ func CutOf(g *Graph, side []uint8) int64 { return partition.CutOf(g, side) }
 
 // GNP samples the Erdős–Rényi model 𝒢np(n, p).
 func GNP(n int, p float64, r *Rand) (*Graph, error) { return gen.GNP(n, p, r) }
-
-// StreamGNP enumerates the edges of 𝒢np(n, p) without materializing the
-// graph (O(1) working memory); see gengraph's streaming mode. Two
-// passes over sources with the same seed visit the identical edge set.
-func StreamGNP(n int, p float64, r *Rand, emit func(u, v int32) error) (int64, error) {
-	return gen.StreamGNP(n, p, r, emit)
-}
 
 // TwoSet samples the planted-bisection model 𝒢2set(2n, pA, pB, bis).
 func TwoSet(twoN int, pA, pB float64, bis int, r *Rand) (*Graph, error) {
@@ -202,25 +189,13 @@ func CompleteBipartite(a, b int) (*Graph, error) { return gen.CompleteBipartite(
 // Caterpillar returns a caterpillar tree.
 func Caterpillar(spine, legs int) (*Graph, error) { return gen.Caterpillar(spine, legs) }
 
-// Serialization.
+// Serialization: the native edge list and the binary CSR image (BCSR).
 
 // WriteEdgeList writes g in the native edge-list format.
 func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
 // ReadEdgeList parses the native edge-list format.
 func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
-
-// WriteMETIS writes g in the METIS adjacency format.
-func WriteMETIS(w io.Writer, g *Graph) error { return graph.WriteMETIS(w, g) }
-
-// ReadMETIS parses the METIS adjacency format.
-func ReadMETIS(r io.Reader) (*Graph, error) { return graph.ReadMETIS(r) }
-
-// MarshalGraph encodes g as JSON.
-func MarshalGraph(g *Graph) ([]byte, error) { return graph.MarshalGraph(g) }
-
-// UnmarshalGraph decodes JSON produced by MarshalGraph.
-func UnmarshalGraph(data []byte) (*Graph, error) { return graph.UnmarshalGraph(data) }
 
 // CSRFile is a Graph backed by a memory-mapped on-disk CSR image; see
 // OpenCSRFile. Close releases the mapping.
@@ -235,10 +210,13 @@ func WriteCSRFile(w io.Writer, g *Graph) error { return graph.WriteCSRFile(w, g)
 // open while the Graph is in use and Close it afterwards.
 func OpenCSRFile(path string) (*CSRFile, error) { return graph.OpenCSRFile(path) }
 
-// ReadCSRFile parses a BCSR stream into a heap-allocated Graph. Use
-// OpenCSRFile instead when the data is a local file: mapping skips the
-// copy entirely.
-func ReadCSRFile(r io.Reader) (*Graph, error) { return graph.ReadCSRFile(r) }
+// LoadGraphFile loads a graph file in either format, told apart by the
+// BCSR magic rather than the file name: a BCSR image is memory-mapped
+// and validated, anything else is parsed as an edge list. Call release
+// when done with the graph.
+func LoadGraphFile(path string) (g *Graph, release func() error, err error) {
+	return graph.LoadFile(path)
+}
 
 // Exact solvers.
 

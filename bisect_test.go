@@ -2,6 +2,8 @@ package bisect_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	bisect "repro"
@@ -135,18 +137,20 @@ func TestFacadeIO(t *testing.T) {
 		t.Fatal("edge-list round trip mismatch")
 	}
 	buf.Reset()
-	if err := bisect.WriteMETIS(&buf, g); err != nil {
+	if err := bisect.WriteCSRFile(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bisect.ReadMETIS(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "g.el")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data, err := bisect.MarshalGraph(g)
+	loaded, release, err := bisect.LoadGraphFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bisect.UnmarshalGraph(data); err != nil {
-		t.Fatal(err)
+	defer release()
+	if loaded.N() != g.N() || loaded.M() != g.M() {
+		t.Fatal("BCSR load mismatch")
 	}
 }
 

@@ -3,18 +3,19 @@
 //
 // Usage:
 //
-//	bisect -in graph.el [-format edgelist|metis|json|csr] [-alg ckl]
-//	       [-starts 2] [-seed 1989] [-out sides.txt]
+//	bisect -in graph.el [-alg ckl] [-starts 2] [-seed 1989] [-out sides.txt]
 //	       [-validate] [-timeout 30s] [-budget N]
-//	       [-trace events.jsonl] [-trace-format jsonl|csv] [-trace-timing]
+//	       [-trace events.jsonl] [-trace-timing]
 //
-// Binary CSR inputs (.csr, written by gengraph -format csr) are
-// memory-mapped rather than parsed, so million-vertex graphs load in
-// milliseconds. The starts run one after another on one goroutine.
+// The input is an edge list or a binary CSR (BCSR) image, told apart by
+// the file's first bytes, not its name. BCSR files (written by gengraph
+// -format csr) are memory-mapped rather than parsed, so million-vertex
+// graphs load in milliseconds. The starts run one after another on one
+// goroutine.
 //
 // The output file (if requested) has one line per vertex: "<id> <side>".
-// -trace streams per-pass/per-temperature/per-level events ("-" =
-// stdout); see docs/OBSERVABILITY.md for the schema. Without
+// -trace streams per-pass/per-temperature/per-level events as JSON Lines
+// ("-" = stdout); see docs/OBSERVABILITY.md for the schema. Without
 // -trace-timing the stream is byte-identical across runs of one seed.
 //
 // A run interrupted by -timeout, -budget, SIGINT, or SIGTERM still
@@ -55,8 +56,7 @@ func main() {
 }
 
 func run() (interrupted bool, err error) {
-	in := flag.String("in", "", "input graph file (required)")
-	format := flag.String("format", "", "input format: edgelist, metis, json, csr (default: by extension)")
+	in := flag.String("in", "", "input graph file, edge list or BCSR (required)")
 	alg := flag.String("alg", "ckl", "algorithm: "+strings.Join(bisect.BisectorNames(), ", "))
 	starts := flag.Int("starts", 2, "number of random starts (best kept)")
 	seed := flag.Uint64("seed", 1989, "random seed")
@@ -64,8 +64,7 @@ func run() (interrupted bool, err error) {
 	validate := flag.Bool("validate", false, "re-verify the result from scratch before reporting")
 	timeout := flag.Duration("timeout", 0, "stop at the next checkpoint after this long, keeping the best-so-far result (0 = none)")
 	budget := flag.Int64("budget", 0, "stop after this many checkpoint polls, keeping the best-so-far result (0 = unlimited)")
-	tracePath := flag.String("trace", "", "stream trace events to this file (\"-\" = stdout); see docs/OBSERVABILITY.md")
-	traceFormat := flag.String("trace-format", "jsonl", "trace output format: jsonl or csv")
+	tracePath := flag.String("trace", "", "stream trace events as JSON Lines to this file (\"-\" = stdout); see docs/OBSERVABILITY.md")
 	traceTiming := flag.Bool("trace-timing", false, "include wall-clock/allocation counters in the trace (non-deterministic)")
 	flag.Parse()
 
@@ -77,37 +76,13 @@ func run() (interrupted bool, err error) {
 		flag.Usage()
 		return false, fmt.Errorf("-starts must be at least 1, got %d", *starts)
 	}
-	var g *bisect.Graph
-	switch detectFormat(*format, *in) {
-	case "csr":
-		// BCSR files are memory-mapped: the graph's edge arrays live in
-		// the page cache, so the mapping must stay open for the whole run.
-		cf, oerr := bisect.OpenCSRFile(*in)
-		if oerr != nil {
-			return false, oerr
-		}
-		defer cf.Close()
-		g = cf.Graph()
-		// The loader checks each row but leaves adjacency symmetry to
-		// the file's writer, and every algorithm assumes it: a forged
-		// asymmetric file must stop here, not inside a gain update.
-		if verr := g.Validate(); verr != nil {
-			return false, fmt.Errorf("%s: %w", *in, verr)
-		}
-	case "metis":
-		g, err = readVia(*in, bisect.ReadMETIS)
-	case "json":
-		data, rerr := os.ReadFile(*in)
-		if rerr != nil {
-			return false, rerr
-		}
-		g, err = bisect.UnmarshalGraph(data)
-	default:
-		g, err = readVia(*in, bisect.ReadEdgeList)
-	}
+	// A BCSR graph's edge arrays live in the file's mapping, which must
+	// stay open for the whole run.
+	g, release, err := bisect.LoadGraphFile(*in)
 	if err != nil {
 		return false, err
 	}
+	defer release()
 	fmt.Printf("graph: %d vertices, %d edges, avg degree %.2f\n", g.N(), g.M(), g.AvgDegree())
 
 	a, err := bisect.NewBisector(*alg)
@@ -128,11 +103,10 @@ func run() (interrupted bool, err error) {
 	ctl := bisect.NewRunControl(ctx, *budget)
 
 	// Optional tracing: every pass/temperature/level event streams to
-	// the chosen sink; the driver's own summary event goes last. File
-	// sinks are written atomically — the trace appears only on commit,
-	// never as a torn partial file.
-	var obs bisect.TraceObserver
-	var flushTrace func() error
+	// the JSONL sink; the driver's own summary event goes last. A trace
+	// file is written atomically — it appears only on commit, never as a
+	// torn partial file.
+	var trace *bisect.TraceJSONL
 	var traceFile *fsx.AtomicFile
 	if *tracePath != "" {
 		var w io.Writer = os.Stdout
@@ -145,30 +119,20 @@ func run() (interrupted bool, err error) {
 			traceFile = tf
 			w = tf
 		}
-		switch *traceFormat {
-		case "jsonl":
-			j := bisect.NewTraceJSONL(w)
-			j.Timing = *traceTiming
-			obs, flushTrace = j, j.Err
-		case "csv":
-			c := bisect.NewTraceCSV(w)
-			c.Timing = *traceTiming
-			obs, flushTrace = c, c.Flush
-		default:
-			return false, fmt.Errorf("unknown -trace-format %q (want jsonl or csv)", *traceFormat)
-		}
+		trace = bisect.NewTraceJSONL(w)
+		trace.Timing = *traceTiming
 	}
 
 	r := bisect.NewRand(*seed)
 	var memBefore runtime.MemStats
-	if obs != nil {
+	if trace != nil {
 		runtime.ReadMemStats(&memBefore)
 	}
 	t0 := time.Now()
 	bestOf := bisect.BestOf{Inner: a, Starts: *starts}
 	var counter *startCounter
-	if obs != nil {
-		counter = &startCounter{obs: obs, algo: bestOf.Name()}
+	if trace != nil {
+		counter = &startCounter{obs: trace, algo: bestOf.Name()}
 		bestOf.Observer = counter
 	}
 	runner := bisect.WithControl(bisect.WithWorkspace(bestOf), ctl)
@@ -181,16 +145,16 @@ func run() (interrupted bool, err error) {
 		fmt.Fprintf(os.Stderr, "bisect: interrupted (%v); reporting best-so-far result\n", err)
 	}
 	elapsed := time.Since(t0)
-	if obs != nil {
+	if trace != nil {
 		var memAfter runtime.MemStats
 		runtime.ReadMemStats(&memAfter)
-		obs.Observe(bisect.TraceEvent{
+		trace.Observe(bisect.TraceEvent{
 			Type: "run_done", Algo: "bisect", Index: counter.ran,
 			Cut: best.Cut(), BestCut: best.Cut(), Imbalance: best.Imbalance(),
 			ElapsedNS:  elapsed.Nanoseconds(),
 			AllocBytes: memAfter.TotalAlloc - memBefore.TotalAlloc,
 		})
-		if err := flushTrace(); err != nil {
+		if err := trace.Err(); err != nil {
 			return false, fmt.Errorf("writing trace: %v", err)
 		}
 		if traceFile != nil {
@@ -199,7 +163,7 @@ func run() (interrupted bool, err error) {
 			}
 		}
 		if *tracePath != "-" {
-			fmt.Printf("trace written to %s (%s)\n", *tracePath, *traceFormat)
+			fmt.Printf("trace written to %s\n", *tracePath)
 		}
 	}
 
@@ -254,30 +218,4 @@ func (c *startCounter) Observe(e bisect.TraceEvent) {
 		c.ran = e.Index
 	}
 	c.obs.Observe(e)
-}
-
-func detectFormat(explicit, path string) string {
-	if explicit != "" {
-		return explicit
-	}
-	switch {
-	case strings.HasSuffix(path, ".metis") || strings.HasSuffix(path, ".graph"):
-		return "metis"
-	case strings.HasSuffix(path, ".json"):
-		return "json"
-	case strings.HasSuffix(path, ".csr") || strings.HasSuffix(path, ".bcsr"):
-		return "csr"
-	default:
-		return "edgelist"
-	}
-}
-
-// readVia opens path and parses it with the given stream reader.
-func readVia(path string, read func(io.Reader) (*bisect.Graph, error)) (*bisect.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return read(f)
 }

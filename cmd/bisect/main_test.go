@@ -131,3 +131,69 @@ func TestStoppedRunReportsStartsRun(t *testing.T) {
 		t.Errorf("summary claims starts that never ran:\n%s", out)
 	}
 }
+
+// The file's first bytes, not its name, choose the parser: a BCSR image
+// named g.el and an edge list named g.csr each load and give the cut of
+// a correctly named copy.
+func TestFormatByContentNotName(t *testing.T) {
+	edgeList, err := os.ReadFile("../../testdata/breg200.el")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ReadEdgeList(strings.NewReader(string(edgeList)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var image strings.Builder
+	if err := graph.WriteCSRFile(&image, g); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name, data string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cut := func(path string) string {
+		t.Helper()
+		savedArgs, savedStdout := os.Args, os.Stdout
+		t.Cleanup(func() { os.Args, os.Stdout = savedArgs, savedStdout })
+		stdout, err := os.Create(path + ".stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stdout.Close()
+		os.Stdout = stdout
+		flag.CommandLine = flag.NewFlagSet("bisect", flag.ContinueOnError)
+		flag.CommandLine.SetOutput(io.Discard)
+		os.Args = []string{"bisect", "-in", path, "-alg", "ckl", "-seed", "7"}
+		_, runErr := run()
+		os.Stdout = savedStdout
+		if runErr != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), runErr)
+		}
+		out, err := os.ReadFile(stdout.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "cut: ") {
+				return line
+			}
+		}
+		t.Fatalf("%s: no cut line in\n%s", filepath.Base(path), out)
+		return ""
+	}
+	want := cut(write("right.el", string(edgeList)))
+	for name, data := range map[string]string{
+		"right.csr": image.String(),
+		"g.el":      image.String(),
+		"g.csr":     string(edgeList),
+	} {
+		if got := cut(write(name, data)); got != want {
+			t.Errorf("%s: %q, want %q as for the edge list", name, got, want)
+		}
+	}
+}

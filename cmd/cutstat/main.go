@@ -7,8 +7,10 @@
 //
 //	cutstat -graph g.el -sides sides.txt [-bound]
 //
-// The sides file has one "<vertex> <side>" pair per line (cmd/bisect's
-// -out format).
+// The graph is an edge list or a binary CSR (BCSR) image, told apart by
+// the file's first bytes as cmd/bisect does, so any graph bisect ran on
+// can be checked. The sides file has one "<vertex> <side>" pair per line
+// (cmd/bisect's -out format).
 package main
 
 import (
@@ -30,7 +32,7 @@ func main() {
 }
 
 func run() error {
-	graphPath := flag.String("graph", "", "graph file (native edge-list format)")
+	graphPath := flag.String("graph", "", "graph file, edge list or BCSR")
 	sidesPath := flag.String("sides", "", "side assignment file: one '<vertex> <side>' per line")
 	bound := flag.Bool("bound", false, "also compute the spectral lower bound (λ₂·|V|/4)")
 	flag.Parse()
@@ -39,15 +41,11 @@ func run() error {
 		return fmt.Errorf("missing -graph or -sides")
 	}
 
-	gf, err := os.Open(*graphPath)
+	g, release, err := bisect.LoadGraphFile(*graphPath)
 	if err != nil {
 		return err
 	}
-	defer gf.Close()
-	g, err := bisect.ReadEdgeList(gf)
-	if err != nil {
-		return err
-	}
+	defer release()
 
 	side, err := readSides(*sidesPath, g.N())
 	if err != nil {

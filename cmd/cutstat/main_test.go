@@ -144,3 +144,44 @@ func TestBoundNotConvergedPrintsNoBound(t *testing.T) {
 		t.Fatalf("printed a bound from an unconverged solve:\n%s", out)
 	}
 }
+
+// A BCSR image of a graph is checked like its edge list: for the same
+// sides, -graph g.csr prints what -graph g.el prints, cut line included.
+func TestBCSRGraphPrintsSameCut(t *testing.T) {
+	const graphPath = "../../testdata/breg200.el"
+	f, err := os.Open(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ReadEdgeList(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := os.Create(filepath.Join(t.TempDir(), "g.csr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteCSRFile(csr, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := csr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	side := make([]uint8, g.N())
+	for v := range side {
+		side[v] = uint8(v % 2)
+	}
+	sides := writeFile(t, "sides.txt", sidesText(side))
+	fromEL, err := runCutstat(t, "-graph", graphPath, "-sides", sides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCSR, err := runCutstat(t, "-graph", csr.Name(), "-sides", sides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromCSR != fromEL || !strings.Contains(fromEL, fmt.Sprintf("cut: %d\n", partition.CutOf(g, side))) {
+		t.Fatalf("-graph g.csr printed\n%s\n-graph g.el printed\n%s", fromCSR, fromEL)
+	}
+}

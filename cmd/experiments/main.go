@@ -60,7 +60,7 @@ func scaleByName(name string) (harness.Scale, error) {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	table := flag.String("table", "", "table ID to run, or 'all'")
 	list := flag.Bool("list", false, "list table IDs and exit")
 	scaleName := flag.String("scale", "mid", "experiment scale: paper | mid | test")
@@ -68,8 +68,7 @@ func run() error {
 	starts := flag.Int("starts", 2, "random starts per algorithm (paper: 2)")
 	fullSA := flag.Bool("full-sa", false, "use the full modern JAMS schedule instead of the period-faithful budget (see EXPERIMENTS.md)")
 	obs := flag.Bool("observations", false, "check the paper's five Observations (runs the needed tables)")
-	out := flag.String("out", "", "also write output to this file")
-	csvDir := flag.String("csv", "", "also write one CSV per table into this directory")
+	out := flag.String("out", "", "also write output to this file (replaced only by a run that succeeds)")
 	jsonDir := flag.String("json", "", "also write one JSON result per table into this directory")
 	flag.Parse()
 
@@ -83,11 +82,18 @@ func run() error {
 	}
 	var w io.Writer = os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
+		// The file is replaced only when the whole run succeeds; a run
+		// that fails leaves the previous file as it was.
+		f, ferr := fsx.NewAtomicFile(*out, 0o644)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
+		defer f.Abort()
+		defer func() {
+			if err == nil {
+				err = f.Commit()
+			}
+		}()
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
@@ -132,11 +138,6 @@ func run() error {
 		if err := res.Render(w); err != nil {
 			return err
 		}
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, res); err != nil {
-				return err
-			}
-		}
 		if *jsonDir != "" {
 			if err := writeJSON(*jsonDir, res); err != nil {
 				return err
@@ -158,23 +159,6 @@ func run() error {
 // (the paper's protocol is best of 2).
 func table1Title(starts int) string {
 	return fmt.Sprintf("Table 1. Bisection width improvement made by compaction (best of %d starts).", starts)
-}
-
-// writeCSV stores one table as <dir>/<ID>.csv, atomically: an export
-// interrupted mid-write never clobbers the previous complete file.
-func writeCSV(dir string, res *harness.TableResult) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := fsx.NewAtomicFile(filepath.Join(dir, res.ID+".csv"), 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Abort()
-	if err := res.WriteCSV(f); err != nil {
-		return err
-	}
-	return f.Commit()
 }
 
 // writeJSON stores one table as <dir>/<ID>.json, atomically.

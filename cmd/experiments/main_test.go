@@ -50,3 +50,26 @@ func TestTable1TitleFollowsStarts(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedRunKeepsOutFile: -out is replaced only by a run that
+// succeeds. A run that fails, here on an unknown table, must leave the
+// file that was there byte for byte, not truncate it.
+func TestFailedRunKeepsOutFile(t *testing.T) {
+	savedArgs := os.Args
+	t.Cleanup(func() { os.Args = savedArgs })
+	out := filepath.Join(t.TempDir(), "tables.txt")
+	before := []byte("the tables of an earlier run\n")
+	if err := os.WriteFile(out, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runArgs("-table", "NOSUCH", "-scale", "test", "-out", out); err == nil {
+		t.Fatal("-table NOSUCH succeeded, want an unknown-table error")
+	}
+	after, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatalf("failed run changed -out: %q, want %q", after, before)
+	}
+}

@@ -5,8 +5,9 @@
 //
 // The library provides:
 //
-//   - weighted undirected graphs with builders, validation, and three
-//     serialization formats (native edge list, METIS, JSON);
+//   - weighted undirected graphs with builders, validation, and two
+//     file formats: the native edge list and a memory-mapped binary CSR
+//     image, which LoadGraphFile tells apart;
 //   - the paper's graph models (𝒢np, 𝒢2set planted bisection, 𝒢breg
 //     regular planted width) and special families (ladders, grids,
 //     binary trees, and paths, cycles, hypercubes, complete bipartite

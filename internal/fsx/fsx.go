@@ -1,11 +1,12 @@
 // Package fsx holds the repository's crash-safe filesystem helpers.
-// Every artifact a run leaves behind — benchmark snapshots, harness
-// CSV/JSON exports, trace files, service job records — goes through the
-// same write-temp + fsync + rename protocol, so a crash (or SIGKILL) at any
-// instant leaves either the previous complete file or the new complete
-// file on disk, never a torn half-write. Stray temp files from killed
-// writers are ignorable (and are cleaned up by the next successful write
-// to the same path only incidentally — they carry unique suffixes).
+// Every artifact a run leaves behind — generated graphs, experiment
+// tables and JSON exports, trace files, service job records — goes
+// through the same write-temp + fsync + rename protocol, so a crash (or
+// SIGKILL) at any instant leaves either the previous complete file or
+// the new complete file on disk, never a torn half-write. Stray temp
+// files from killed writers are ignorable (and are cleaned up by the
+// next successful write to the same path only incidentally — they carry
+// unique suffixes).
 //
 // All filesystem access goes through the FS seam (sysfs.go): package
 // helpers use the real filesystem (OS), while the *FS variants accept an

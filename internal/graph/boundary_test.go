@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestBuilderAtVertexCap exercises Builder exactly at MaxVertices and
@@ -58,11 +59,11 @@ func bcsrHeader(n, m, flags uint64) []byte {
 // exactly MaxVertices passes the cap and fails later on the (absent)
 // body — proving the boundary sits between the two.
 func TestBCSRHeaderAtVertexCap(t *testing.T) {
-	_, err := ReadCSRFile(bytes.NewReader(bcsrHeader(MaxVertices+1, 0, 0)))
+	_, err := parseBCSR(bcsrHeader(MaxVertices+1, 0, 0))
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("n=MaxVertices+1: got %v, want vertex-cap error", err)
 	}
-	_, err = ReadCSRFile(bytes.NewReader(bcsrHeader(MaxVertices, 0, 0)))
+	_, err = parseBCSR(bcsrHeader(MaxVertices, 0, 0))
 	if err == nil {
 		t.Fatal("header-only image accepted")
 	}
@@ -80,15 +81,15 @@ func TestBCSRHeaderAtVertexCap(t *testing.T) {
 // the (absent) body, and the retired int64-offset flag is refused
 // whatever the counts.
 func TestBCSRCompactOffsetOverflow(t *testing.T) {
-	_, err := ReadCSRFile(bytes.NewReader(bcsrHeader(1<<20, MaxEdges+1, 0)))
+	_, err := parseBCSR(bcsrHeader(1<<20, MaxEdges+1, 0))
 	if !errors.Is(err, ErrTooLarge) || !errors.Is(err, ErrCorruptBCSR) {
 		t.Fatalf("m=MaxEdges+1: got %v, want ErrTooLarge and ErrCorruptBCSR", err)
 	}
-	_, err = ReadCSRFile(bytes.NewReader(bcsrHeader(1<<20, MaxEdges, 0)))
+	_, err = parseBCSR(bcsrHeader(1<<20, MaxEdges, 0))
 	if err == nil || errors.Is(err, ErrTooLarge) || !strings.Contains(err.Error(), "size") {
 		t.Fatalf("m=MaxEdges: got %v, want size-mismatch error", err)
 	}
-	_, err = ReadCSRFile(bytes.NewReader(bcsrHeader(4, 3, 1)))
+	_, err = parseBCSR(bcsrHeader(4, 3, 1))
 	if err == nil || !strings.Contains(err.Error(), "flags") {
 		t.Fatalf("int64-offset flag: got %v, want unsupported-flags error", err)
 	}
@@ -110,6 +111,20 @@ func validBCSRImage(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// parseBCSR runs OpenCSRFile's parser on an image held in memory. The
+// bytes are copied into a uint64-backed buffer first, so the sections
+// are 8-byte aligned as they are in a mapping.
+func parseBCSR(data []byte) (*Graph, error) {
+	buf := make([]uint64, (len(data)+7)/8)
+	aligned := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf))), len(buf)*8)[:len(data)]
+	copy(aligned, data)
+	g := &Graph{}
+	if err := parseCSRInto(g, aligned); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // flipBit returns a copy of data with one bit flipped.
@@ -145,7 +160,7 @@ func FuzzReadBCSR(f *testing.F) {
 	f.Add(valid[:len(valid)-8])
 	f.Add(valid[:len(valid)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadCSRFile(bytes.NewReader(data))
+		g, err := parseBCSR(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptBCSR) {
 				t.Fatalf("BCSR rejection not typed ErrCorruptBCSR: %v", err)
@@ -158,8 +173,8 @@ func FuzzReadBCSR(f *testing.F) {
 	})
 }
 
-// TestBCSRCorruptionTyped holds both loaders — the copying ReadCSRFile
-// and the mmap OpenCSRFile — to the same contract on damaged images:
+// TestBCSRCorruptionTyped holds the BCSR parser, on bytes in memory and
+// through OpenCSRFile's mapping, to one contract on damaged images:
 // a typed ErrCorruptBCSR, never a panic, never silent acceptance. The
 // mutations are single-bit flips in every section of a valid image plus
 // truncations that keep the header intact.
@@ -183,16 +198,16 @@ func TestBCSRCorruptionTyped(t *testing.T) {
 	dir := t.TempDir()
 	for _, mut := range muts {
 		t.Run(mut.name, func(t *testing.T) {
-			// Copying loader.
-			if g, err := ReadCSRFile(bytes.NewReader(mut.data)); err == nil {
+			// The parser on bytes in memory.
+			if g, err := parseBCSR(mut.data); err == nil {
 				// A flip can land in padding or dead bytes; acceptance is then
 				// only legal if the graph is fully valid.
 				if verr := g.Validate(); verr != nil {
-					t.Fatalf("ReadCSRFile accepted corrupt image: %v", verr)
+					t.Fatalf("parser accepted corrupt image: %v", verr)
 				}
 				t.Skip("mutation landed in dead bytes")
 			} else if !errors.Is(err, ErrCorruptBCSR) {
-				t.Fatalf("ReadCSRFile error not typed: %v", err)
+				t.Fatalf("parser error not typed: %v", err)
 			}
 			// Mmap loader, through a real file.
 			path := filepath.Join(dir, mut.name+".bcsr")
@@ -200,7 +215,7 @@ func TestBCSRCorruptionTyped(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := OpenCSRFile(path); err == nil {
-				t.Fatal("OpenCSRFile accepted an image ReadCSRFile refused")
+				t.Fatal("OpenCSRFile accepted an image the parser refused")
 			} else if !errors.Is(err, ErrCorruptBCSR) {
 				t.Fatalf("OpenCSRFile error not typed: %v", err)
 			}
@@ -209,9 +224,9 @@ func TestBCSRCorruptionTyped(t *testing.T) {
 }
 
 // TestSizeCapsAreTyped pins the one size cap every construction path
-// shares: the Builder's vertex cap and the text parsers' header edge
-// cap refuse with ErrTooLarge, and exactly MaxEdges in a header passes
-// the cap.
+// shares: the Builder's vertex cap and the edge-list parser's header
+// edge cap refuse with ErrTooLarge, and exactly MaxEdges in a header
+// passes the cap.
 func TestSizeCapsAreTyped(t *testing.T) {
 	if _, err := NewBuilder(MaxVertices + 1).Build(); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("Builder over the vertex cap: got %v, want ErrTooLarge", err)
@@ -222,7 +237,6 @@ func TestSizeCapsAreTyped(t *testing.T) {
 		read func(string) error
 	}{
 		{"edge list", func(s string) error { _, err := ReadEdgeList(strings.NewReader("graph 4 " + s + "\n")); return err }},
-		{"METIS", func(s string) error { _, err := ReadMETIS(strings.NewReader("4 " + s + "\n")); return err }},
 	} {
 		if err := c.read(over); !errors.Is(err, ErrTooLarge) {
 			t.Errorf("%s header with MaxEdges+1 edges: got %v, want ErrTooLarge", c.name, err)

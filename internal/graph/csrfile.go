@@ -10,13 +10,12 @@ import (
 )
 
 // This file implements the on-disk binary CSR format ("BCSR") and its
-// two loaders: OpenCSRFile, which memory-maps the file and serves the
-// graph zero-copy straight out of the mapping, and ReadCSRFile, the
-// allocating stream reader. The format exists for the 10^6+-vertex
-// instances where re-parsing a text edge list on every run costs more
-// than the bisection itself; an mmap open touches each byte at most
-// once (a structural validation sweep) and allocates nothing but the
-// Graph header.
+// loader, OpenCSRFile, which memory-maps the file and serves the graph
+// zero-copy straight out of the mapping. The format exists for the
+// 10^6+-vertex instances where re-parsing a text edge list on every
+// run costs more than the bisection itself; an mmap open touches each
+// byte at most once (a structural validation sweep) and allocates
+// nothing but the Graph header.
 //
 // Layout (documented for external tooling in docs/PERFORMANCE.md):
 // everything little-endian, every section 8-byte aligned.
@@ -48,21 +47,20 @@ import (
 // asymmetric file passes the sweep and is still memory-safe to read,
 // but the algorithms assume symmetry: KL panics on such a graph.
 // A caller loading a file it does not trust must call Validate, which
-// checks every mirror, before using the graph, as cmd/bisect does.
+// checks every mirror, before using the graph, as LoadFile does.
 //
 // The mapped memory is read-only. Nothing in the public Graph API
 // mutates CSR storage, so a mapped Graph is usable everywhere an
 // in-memory one is; it remains valid until CSRFile.Close.
 
-// ErrCorruptBCSR is wrapped by every validation failure the BCSR loaders
+// ErrCorruptBCSR is wrapped by every validation failure the BCSR loader
 // can report about the file's *contents* — truncation, bad magic, offset
 // or aggregate inconsistencies, out-of-range fields. Callers distinguish
 // "this file is damaged" (errors.Is(err, ErrCorruptBCSR): quarantine or
 // regenerate it) from environmental failures (missing file, permissions,
-// big-endian host) that retrying or fixing the setup can cure. Both
-// OpenCSRFile and ReadCSRFile return it; neither ever panics on
-// attacker-controlled bytes — the fuzz harness in boundary_test.go holds
-// them to that.
+// big-endian host) that retrying or fixing the setup can cure.
+// OpenCSRFile never panics on attacker-controlled bytes — the fuzz
+// harness in boundary_test.go holds its parser to that.
 var ErrCorruptBCSR = errors.New("corrupt BCSR image")
 
 // bcsrErrf builds a validation error carrying ErrCorruptBCSR.
@@ -82,7 +80,7 @@ const (
 var _ = [1]struct{}{}[unsafe.Sizeof(Edge{})-8]
 
 // hostLittleEndian reports whether the host matches the format's byte
-// order; the zero-copy loaders refuse to run on big-endian hosts.
+// order; the BCSR writer and loader refuse to run on big-endian hosts.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -109,9 +107,9 @@ func layoutCSR(n, m int64, hasVW bool) csrLayout {
 	return l
 }
 
-// WriteCSRFile writes g in the BCSR format. The writer should be
-// buffered for large graphs; cmd/gengraph wraps a bufio.Writer around
-// the output file.
+// WriteCSRFile writes g in the BCSR format. It needs no buffering: it
+// makes one header write and at most four whole-section writes, each
+// followed by its padding.
 func WriteCSRFile(w io.Writer, g *Graph) error {
 	if !hostLittleEndian {
 		return fmt.Errorf("graph: BCSR requires a little-endian host")
@@ -200,26 +198,6 @@ func OpenCSRFile(path string) (*CSRFile, error) {
 		return nil, fmt.Errorf("graph: %s: %w", path, err)
 	}
 	return c, nil
-}
-
-// ReadCSRFile reads a BCSR stream into freshly allocated memory — the
-// portable counterpart of OpenCSRFile for readers that are not files.
-// The benchmark suite uses the pair to price mmap against copying.
-func ReadCSRFile(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	// Re-home the bytes in a uint64-backed buffer so the zero-copy
-	// section casts are guaranteed 8-byte aligned.
-	buf := make([]uint64, (len(data)+7)/8)
-	aligned := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf))), len(buf)*8)[:len(data)]
-	copy(aligned, data)
-	g := &Graph{}
-	if err := parseCSRInto(g, aligned); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // parseCSRInto validates data as a BCSR image and initializes g with
@@ -358,7 +336,7 @@ func parseCSRInto(g *Graph, data []byte) error {
 // sliceOf reinterprets the head of an 8-byte-aligned byte slice as n
 // values of type T. Callers guarantee the byte length covers n*sizeof(T)
 // (the layout size check) and the alignment (mmap pages and the
-// uint64-backed read buffer are both 8-byte aligned).
+// uint64-backed buffer of readAligned are both 8-byte aligned).
 func sliceOf[T int32 | int64 | Edge](b []byte, n int) []T {
 	if n == 0 {
 		return []T{}

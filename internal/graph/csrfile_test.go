@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -40,8 +39,8 @@ func equalGraphs(t *testing.T, name string, a, b *graph.Graph) {
 	}
 }
 
-// roundTrip writes g to a BCSR file and loads it back via both loaders,
-// checking each against the original.
+// roundTrip writes g to a BCSR file and loads it back through
+// OpenCSRFile and through LoadFile, checking each against the original.
 func roundTrip(t *testing.T, name string, g *graph.Graph) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.csr")
@@ -66,18 +65,14 @@ func roundTrip(t *testing.T, name string, g *graph.Graph) {
 	}
 	equalGraphs(t, name+"/mmap", g, mg)
 
-	raw, err := os.ReadFile(path)
+	lg, release, err := graph.LoadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: LoadFile: %v", name, err)
 	}
-	rg, err := graph.ReadCSRFile(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("%s: ReadCSRFile: %v", name, err)
+	equalGraphs(t, name+"/load", g, lg)
+	if err := release(); err != nil {
+		t.Fatalf("%s: release: %v", name, err)
 	}
-	if err := rg.Validate(); err != nil {
-		t.Fatalf("%s: read graph invalid: %v", name, err)
-	}
-	equalGraphs(t, name+"/read", g, rg)
 
 	if err := c.Close(); err != nil {
 		t.Fatalf("%s: Close: %v", name, err)
@@ -88,7 +83,7 @@ func roundTrip(t *testing.T, name string, g *graph.Graph) {
 }
 
 // TestCSRFileRoundTripGenerators exercises the BCSR writer and both
-// loaders on every generator family from the paper's test suite.
+// load paths on every generator family from the paper's test suite.
 func TestCSRFileRoundTripGenerators(t *testing.T) {
 	families := []struct {
 		name string
@@ -214,6 +209,7 @@ func TestCSRFileRejectsCorruption(t *testing.T) {
 		img  []byte
 	}{
 		{"empty", nil},
+		{"garbage", []byte("not a BCSR file at all")},
 		{"truncated-header", good[:40]},
 		{"truncated-body", good[:len(good)-8]},
 		{"trailing-garbage", append(append([]byte(nil), good...), 0, 0, 0, 0, 0, 0, 0, 0)},
@@ -239,13 +235,5 @@ func TestCSRFileRejectsCorruption(t *testing.T) {
 				t.Fatal("corrupted image accepted")
 			}
 		})
-	}
-
-	// ReadCSRFile applies the same validation.
-	if _, err := graph.ReadCSRFile(bytes.NewReader(good[:40])); err == nil {
-		t.Fatal("ReadCSRFile accepted a truncated image")
-	}
-	if _, err := graph.ReadCSRFile(strings.NewReader("not a BCSR file at all")); err == nil {
-		t.Fatal("ReadCSRFile accepted garbage")
 	}
 }

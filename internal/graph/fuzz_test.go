@@ -158,51 +158,3 @@ func FuzzCSREquivalence(f *testing.F) {
 		}
 	})
 }
-
-func FuzzReadMETIS(f *testing.F) {
-	f.Add("3 2\n2\n1 3\n2\n")
-	f.Add("2 1 1\n2 5\n1 5\n")
-	f.Add("2 1 11 1\n1 2 3\n1 1 3\n")
-	f.Add("% comment\n1 0\n\n")
-	f.Add("0 0\n")
-	f.Add("x y\n")
-	// Truncated bodies and hostile headers: negative/oversized counts,
-	// neighbor ids past n or past int32, missing edge weights.
-	f.Add("3")
-	f.Add("3 2\n2\n1")
-	f.Add("2 -1\n")
-	f.Add("2 999999999999\n")
-	f.Add("134217729 0\n") // MaxVertices+1
-	f.Add("3 1\n4294967298\n")
-	f.Add("3 1\n9\n")
-	f.Add("2 1 1\n2\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		g, err := ReadMETIS(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		if verr := g.Validate(); verr != nil {
-			t.Fatalf("METIS parser accepted invalid graph: %v\ninput: %q", verr, in)
-		}
-	})
-}
-
-func FuzzUnmarshalGraph(f *testing.F) {
-	f.Add(`{"n":3,"edges":[[0,1,1],[1,2,2]]}`)
-	f.Add(`{"n":2,"vertexWeights":[3,4],"edges":[[0,1,1]]}`)
-	f.Add(`{}`)
-	f.Add(`{"n":-5}`)
-	f.Add(`[1,2,3]`)
-	f.Add(`{"n":134217729}`) // MaxVertices+1: must be rejected, not allocated
-	f.Add(`{"n":3,"edges":[[0,4294967296,1]]}`)
-	f.Add(`{"n":3,"edges":[[0,1`)
-	f.Fuzz(func(t *testing.T, in string) {
-		g, err := UnmarshalGraph([]byte(in))
-		if err != nil {
-			return
-		}
-		if verr := g.Validate(); verr != nil {
-			t.Fatalf("JSON parser accepted invalid graph: %v\ninput: %q", verr, in)
-		}
-	})
-}

@@ -292,8 +292,8 @@ type Builder struct {
 const MaxVertices = 1 << 27
 
 // MaxEdges bounds the undirected edge count of every graph: Builder,
-// FromCSR, the text parsers (against the header, before the body is
-// read) and the BCSR loaders all refuse more. Its 2·MaxEdges half-edges
+// FromCSR, the edge-list parser (against the header, before the body is
+// read) and the BCSR loader all refuse more. Its 2·MaxEdges half-edges
 // are the most int32 CSR offsets can index — 8 GiB of edge storage.
 const MaxEdges = 1<<30 - 1
 

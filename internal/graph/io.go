@@ -1,12 +1,9 @@
 package graph
 
-// Serialization. Three formats are supported:
-//
-//   - the repository's native edge-list format (WriteEdgeList /
-//     ReadEdgeList), a plain-text format with a header line;
-//   - a METIS-compatible adjacency format (WriteMETIS / ReadMETIS),
-//     because downstream partitioning tools speak it;
-//   - JSON (MarshalJSON / UnmarshalJSON via GraphJSON), for tooling.
+// Serialization. Graphs are stored in one of two formats: the native
+// edge list (WriteEdgeList / ReadEdgeList), a plain-text format with a
+// header line, and the binary CSR image of csrfile.go (WriteCSRFile /
+// OpenCSRFile). LoadFile reads either, telling them apart by content.
 //
 // Native format:
 //
@@ -17,10 +14,10 @@ package graph
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -167,196 +164,36 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// WriteMETIS writes g in the METIS adjacency format: a header line
-// "n m [fmt]" followed by one line per vertex listing 1-based neighbor
-// ids (and edge weights, when any weight differs from 1).
-func WriteMETIS(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	hasEW := false
-	g.Edges(func(_, _, w int32) {
-		if w != 1 {
-			hasEW = true
-		}
-	})
-	hasVW := g.Weighted()
-	fmtCode := ""
-	switch {
-	case hasVW && hasEW:
-		fmtCode = " 11"
-	case hasVW:
-		fmtCode = " 10"
-	case hasEW:
-		fmtCode = " 1"
+// LoadFile loads the graph stored at path in either format. A file that
+// starts with the BCSR magic is memory-mapped by OpenCSRFile and then
+// Validated: the mapping checks each row but leaves adjacency symmetry,
+// which every algorithm assumes, to the file's writer. Anything else is
+// parsed as an edge list. The file name plays no part. Call release
+// when done with the graph; a mapped graph is invalid after it.
+func LoadFile(path string) (g *Graph, release func() error, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	if _, err := fmt.Fprintf(bw, "%d %d%s\n", g.N(), g.M(), fmtCode); err != nil {
-		return err
+	defer f.Close()
+	// Peek's error needs no check: a short or failed read leaves head
+	// short of the magic, and the edge-list parser meets the same end of
+	// file or error and reports it.
+	br := bufio.NewReader(f)
+	if head, _ := br.Peek(len(csrMagic)); string(head) != csrMagic {
+		g, err := ReadEdgeList(br)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		}
+		return g, func() error { return nil }, nil
 	}
-	for v := int32(0); int(v) < g.N(); v++ {
-		var sb strings.Builder
-		if hasVW {
-			fmt.Fprintf(&sb, "%d", g.VertexWeight(v))
-		}
-		for _, e := range g.Neighbors(v) {
-			if sb.Len() > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%d", e.To+1)
-			if hasEW {
-				fmt.Fprintf(&sb, " %d", e.W)
-			}
-		}
-		if _, err := fmt.Fprintln(bw, sb.String()); err != nil {
-			return err
-		}
+	cf, err := OpenCSRFile(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	return bw.Flush()
-}
-
-// ReadMETIS parses the METIS adjacency format (fmt codes 0, 1, 10, 11;
-// ncon>1 is not supported).
-func ReadMETIS(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	var b *Builder
-	hasVW, hasEW := false, false
-	n, v := 0, int32(0)
-	for sc.Scan() {
-		text := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(text, "%") {
-			continue
-		}
-		if text == "" && b == nil {
-			continue // blank lines before the header are ignorable
-		}
-		// A blank line after the header is a vertex with no neighbors.
-		fields := strings.Fields(text)
-		if b == nil {
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("graph: malformed METIS header %q", text)
-			}
-			var err error
-			n, err = strconv.Atoi(fields[0])
-			if err != nil {
-				return nil, fmt.Errorf("graph: bad METIS vertex count: %v", err)
-			}
-			m, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("graph: bad METIS edge count: %v", err)
-			}
-			if m < 0 {
-				return nil, fmt.Errorf("graph: negative METIS edge count %d", m)
-			}
-			if m > MaxEdges {
-				return nil, tooLarge("METIS edge count", uint64(m), MaxEdges)
-			}
-			if len(fields) >= 3 {
-				switch fields[2] {
-				case "0", "00", "000":
-				case "1", "01", "001":
-					hasEW = true
-				case "10", "010":
-					hasVW = true
-				case "11", "011":
-					hasVW, hasEW = true, true
-				default:
-					return nil, fmt.Errorf("graph: unsupported METIS fmt %q", fields[2])
-				}
-			}
-			if len(fields) >= 4 && fields[3] != "1" {
-				return nil, fmt.Errorf("graph: unsupported METIS ncon %q", fields[3])
-			}
-			b = NewBuilder(n)
-			continue
-		}
-		if int(v) >= n {
-			return nil, fmt.Errorf("graph: METIS file has more than %d vertex lines", n)
-		}
-		i := 0
-		if hasVW {
-			if len(fields) == 0 {
-				return nil, fmt.Errorf("graph: METIS vertex %d missing weight", v)
-			}
-			w, err := parseID(fields[0])
-			if err != nil {
-				return nil, fmt.Errorf("graph: METIS vertex %d bad weight: %v", v, err)
-			}
-			b.SetVertexWeight(v, w)
-			i = 1
-		}
-		for ; i < len(fields); i++ {
-			u, err := parseID(fields[i])
-			if err != nil || u < 1 || int(u) > n {
-				return nil, fmt.Errorf("graph: METIS vertex %d bad neighbor %q", v, fields[i])
-			}
-			w := int32(1)
-			if hasEW {
-				i++
-				if i >= len(fields) {
-					return nil, fmt.Errorf("graph: METIS vertex %d neighbor %d missing edge weight", v, u)
-				}
-				w, err = parseID(fields[i])
-				if err != nil {
-					return nil, fmt.Errorf("graph: METIS vertex %d bad edge weight %q", v, fields[i])
-				}
-			}
-			// Each edge appears twice; record it once.
-			if u-1 > v {
-				b.AddWeightedEdge(v, u-1, w)
-			}
-		}
-		v++
+	if err := cf.Graph().Validate(); err != nil {
+		cf.Close()
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if b == nil {
-		return nil, fmt.Errorf("graph: empty METIS input")
-	}
-	return b.Build()
-}
-
-// GraphJSON is the JSON wire representation of a Graph.
-type GraphJSON struct {
-	N             int        `json:"n"`
-	VertexWeights []int32    `json:"vertexWeights,omitempty"`
-	Edges         [][3]int32 `json:"edges"` // [u, v, w]
-}
-
-// ToJSON converts g to its JSON representation.
-func ToJSON(g *Graph) *GraphJSON {
-	j := &GraphJSON{N: g.N()}
-	if g.Weighted() {
-		j.VertexWeights = make([]int32, g.N())
-		for v := int32(0); int(v) < g.N(); v++ {
-			j.VertexWeights[v] = g.VertexWeight(v)
-		}
-	}
-	g.Edges(func(u, v, w int32) {
-		j.Edges = append(j.Edges, [3]int32{u, v, w})
-	})
-	return j
-}
-
-// FromJSON reconstructs a Graph from its JSON representation.
-func FromJSON(j *GraphJSON) (*Graph, error) {
-	b := NewBuilder(j.N)
-	for v, w := range j.VertexWeights {
-		b.SetVertexWeight(int32(v), w)
-	}
-	for _, e := range j.Edges {
-		b.AddWeightedEdge(e[0], e[1], e[2])
-	}
-	return b.Build()
-}
-
-// MarshalGraph encodes g as JSON bytes.
-func MarshalGraph(g *Graph) ([]byte, error) { return json.Marshal(ToJSON(g)) }
-
-// UnmarshalGraph decodes JSON bytes produced by MarshalGraph.
-func UnmarshalGraph(data []byte) (*Graph, error) {
-	var j GraphJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return nil, err
-	}
-	return FromJSON(&j)
+	return cf.Graph(), cf.Close, nil
 }

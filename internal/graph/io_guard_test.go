@@ -25,19 +25,3 @@ func TestReadEdgeListRejectsHostileInput(t *testing.T) {
 		}
 	}
 }
-
-func TestReadMETISRejectsHostileInput(t *testing.T) {
-	for _, in := range []string{
-		"2 -1\n",
-		"2 999999999999\n",
-		"134217729 0\n",     // MaxVertices+1
-		"3 1\n4294967298\n", // wraps to neighbor 2
-		"3 1\n9\n",          // neighbor past n
-		"2 1 1\n2\n",        // fmt declares edge weights, none present
-		"2 x\n",
-	} {
-		if g, err := ReadMETIS(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadMETIS accepted %q (n=%d m=%d)", in, g.N(), g.M())
-		}
-	}
-}

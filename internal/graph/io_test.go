@@ -104,139 +104,3 @@ func TestReadEdgeListErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestMETISRoundTrip(t *testing.T) {
-	r := rng.NewFib(2)
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + r.Intn(30)
-		g := randomGraph(r, n, r.Intn(3*n))
-		var buf bytes.Buffer
-		if err := WriteMETIS(&buf, g); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadMETIS(&buf)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !graphsEqual(g, got) {
-			t.Fatalf("trial %d: METIS round trip changed the graph", trial)
-		}
-	}
-}
-
-func TestMETISRoundTripUnweighted(t *testing.T) {
-	g := path(t, 6)
-	var buf bytes.Buffer
-	if err := WriteMETIS(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	// Header of an unweighted graph should have no fmt code.
-	first := strings.SplitN(buf.String(), "\n", 2)[0]
-	if fields := strings.Fields(first); len(fields) != 2 {
-		t.Fatalf("unexpected METIS header %q", first)
-	}
-	got, err := ReadMETIS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, got) {
-		t.Fatal("round trip changed the graph")
-	}
-}
-
-func TestMETISRoundTripVertexWeights(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddEdge(0, 1)
-	b.SetVertexWeight(1, 4)
-	g := b.MustBuild()
-	var buf bytes.Buffer
-	if err := WriteMETIS(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMETIS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, got) {
-		t.Fatal("vertex-weighted METIS round trip changed the graph")
-	}
-}
-
-func TestReadMETISComments(t *testing.T) {
-	in := "% comment\n3 2\n2\n1 3\n2\n"
-	g, err := ReadMETIS(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 3 || g.M() != 2 {
-		t.Fatalf("n=%d m=%d", g.N(), g.M())
-	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) {
-		t.Fatal("missing edges")
-	}
-}
-
-func TestReadMETISErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-	}{
-		{"empty", ""},
-		{"bad header", "x\n"},
-		{"bad fmt", "2 1 7\n2\n1\n"},
-		{"ncon", "2 1 11 2\n1 2\n1 1\n"},
-		{"too many lines", "1 0\n\n\n2\n"},
-		{"bad neighbor", "2 1\nx\n1\n"},
-	}
-	for _, tc := range cases {
-		if _, err := ReadMETIS(strings.NewReader(tc.in)); err == nil {
-			t.Errorf("%s: no error", tc.name)
-		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	r := rng.NewFib(3)
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + r.Intn(25)
-		g := randomGraph(r, n, r.Intn(2*n))
-		data, err := MarshalGraph(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := UnmarshalGraph(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !graphsEqual(g, got) {
-			t.Fatalf("trial %d: JSON round trip changed the graph", trial)
-		}
-	}
-}
-
-func TestJSONRoundTripWeights(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddWeightedEdge(0, 2, 9)
-	b.SetVertexWeight(2, 3)
-	g := b.MustBuild()
-	data, err := MarshalGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalGraph(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, got) {
-		t.Fatal("JSON round trip changed the weighted graph")
-	}
-}
-
-func TestUnmarshalGraphRejectsGarbage(t *testing.T) {
-	if _, err := UnmarshalGraph([]byte("not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := UnmarshalGraph([]byte(`{"n":1,"edges":[[0,5,1]]}`)); err == nil {
-		t.Fatal("out-of-range edge accepted")
-	}
-}

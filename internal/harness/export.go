@@ -1,68 +1,10 @@
 package harness
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
 )
-
-// WriteCSV emits the table as CSV: one record per row with cut and time
-// columns per algorithm, followed by the compaction improvement and
-// speed-up columns for each (x, cx) pair.
-func (tr *TableResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{"table", "row", "expected"}
-	for _, a := range tr.Algorithms {
-		header = append(header, "cut_"+a, "cutstd_"+a, "sec_"+a)
-	}
-	inners := tr.pairInners()
-	for _, in := range inners {
-		header = append(header, "impr_"+in+"_pct", "speedup_"+in+"_pct")
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, row := range tr.Rows {
-		rec := []string{tr.ID, row.Label, strconv.FormatInt(row.Expected, 10)}
-		for _, a := range tr.Algorithms {
-			c := row.Cells[a]
-			rec = append(rec,
-				strconv.FormatFloat(c.Cut, 'f', 3, 64),
-				strconv.FormatFloat(c.CutStd, 'f', 3, 64),
-				strconv.FormatFloat(c.Seconds, 'f', 6, 64))
-		}
-		for _, in := range inners {
-			rec = append(rec,
-				strconv.FormatFloat(row.CutImprovement[in], 'f', 2, 64),
-				strconv.FormatFloat(row.SpeedUp[in], 'f', 2, 64))
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// pairInners lists inner algorithm names that have a compacted twin in
-// the result, sorted for stable output.
-func (tr *TableResult) pairInners() []string {
-	has := map[string]bool{}
-	for _, a := range tr.Algorithms {
-		has[a] = true
-	}
-	var inners []string
-	for _, a := range tr.Algorithms {
-		if has["c"+a] {
-			inners = append(inners, a)
-		}
-	}
-	sort.Strings(inners)
-	return inners
-}
 
 // WriteJSON emits the full result as indented JSON.
 func (tr *TableResult) WriteJSON(w io.Writer) error {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/csv"
 	"strings"
 	"testing"
 )
@@ -15,33 +14,6 @@ func smallResult(t *testing.T) *TableResult {
 		t.Fatal(err)
 	}
 	return res
-}
-
-func TestWriteCSV(t *testing.T) {
-	res := smallResult(t)
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 1+len(res.Rows) {
-		t.Fatalf("%d records for %d rows", len(records), len(res.Rows))
-	}
-	header := strings.Join(records[0], ",")
-	for _, want := range []string{"cut_sa", "cutstd_sa", "sec_ckl", "impr_kl_pct", "speedup_sa_pct"} {
-		if !strings.Contains(header, want) {
-			t.Fatalf("header missing %s: %s", want, header)
-		}
-	}
-	// All records the same width.
-	for i, rec := range records {
-		if len(rec) != len(records[0]) {
-			t.Fatalf("record %d has %d fields, header has %d", i, len(rec), len(records[0]))
-		}
-	}
 }
 
 func TestJSONRoundTrip(t *testing.T) {

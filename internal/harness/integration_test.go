@@ -47,8 +47,8 @@ func TestFullSuiteAtTestScale(t *testing.T) {
 		if err := res.Render(&buf); err != nil {
 			t.Fatalf("%s: render: %v", table.ID, err)
 		}
-		if err := res.WriteCSV(&buf); err != nil {
-			t.Fatalf("%s: csv: %v", table.ID, err)
+		if err := res.WriteJSON(&buf); err != nil {
+			t.Fatalf("%s: json: %v", table.ID, err)
 		}
 	}
 }

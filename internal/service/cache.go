@@ -17,9 +17,9 @@ const hashPrefix = "sha256:"
 
 // canonicalGraph serializes g to the canonical native edge-list form and
 // returns (bytes, hex hash). Canonicalizing before hashing makes the
-// hash format-independent: the same graph uploaded as edge-list, METIS,
-// or JSON resolves to the same cache entry (docs/SERVICE.md "Graph
-// cache and content hashes").
+// hash independent of how the upload was written: comments, edge order,
+// endpoint order and explicit unit weights all resolve to the same
+// cache entry (docs/SERVICE.md "Graph cache and content hashes").
 func canonicalGraph(g *graph.Graph) ([]byte, string, error) {
 	var buf bytes.Buffer
 	if err := graph.WriteEdgeList(&buf, g); err != nil {

@@ -12,12 +12,12 @@ import (
 	"time"
 )
 
-// TestLoadSmoke is the in-tree slice of the bisectload scenario: 200
-// concurrent clients against one daemon, every job completing with a
-// consistent result. Queue-full 429s are expected backpressure and are
-// retried; anything else — a lost job, a failed job, or two jobs with
-// the same seed disagreeing on the cut — fails the test. The full
-// percentile-measuring driver is cmd/bisectd/bisectload (BENCH_5.json).
+// TestLoadSmoke: 200 concurrent clients against one daemon, every job
+// completing with a consistent result. Queue-full 429s are expected
+// backpressure and are retried; anything else — a lost job, a failed
+// job, or two jobs with the same seed disagreeing on the cut — fails the
+// test. The daemon's latency and throughput are measured by the svc
+// workload of cmd/benchmark.
 func TestLoadSmoke(t *testing.T) {
 	const (
 		clients     = 200

@@ -662,19 +662,14 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, info)
 }
 
-// parseGraphBody dispatches on the upload format (docs/SERVICE.md): the
-// three hardened readers of internal/graph.
+// parseGraphBody parses an upload (docs/SERVICE.md): the one upload
+// format is the native edge list, so format may only be absent or
+// "edgelist".
 func parseGraphBody(format string, data []byte) (*graph.Graph, error) {
-	switch format {
-	case "", "edgelist":
-		return graph.ReadEdgeList(bytes.NewReader(data))
-	case "metis":
-		return graph.ReadMETIS(bytes.NewReader(data))
-	case "json":
-		return graph.UnmarshalGraph(data)
-	default:
-		return nil, fmt.Errorf("unknown format %q (want edgelist, metis, or json)", format)
+	if format != "" && format != "edgelist" {
+		return nil, fmt.Errorf("unknown format %q (want edgelist)", format)
 	}
+	return graph.ReadEdgeList(bytes.NewReader(data))
 }
 
 func (s *Server) handleGraphInfo(w http.ResponseWriter, r *http.Request) {

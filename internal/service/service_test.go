@@ -190,9 +190,12 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
-// TestGraphUploadFormats: the three documented formats canonicalize to
-// one content hash — the same graph uploaded as an edge list and as JSON
-// is one cache entry, and the second upload reports 200/cached.
+// TestGraphUploadFormats: the content hash does not depend on how the
+// edge list is written — the same graph re-uploaded with a comment line,
+// its edges reversed, each edge's endpoints swapped and explicit unit
+// weights is one cache entry, and the second upload reports 200/cached.
+// The edge list is the one upload format: format=metis and format=json
+// are refused as bad requests.
 func TestGraphUploadFormats(t *testing.T) {
 	g := testGraph(t, 60, 4, 3)
 	_, ts := newTestServer(t, Config{})
@@ -215,32 +218,33 @@ func TestGraphUploadFormats(t *testing.T) {
 		t.Fatalf("upload reported %d/%d, want %d/%d", first.Vertices, first.Edges, g.N(), g.M())
 	}
 
-	jsonBody, err := graph.MarshalGraph(g)
-	if err != nil {
-		t.Fatal(err)
+	var edges []string
+	g.Edges(func(u, v, w int32) {
+		edges = append(edges, fmt.Sprintf("e %d %d %d\n", v, u, w))
+	})
+	var other strings.Builder
+	fmt.Fprintf(&other, "# the same graph, written differently\ngraph %d %d\n", g.N(), g.M())
+	for i := len(edges) - 1; i >= 0; i-- {
+		other.WriteString(edges[i])
 	}
 	var second struct {
 		Graph  string `json:"graph"`
 		Cached bool   `json:"cached"`
 	}
-	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/graphs?format=json", jsonBody, &second)
+	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/graphs?format=edgelist", []byte(other.String()), &second)
 	if resp.StatusCode != http.StatusOK || !second.Cached {
-		t.Fatalf("re-upload as json: HTTP %d cached=%v, want 200 cached=true", resp.StatusCode, second.Cached)
+		t.Fatalf("re-upload as a different edge list: HTTP %d cached=%v, want 200 cached=true", resp.StatusCode, second.Cached)
 	}
 	if second.Graph != first.Graph {
-		t.Fatalf("format-independent hashing broken: %s vs %s", first.Graph, second.Graph)
+		t.Fatalf("hash depends on how the edge list is written: %s vs %s", first.Graph, second.Graph)
 	}
 
-	var metis bytes.Buffer
-	if err := graph.WriteMETIS(&metis, g); err != nil {
-		t.Fatal(err)
-	}
-	var third struct {
-		Graph string `json:"graph"`
-	}
-	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/graphs?format=metis", metis.Bytes(), &third)
-	if resp.StatusCode != http.StatusOK || third.Graph != first.Graph {
-		t.Fatalf("metis re-upload: HTTP %d ref %s, want 200 %s", resp.StatusCode, third.Graph, first.Graph)
+	for _, format := range []string{"metis", "json"} {
+		var env errEnvelope
+		resp = doJSON(t, http.MethodPost, ts.URL+"/v1/graphs?format="+format, buf.Bytes(), &env)
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != codeBadRequest {
+			t.Fatalf("format=%s: HTTP %d code %q, want 400 %s", format, resp.StatusCode, env.Error.Code, codeBadRequest)
+		}
 	}
 
 	var info struct {

@@ -24,16 +24,15 @@
 //     run is called from one goroutine at a time, so observers do not
 //     need internal locking.
 //
-// Concrete observers: Recorder (ring-buffered in-memory), JSONL
-// (streaming one JSON object per line), and CSVCurve (a flat table for
-// plotting convergence curves). Multi fans out to several observers;
+// Concrete observers: Recorder (ring-buffered in-memory) and JSONL
+// (streaming one JSON object per line, the one trace file format).
 // WithStart and WithLabel stamp events with a start index or a row label
 // as they pass through.
 //
 // The full field-by-field schema is documented in docs/OBSERVABILITY.md.
 package trace
 
-// Type discriminates trace events. The values are the JSON/CSV wire
+// Type discriminates trace events. The values are the JSON wire
 // names; they are stable and may be relied on by external tooling.
 type Type string
 
@@ -124,7 +123,7 @@ type Event struct {
 	// ElapsedNS is the wall-clock nanoseconds of the pass, temperature,
 	// level, or run; AllocBytes the heap bytes allocated (populated only
 	// by cmd/bisect's final run_done). Both are non-deterministic across
-	// runs and are zeroed by JSONL/CSVCurve unless Timing is set.
+	// runs and are zeroed by JSONL unless Timing is set.
 	ElapsedNS  int64  `json:"elapsed_ns,omitempty"`
 	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
 }

@@ -110,26 +110,3 @@ func TestJSONLDeterministicAndTimingGated(t *testing.T) {
 		t.Fatalf("unexpected error: %v", j1.Err())
 	}
 }
-
-func TestCSVCurve(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewCSVCurve(&buf)
-	c.Observe(Event{Type: TypePassDone, Algo: "kl", Index: 0, Cut: 90, BestCut: 90, Gain: 10, Moves: 5, ElapsedNS: 999})
-	c.Observe(Event{Type: TypeTempDone, Algo: "sa", Index: 1, Cut: 80, BestCut: 78, Trials: 100, Accepted: 40, AcceptRatio: 0.4, Temp: 2.25})
-	if err := c.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want header + 2 rows:\n%s", len(lines), buf.String())
-	}
-	if !strings.HasPrefix(lines[0], "type,algo,start,index") {
-		t.Fatalf("bad header: %s", lines[0])
-	}
-	if !strings.Contains(lines[1], "pass_done,kl") || strings.Contains(lines[1], "999") {
-		t.Fatalf("row 1 wrong or timing leaked: %s", lines[1])
-	}
-	if !strings.Contains(lines[2], "0.4") || !strings.Contains(lines[2], "2.25") {
-		t.Fatalf("row 2 missing float columns: %s", lines[2])
-	}
-}

@@ -2,8 +2,9 @@
 # Tier-2 verification gate. Tier 1 is `go build ./... && go test ./...`;
 # this script adds vet, gofmt, the race detector over the whole module,
 # the fault, chaos and fuzz gates, a run of every example, end-to-end
-# CLI smokes and the zero-alloc contracts. Performance is measured by cmd/benchmark (see
-# its README), not here.
+# CLI smokes (with cmd/cutstat recomputing bisect's cut from the returned
+# sides) and the zero-alloc contracts. Performance is measured by
+# cmd/benchmark (see its README), not here.
 #
 # Usage: scripts/check.sh
 set -eu
@@ -87,12 +88,13 @@ go test -count=1 -run 'TestCorrupt|TestDegraded|TestReadyz|TestRecordWritesOrder
 echo "==> go test -run 'TestChaos' ./internal/service/ -chaos-seed ${CHAOS_SEED:-1} (chaos gate)"
 go test -count=1 -run 'TestChaos' ./internal/service/ -chaos-seed "${CHAOS_SEED:-1}"
 
-# Parser robustness: a short fuzz smoke per reader. Malformed input must
-# error — never panic, never wrap ids into range, never OOM (go test
-# runs the seed corpora; the smoke explores a little beyond them).
-# FuzzReadBCSR covers the binary header boundaries of the size caps:
-# hostile n/m counts and edge counts past the int32-offset limit.
-for target in FuzzReadEdgeList FuzzReadMETIS FuzzUnmarshalGraph FuzzCompactCSREquivalence FuzzReadBCSR; do
+# Parser robustness: a short fuzz smoke per reader of the two graph
+# formats, the edge list and BCSR. Malformed input must error — never
+# panic, never wrap ids into range, never OOM (go test runs the seed
+# corpora; the smoke explores a little beyond them). FuzzReadBCSR covers
+# the binary header boundaries of the size caps: hostile n/m counts and
+# edge counts past the int32-offset limit.
+for target in FuzzReadEdgeList FuzzCompactCSREquivalence FuzzReadBCSR; do
   echo "==> go test -fuzz=$target -fuzztime=10s ./internal/graph/"
   go test -run "^$target\$" -fuzz="^$target\$" -fuzztime=10s ./internal/graph/
 done
@@ -111,7 +113,9 @@ go test -run '^FuzzContractEquivalence$' -fuzz='^FuzzContractEquivalence$' -fuzz
 # through the CLI. This is also CI's end-to-end run of truncated KL
 # passes: mlkl bounds every pass on its levels above
 # 2·kl.MultilevelLookahead = 2,048 vertices, so the cmp holds the bounded
-# passes to the same contract.
+# passes to the same contract. Last, cmd/cutstat recomputes the cut from
+# the returned sides over the same BCSR file, without the gain
+# machinery, and must print bisect's cut.
 echo "==> gengraph -format csr + bisect under -race (mmap smoke)"
 smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir"' EXIT
@@ -120,9 +124,17 @@ go run -race ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl -starts 1 -validat
   -out "$smokedir/sides.race"
 echo "==> bisect -race vs plain build: sides must be identical"
 go run ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl -starts 1 -validate \
-  -out "$smokedir/sides.plain"
+  -out "$smokedir/sides.plain" >"$smokedir/bisect.plain.txt"
+cat "$smokedir/bisect.plain.txt"
 cmp "$smokedir/sides.plain" "$smokedir/sides.race" \
   || { echo "FAIL: the -race build changed the bisection (sides.plain != sides.race)"; exit 1; }
+echo "==> cutstat -graph smoke.csr -sides sides.plain: the cut must be bisect's"
+go run ./cmd/cutstat -graph "$smokedir/smoke.csr" -sides "$smokedir/sides.plain" >"$smokedir/cutstat.txt"
+cat "$smokedir/cutstat.txt"
+bisect_cut=$(grep '^cut:' "$smokedir/bisect.plain.txt" || true)
+cutstat_cut=$(grep '^cut:' "$smokedir/cutstat.txt" || true)
+[ -n "$bisect_cut" ] && [ "$bisect_cut" = "$cutstat_cut" ] \
+  || { echo "FAIL: cutstat recomputed '$cutstat_cut' from bisect's sides, bisect printed '$bisect_cut'"; exit 1; }
 
 # The same end-to-end smoke for the spectral-initialized multilevel
 # algorithm: with the coarsest-level Lanczos Fiedler solve seeding the
@@ -150,4 +162,4 @@ go test -count=1 -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./
 echo "==> (cd cmd/benchmark && go test .) (tiny-scale certified run of every workload)"
 (cd cmd/benchmark && go test -count=1 .)
 
-echo "OK: vet, build, examples, race tests, paper reproduction, daemon load smoke, fault/chaos gates, fuzz smoke, alloc contracts and the benchmark's tiny run all passed"
+echo "OK: vet, build, examples, race tests, paper reproduction, daemon load smoke, fault/chaos gates, fuzz smoke, CLI smokes with cutstat's recomputed cut, alloc contracts and the benchmark's tiny run all passed"
