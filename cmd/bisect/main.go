@@ -4,18 +4,19 @@
 // Usage:
 //
 //	bisect -in graph.el [-alg ckl] [-starts 2] [-seed 1989] [-out sides.txt]
-//	       [-validate] [-timeout 30s] [-budget N]
-//	       [-trace events.jsonl] [-trace-timing]
+//	       [-timeout 30s] [-budget N] [-trace events.jsonl] [-trace-timing]
 //
 // The input is an edge list or a binary CSR (BCSR) image, told apart by
 // the file's first bytes, not its name. BCSR files (written by gengraph
 // -format csr) are memory-mapped rather than parsed, so million-vertex
 // graphs load in milliseconds. The starts run one after another on one
-// goroutine.
+// goroutine. Every result is re-verified from scratch (cut, side
+// weights, gains) before it is reported.
 //
 // The output file (if requested) has one line per vertex: "<id> <side>".
 // -trace streams per-pass/per-temperature/per-level events as JSON Lines
-// ("-" = stdout); see docs/OBSERVABILITY.md for the schema. Without
+// ("-" = stdout, and the report lines then go to stderr, so stdout is
+// pure JSON Lines); see docs/OBSERVABILITY.md for the schema. Without
 // -trace-timing the stream is byte-identical across runs of one seed.
 //
 // A run interrupted by -timeout, -budget, SIGINT, or SIGTERM still
@@ -61,10 +62,9 @@ func run() (interrupted bool, err error) {
 	starts := flag.Int("starts", 2, "number of random starts (best kept)")
 	seed := flag.Uint64("seed", 1989, "random seed")
 	out := flag.String("out", "", "write per-vertex side assignment to this file")
-	validate := flag.Bool("validate", false, "re-verify the result from scratch before reporting")
 	timeout := flag.Duration("timeout", 0, "stop at the next checkpoint after this long, keeping the best-so-far result (0 = none)")
 	budget := flag.Int64("budget", 0, "stop after this many checkpoint polls, keeping the best-so-far result (0 = unlimited)")
-	tracePath := flag.String("trace", "", "stream trace events as JSON Lines to this file (\"-\" = stdout); see docs/OBSERVABILITY.md")
+	tracePath := flag.String("trace", "", "stream trace events as JSON Lines to this file (\"-\" = stdout, report to stderr); see docs/OBSERVABILITY.md")
 	traceTiming := flag.Bool("trace-timing", false, "include wall-clock/allocation counters in the trace (non-deterministic)")
 	flag.Parse()
 
@@ -76,6 +76,12 @@ func run() (interrupted bool, err error) {
 		flag.Usage()
 		return false, fmt.Errorf("-starts must be at least 1, got %d", *starts)
 	}
+	// With -trace -, stdout carries the JSON Lines alone and the report
+	// goes to stderr.
+	var report io.Writer = os.Stdout
+	if *tracePath == "-" {
+		report = os.Stderr
+	}
 	// A BCSR graph's edge arrays live in the file's mapping, which must
 	// stay open for the whole run.
 	g, release, err := bisect.LoadGraphFile(*in)
@@ -83,7 +89,7 @@ func run() (interrupted bool, err error) {
 		return false, err
 	}
 	defer release()
-	fmt.Printf("graph: %d vertices, %d edges, avg degree %.2f\n", g.N(), g.M(), g.AvgDegree())
+	fmt.Fprintf(report, "graph: %d vertices, %d edges, avg degree %.2f\n", g.N(), g.M(), g.AvgDegree())
 
 	a, err := bisect.NewBisector(*alg)
 	if err != nil {
@@ -167,23 +173,21 @@ func run() (interrupted bool, err error) {
 		}
 	}
 
-	if *validate {
-		if err := best.Validate(); err != nil {
-			return false, fmt.Errorf("validation failed: %v", err)
-		}
+	if err := best.Validate(); err != nil {
+		return false, fmt.Errorf("validation failed: %v", err)
 	}
 	n0, n1 := best.CountSides()
 	switch {
 	case !interrupted:
-		fmt.Printf("algorithm: %s (best of %d starts)\n", *alg, *starts)
+		fmt.Fprintf(report, "algorithm: %s (best of %d starts)\n", *alg, *starts)
 	case counter != nil:
-		fmt.Printf("algorithm: %s (stopped early; %d of %d starts run)\n", *alg, counter.ran, *starts)
+		fmt.Fprintf(report, "algorithm: %s (stopped early; %d of %d starts run)\n", *alg, counter.ran, *starts)
 	default:
-		fmt.Printf("algorithm: %s (stopped early; fewer than %d starts finished)\n", *alg, *starts)
+		fmt.Fprintf(report, "algorithm: %s (stopped early; fewer than %d starts finished)\n", *alg, *starts)
 	}
-	fmt.Printf("cut: %d\n", best.Cut())
-	fmt.Printf("sides: %d / %d (weights %d / %d)\n", n0, n1, best.SideWeight(0), best.SideWeight(1))
-	fmt.Printf("time: %s\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(report, "cut: %d\n", best.Cut())
+	fmt.Fprintf(report, "sides: %d / %d (weights %d / %d)\n", n0, n1, best.SideWeight(0), best.SideWeight(1))
+	fmt.Fprintf(report, "time: %s\n", elapsed.Round(time.Millisecond))
 
 	if *out != "" {
 		of, err := fsx.NewAtomicFile(*out, 0o644)
@@ -199,7 +203,7 @@ func run() (interrupted bool, err error) {
 		if err := of.Commit(); err != nil {
 			return false, err
 		}
-		fmt.Printf("assignment written to %s\n", *out)
+		fmt.Fprintf(report, "assignment written to %s\n", *out)
 	}
 	return interrupted, nil
 }

@@ -132,6 +132,64 @@ func TestStoppedRunReportsStartsRun(t *testing.T) {
 	}
 }
 
+// TestTraceToStdoutIsJSONLines: with -trace -, stdout carries the trace
+// alone, one JSON value per line ending in the CLI's run_done, and the
+// report lines go to stderr.
+func TestTraceToStdoutIsJSONLines(t *testing.T) {
+	savedArgs, savedStdout, savedStderr := os.Args, os.Stdout, os.Stderr
+	t.Cleanup(func() { os.Args, os.Stdout, os.Stderr = savedArgs, savedStdout, savedStderr })
+	dir := t.TempDir()
+	stdout, err := os.Create(filepath.Join(dir, "stdout.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	stderr, err := os.Create(filepath.Join(dir, "stderr.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	os.Stdout, os.Stderr = stdout, stderr
+	flag.CommandLine = flag.NewFlagSet("bisect", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	os.Args = []string{"bisect", "-in", "../../testdata/breg200.el", "-alg", "kl", "-starts", "2",
+		"-trace", "-", "-out", filepath.Join(dir, "sides.txt")}
+	_, err = run()
+	os.Stdout, os.Stderr = savedStdout, savedStderr
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+	for _, line := range lines {
+		if !json.Valid([]byte(line)) {
+			t.Fatalf("stdout line is not JSON: %q", line)
+		}
+	}
+	var last struct {
+		Type string `json:"type"`
+		Algo string `json:"algo"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatal(err)
+	}
+	if last.Type != "run_done" || last.Algo != "bisect" {
+		t.Errorf("last stdout line is %+v, want the CLI's run_done (algo bisect)", last)
+	}
+
+	report, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(report), "\ncut: ") {
+		t.Errorf("stderr holds no cut line:\n%s", report)
+	}
+}
+
 // The file's first bytes, not its name, choose the parser: a BCSR image
 // named g.el and an edge list named g.csr each load and give the cut of
 // a correctly named copy.

@@ -37,15 +37,15 @@ func GNP(n int, p float64, r *rng.Rand) (*graph.Graph, error) {
 	if p < 0 || p > 1 {
 		return nil, fmt.Errorf("gen: GNP with p=%v outside [0,1]", p)
 	}
-	b := newEdgeList(n)
+	b := graph.NewBuilder(n)
 	if p > 0 {
 		total := int64(n) * int64(n-1) / 2
 		forEachSkippedIndex(total, p, r, func(k int64) {
 			u, v := pairFromIndex(k)
-			b.add(int32(u), int32(v))
+			b.AddEdge(int32(u), int32(v))
 		})
 	}
-	return b.build()
+	return b.Build()
 }
 
 // pairFromIndex maps a linear index k in [0, C(n,2)) to the k-th pair
@@ -106,18 +106,18 @@ func TwoSet(twoN int, pA, pB float64, bis int, r *rng.Rand) (*graph.Graph, error
 	if bis < 0 || int64(bis) > int64(n)*int64(n) {
 		return nil, fmt.Errorf("gen: TwoSet with bis=%d outside [0, n²=%d]", bis, int64(n)*int64(n))
 	}
-	b := newEdgeList(twoN)
+	b := graph.NewBuilder(twoN)
 	half := int64(n) * int64(n-1) / 2
 	if pA > 0 {
 		forEachSkippedIndex(half, pA, r, func(k int64) {
 			u, v := pairFromIndex(k)
-			b.add(int32(u), int32(v))
+			b.AddEdge(int32(u), int32(v))
 		})
 	}
 	if pB > 0 {
 		forEachSkippedIndex(half, pB, r, func(k int64) {
 			u, v := pairFromIndex(k)
-			b.add(int32(u)+int32(n), int32(v)+int32(n))
+			b.AddEdge(int32(u)+int32(n), int32(v)+int32(n))
 		})
 	}
 	// Exactly bis distinct cross pairs, sampled uniformly without
@@ -132,9 +132,9 @@ func TwoSet(twoN int, pA, pB float64, bis int, r *rng.Rand) (*graph.Graph, error
 			continue
 		}
 		used[key] = struct{}{}
-		b.add(int32(a), int32(c)+int32(n))
+		b.AddEdge(int32(a), int32(c)+int32(n))
 	}
-	return b.build()
+	return b.Build()
 }
 
 // TwoSetForAvgDegree returns the internal edge probability that makes a
@@ -185,7 +185,7 @@ func BReg(twoN, b, d int, r *rng.Rand) (*graph.Graph, error) {
 	if b > 0 && d == 0 {
 		return nil, fmt.Errorf("gen: BReg with b=%d but d=0", b)
 	}
-	gb := newEdgeList(twoN)
+	gb := graph.NewBuilder(twoN)
 
 	// For each half: choose b deficient vertices, give them internal
 	// degree d-1, everyone else d; realize with the configuration model.
@@ -200,15 +200,15 @@ func BReg(twoN, b, d int, r *rng.Rand) (*graph.Graph, error) {
 	// Random perfect matching between the deficient sets.
 	r.ShuffleInt32(deficientB)
 	for i := range deficientA {
-		gb.add(deficientA[i], deficientB[i])
+		gb.AddEdge(deficientA[i], deficientB[i])
 	}
-	return gb.build()
+	return gb.Build()
 }
 
 // halfBReg adds a near-regular graph on vertices [off, off+n) to gb: b
 // random vertices get internal degree d-1, the others d. It returns the
 // deficient vertices.
-func halfBReg(gb *edgeList, off int32, n, b, d int, r *rng.Rand) ([]int32, error) {
+func halfBReg(gb *graph.Builder, off int32, n, b, d int, r *rng.Rand) ([]int32, error) {
 	deg := make([]int, n)
 	for i := range deg {
 		deg[i] = d
@@ -224,7 +224,7 @@ func halfBReg(gb *edgeList, off int32, n, b, d int, r *rng.Rand) ([]int32, error
 		return nil, err
 	}
 	for _, e := range edges {
-		gb.add(off+e[0], off+e[1])
+		gb.AddEdge(off+e[0], off+e[1])
 	}
 	return deficient, nil
 }
@@ -313,9 +313,9 @@ func RandomRegular(n, d int, r *rng.Rand) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := newEdgeList(n)
+	b := graph.NewBuilder(n)
 	for _, e := range edges {
-		b.add(e[0], e[1])
+		b.AddEdge(e[0], e[1])
 	}
-	return b.build()
+	return b.Build()
 }

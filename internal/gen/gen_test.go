@@ -14,6 +14,17 @@ func connected(g *graph.Graph) bool {
 	return count <= 1
 }
 
+// unitWeights fails t unless g has the unit weights every generator
+// promises: each edge emitted once (the Builder would merge a repeated
+// one into a weight-2 edge) and every vertex of weight 1.
+func unitWeights(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	if g.TotalEdgeWeight() != int64(g.M()) || g.MaxVertexWeight() != 1 {
+		t.Fatalf("%v: total edge weight %d, max vertex weight %d; want %d and 1",
+			g, g.TotalEdgeWeight(), g.MaxVertexWeight(), g.M())
+	}
+}
+
 // degreeCounts maps each degree to the number of vertices that have it.
 func degreeCounts(g *graph.Graph) map[int]int {
 	h := make(map[int]int)
@@ -51,6 +62,7 @@ func TestGNPExtremes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g0)
 	if g0.M() != 0 {
 		t.Fatalf("GNP(50,0) has %d edges", g0.M())
 	}
@@ -58,6 +70,7 @@ func TestGNPExtremes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g1)
 	if g1.M() != 190 {
 		t.Fatalf("GNP(20,1) has %d edges, want 190", g1.M())
 	}
@@ -74,6 +87,7 @@ func TestGNPEdgeCountNearExpectation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +101,7 @@ func TestGNPEdgeCountNearExpectation(t *testing.T) {
 func TestGNPDeterministic(t *testing.T) {
 	a, _ := GNP(100, 0.05, rng.NewFib(3))
 	b, _ := GNP(100, 0.05, rng.NewFib(3))
+	unitWeights(t, a)
 	if a.M() != b.M() {
 		t.Fatalf("same seed produced %d vs %d edges", a.M(), b.M())
 	}
@@ -134,6 +149,7 @@ func TestTwoSetPlantedCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		unitWeights(t, g)
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -179,6 +195,7 @@ func TestTwoSetForAvgDegree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		unitWeights(t, g)
 		sum += g.AvgDegree()
 	}
 	if got := sum / samples; math.Abs(got-want) > 0.15 {
@@ -212,6 +229,7 @@ func TestBRegIsRegularWithPlantedCut(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BReg(%d,%d,%d): %v", tc.twoN, tc.b, tc.d, err)
 		}
+		unitWeights(t, g)
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -233,6 +251,7 @@ func TestBRegDegreeTwoIsCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g)
 	if !g.IsRegular(2) {
 		t.Fatal("degree-2 BReg is not 2-regular")
 	}
@@ -266,10 +285,12 @@ func TestBRegDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, a)
 	b, err := BReg(200, 4, 3, rng.NewFib(9))
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, b)
 	same := true
 	a.Edges(func(u, v, w int32) {
 		if !b.HasEdge(u, v) {
@@ -291,6 +312,7 @@ func TestRandomRegular(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RandomRegular(%d,%d): %v", tc.n, tc.d, err)
 		}
+		unitWeights(t, g)
 		if !g.IsRegular(tc.d) {
 			t.Fatalf("RandomRegular(%d,%d) not regular", tc.n, tc.d)
 		}
@@ -328,6 +350,7 @@ func TestPathAndCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, p)
 	if p.N() != 5 || p.M() != 4 || !connected(p) {
 		t.Fatalf("Path(5): n=%d m=%d", p.N(), p.M())
 	}
@@ -335,6 +358,7 @@ func TestPathAndCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, c)
 	if c.N() != 6 || c.M() != 6 || !c.IsRegular(2) {
 		t.Fatalf("Cycle(6): n=%d m=%d", c.N(), c.M())
 	}
@@ -351,6 +375,7 @@ func TestCycleCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g)
 	if g.N() != 12 || g.M() != 12 {
 		t.Fatalf("n=%d m=%d", g.N(), g.M())
 	}
@@ -372,6 +397,7 @@ func TestLadderShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g)
 	if g.N() != 20 || g.M() != 10+2*9 {
 		t.Fatalf("Ladder(10): n=%d m=%d", g.N(), g.M())
 	}
@@ -393,6 +419,7 @@ func TestLadder3N(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g)
 	if g.N() != 30 {
 		t.Fatalf("Ladder3N(10): n=%d", g.N())
 	}
@@ -419,6 +446,7 @@ func TestGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g)
 	if g.N() != 24 {
 		t.Fatalf("n=%d", g.N())
 	}
@@ -439,6 +467,7 @@ func TestCompleteBinaryTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g)
 	if g.N() != 15 || g.M() != 14 || !connected(g) {
 		t.Fatalf("tree: n=%d m=%d", g.N(), g.M())
 	}
@@ -460,6 +489,7 @@ func TestHypercube(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g)
 	if g.N() != 16 || !g.IsRegular(4) || g.M() != 32 {
 		t.Fatalf("Q4: n=%d m=%d", g.N(), g.M())
 	}
@@ -476,6 +506,7 @@ func TestCompleteBipartite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g)
 	if g.N() != 7 || g.M() != 12 {
 		t.Fatalf("K34: n=%d m=%d", g.N(), g.M())
 	}
@@ -496,6 +527,7 @@ func TestCaterpillar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g)
 	if g.N() != 20 || g.M() != 19 || !connected(g) {
 		t.Fatalf("caterpillar: n=%d m=%d", g.N(), g.M())
 	}
@@ -509,6 +541,7 @@ func TestComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unitWeights(t, g)
 	if g.N() != 6 || g.M() != 15 || !g.IsRegular(5) {
 		t.Fatalf("K6: n=%d m=%d", g.N(), g.M())
 	}

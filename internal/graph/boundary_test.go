@@ -15,8 +15,8 @@ import (
 // TestBuilderAtVertexCap exercises Builder exactly at MaxVertices and
 // one past it: the cap must reject before any O(n) allocation, and a
 // graph at exactly the cap must build and serve its accessors. The
-// at-cap build allocates a few GB transiently — that is the point: the
-// 2²⁷ ceiling is a supported configuration, not a theoretical one.
+// at-cap build allocates about 1.5 GB transiently — that is the point:
+// the 2²⁷ ceiling is a supported configuration, not a theoretical one.
 func TestBuilderAtVertexCap(t *testing.T) {
 	if _, err := NewBuilder(MaxVertices + 1).Build(); err == nil {
 		t.Fatal("Builder accepted MaxVertices+1 vertices")
@@ -25,7 +25,7 @@ func TestBuilderAtVertexCap(t *testing.T) {
 	}
 
 	if testing.Short() {
-		t.Skip("at-cap build allocates several GB")
+		t.Skip("at-cap build allocates about 1.5 GB")
 	}
 	b := NewBuilder(MaxVertices)
 	b.AddEdge(0, MaxVertices-1)

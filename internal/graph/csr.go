@@ -2,32 +2,22 @@ package graph
 
 import "fmt"
 
-// This file provides direct CSR construction, bypassing the Builder's
-// sort-and-merge machinery for callers that already know their edge
-// multiset is clean:
-//
-//   - FromCSR is the public validated entry point: generators that can
-//     lay out half-edges with a degree-count prepass (internal/gen) hand
-//     the arrays over and pay one validation sweep instead of the
-//     Builder's triple-slice accumulation, index sort, merge pass, and
-//     per-row sort.Slice closures.
-//   - ResetCSR is the trusted in-place entry point: the contraction
-//     kernel in internal/coarsen writes its rows already sorted and
-//     rebuilds the same Graph value level after level from
-//     workspace-owned buffers, so steady-state compaction performs no
-//     graph allocations at all.
-//
-// Both produce Graphs indistinguishable from Builder output: the same
-// CSR layout (rows strictly sorted by head vertex) and the same cached
-// aggregates, which the equivalence tests in csr_test.go pin down.
+// This file holds the one place a Graph's CSR arrays are adopted and
+// checked: ResetCSR. Builder.Build scatters, sorts and merges its
+// records into rows and ends in ResetCSR; the contraction kernel in
+// internal/coarsen writes its rows already sorted and calls ResetCSR on
+// the same Graph value level after level from workspace-owned buffers;
+// Validate runs ResetCSR over a graph's own arrays into a scratch Graph
+// and adds the symmetry check. The BCSR loader alone keeps its own sweep
+// (parseCSRInto), because it holds read-only mapped sections to their
+// stored aggregates without allocating.
 
-// SortEdges sorts a half-edge list in place by head vertex without
+// sortEdges sorts a half-edge list in place by head vertex without
 // allocating: insertion sort for the short rows that dominate the
 // paper's sparse instances, heapsort above that so adversarial degrees
-// stay O(d log d). FromCSR uses it to establish the by-To row order
-// EdgeWeight's binary search relies on; ResetCSR's one caller, the
-// contraction kernel, writes its rows in that order and sorts nothing.
-func SortEdges(a []Edge) {
+// stay O(d log d). Build uses it to establish the by-To row order
+// EdgeWeight's binary search relies on.
+func sortEdges(a []Edge) {
 	if len(a) <= 32 {
 		for i := 1; i < len(a); i++ {
 			e := a[i]
@@ -67,52 +57,6 @@ func siftDownEdges(a []Edge, root, end int) {
 	}
 }
 
-// FromCSR constructs a Graph directly from CSR arrays: off has N()+1
-// entries with v's half-edges in edges[off[v]:off[v+1]], and vw holds
-// per-vertex weights (nil for unit weights). Rows need not be sorted —
-// FromCSR sorts them in place — but the edge multiset must already
-// describe a simple symmetric weighted graph: every {u,v} present as
-// exactly one half-edge in each endpoint's row with equal positive
-// weight, no self-loops, no duplicates. All of that is validated; the
-// one thing FromCSR never does is merge, which is why it can skip the
-// Builder's sort-and-merge entirely.
-//
-// The slices are adopted, not copied: the caller must not retain them.
-func FromCSR(off []int32, edges []Edge, vw []int32) (*Graph, error) {
-	if len(off) == 0 {
-		return nil, fmt.Errorf("graph: FromCSR needs at least one offset entry")
-	}
-	n := len(off) - 1
-	if n > MaxVertices {
-		return nil, tooLarge("vertex count", uint64(n), MaxVertices)
-	}
-	if len(edges) > 2*MaxEdges {
-		return nil, tooLarge("half-edge count", uint64(len(edges)), 2*MaxEdges)
-	}
-	if off[0] != 0 {
-		return nil, fmt.Errorf("graph: FromCSR offsets start at %d, not 0", off[0])
-	}
-	for v := 0; v < n; v++ {
-		if off[v+1] < off[v] {
-			return nil, fmt.Errorf("graph: FromCSR offsets decrease at vertex %d", v)
-		}
-	}
-	if int(off[n]) != len(edges) {
-		return nil, fmt.Errorf("graph: FromCSR offsets cover %d half-edges, got %d", off[n], len(edges))
-	}
-	for v := 0; v < n; v++ {
-		SortEdges(edges[off[v]:off[v+1]])
-	}
-	g := &Graph{}
-	if err := g.ResetCSR(off, edges, vw); err != nil {
-		return nil, err
-	}
-	// ResetCSR proved each row simple and clean; symmetry is the one
-	// cross-row invariant left. Checking every half-edge's mirror covers
-	// both missing and weight-mismatched reverse entries.
-	return g, checkSymmetry(g)
-}
-
 // checkSymmetry verifies the one cross-row invariant the per-row sweeps
 // cannot: every half-edge's mirror exists with equal weight.
 func checkSymmetry(g *Graph) error {
@@ -128,13 +72,11 @@ func checkSymmetry(g *Graph) error {
 
 // ResetCSR re-initializes g in place from CSR arrays whose rows are
 // already strictly sorted by head vertex, recomputing every cached
-// aggregate. It is the trusted counterpart of FromCSR for hot paths
-// that build sorted, symmetric CSR by construction (the contraction
-// kernel, whose coarse graph is symmetric when its fine graph is):
-// only the per-row invariants — sortedness (which subsumes duplicate
-// detection), head range, no self-loops, positive weights — are
-// checked, fused into the aggregate sweep; adjacency symmetry is the
-// caller's contract.
+// aggregate. Only the per-row invariants — sortedness (which subsumes
+// duplicate detection), head range, no self-loops, positive weights —
+// are checked, fused into the aggregate sweep; adjacency symmetry is the
+// caller's contract (Builder output and the contraction kernel's coarse
+// graph are symmetric by construction, and Validate checks it).
 //
 // The slices are adopted, not copied. The only allocation is growing
 // the cached weighted-degree array when the vertex count exceeds any

@@ -5,7 +5,7 @@ import (
 )
 
 // csrFromBuilder lays out the Builder-built graph's adjacency as raw
-// CSR arrays (copied), for round-tripping through FromCSR.
+// CSR arrays (copied), for adoption through ResetCSR.
 func csrFromBuilder(t *testing.T, g *Graph) (off []int32, edges []Edge, vw []int32) {
 	t.Helper()
 	off = make([]int32, g.N()+1)
@@ -35,43 +35,15 @@ func buildSample(t *testing.T) *Graph {
 	return g
 }
 
-// TestFromCSRMatchesBuilder: FromCSR on a Builder-produced layout
-// reconstructs an identical graph, including every cached aggregate.
-func TestFromCSRMatchesBuilder(t *testing.T) {
-	want := buildSample(t)
-	g, err := FromCSR(csrFromBuilder(t, want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(want, g) {
-		t.Fatal("FromCSR graph differs from Builder graph")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.M() != want.M() || g.TotalEdgeWeight() != want.TotalEdgeWeight() ||
-		g.MaxDegree() != want.MaxDegree() || g.MaxWeightedDegree() != want.MaxWeightedDegree() ||
-		g.TotalVertexWeight() != want.TotalVertexWeight() || g.MaxVertexWeight() != want.MaxVertexWeight() {
-		t.Fatal("FromCSR cached aggregates differ from Builder's")
-	}
-}
-
-// TestFromCSRSortsRows: rows may arrive in any order; FromCSR sorts
-// them in place, including rows long enough to hit the heapsort path.
-func TestFromCSRSortsRows(t *testing.T) {
+// TestBuilderSortsRows: records may arrive in any order; Build sorts
+// each row, including rows long enough to hit the heapsort path.
+func TestBuilderSortsRows(t *testing.T) {
 	const n = 40 // star graph: hub row has 39 entries, above the insertion cutoff
-	off := make([]int32, n+1)
-	edges := make([]Edge, 0, 2*(n-1))
-	off[0] = 0
+	b := NewBuilder(n)
 	for v := n - 1; v >= 1; v-- { // hub row descending
-		edges = append(edges, Edge{To: int32(v), W: int32(v)})
+		b.AddWeightedEdge(0, int32(v), int32(v))
 	}
-	off[1] = int32(len(edges))
-	for v := 1; v < n; v++ {
-		edges = append(edges, Edge{To: 0, W: int32(v)})
-		off[v+1] = int32(len(edges))
-	}
-	g, err := FromCSR(off, edges, nil)
+	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +62,10 @@ func TestFromCSRSortsRows(t *testing.T) {
 	}
 }
 
-// TestFromCSRRejects: each invariant violation is caught.
-func TestFromCSRRejects(t *testing.T) {
+// TestInvalidCSRRejected: each invariant violation in raw CSR arrays is
+// caught, by ResetCSR's per-row sweep or, for the cross-row symmetry
+// ResetCSR leaves to its caller, by Validate.
+func TestInvalidCSRRejected(t *testing.T) {
 	cases := []struct {
 		name  string
 		off   []int32
@@ -116,28 +90,15 @@ func TestFromCSRRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := FromCSR(tc.off, tc.edges, tc.vw); err == nil {
-				t.Fatal("FromCSR accepted invalid input")
+			var g Graph
+			err := g.ResetCSR(tc.off, tc.edges, tc.vw)
+			if err == nil {
+				err = g.Validate()
+			}
+			if err == nil {
+				t.Fatal("invalid CSR arrays accepted")
 			}
 		})
-	}
-}
-
-// TestFromCSREmpty: the empty and edgeless graphs round-trip.
-func TestFromCSREmpty(t *testing.T) {
-	g, err := FromCSR([]int32{0}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 0 || g.M() != 0 {
-		t.Fatalf("empty graph got N=%d M=%d", g.N(), g.M())
-	}
-	g, err = FromCSR([]int32{0, 0, 0, 0}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 3 || g.M() != 0 || g.TotalVertexWeight() != 3 {
-		t.Fatalf("edgeless graph got N=%d M=%d vw=%d", g.N(), g.M(), g.TotalVertexWeight())
 	}
 }
 

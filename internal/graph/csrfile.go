@@ -205,7 +205,10 @@ func OpenCSRFile(path string) (*CSRFile, error) {
 // offset monotonicity, head range, strict row sortedness (which rules
 // out self-loops and duplicates), positive weights — and additionally
 // holds the stored wdeg section and every header aggregate to the
-// values recomputed from the edges.
+// values recomputed from the edges. It keeps its own sweep rather than
+// going through ResetCSR, which would allocate a fresh weighted-degree
+// array (8 bytes per vertex) on every load instead of serving the
+// mapped one.
 func parseCSRInto(g *Graph, data []byte) error {
 	if !hostLittleEndian {
 		return bcsrErrf("BCSR requires a little-endian host")

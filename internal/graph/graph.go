@@ -26,7 +26,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Edge is a half-edge: the head vertex and the weight of the connecting
@@ -187,81 +186,40 @@ func (g *Graph) Clone() *Graph {
 // Validate checks the structural invariants: adjacency symmetry with equal
 // weights, sorted lists, no self-loops, no parallel edges, positive
 // weights, and consistent cached totals. It returns the first violation
-// found.
+// found. The per-row checks and the totals are ResetCSR's, run over g's
+// own arrays into a scratch Graph; symmetry is checked last.
 func (g *Graph) Validate() error {
-	if len(g.off) != g.n+1 && !(g.n == 0 && len(g.off) == 0) {
+	var s Graph
+	if err := s.ResetCSR(g.off, g.edges, g.vw); err != nil {
+		return err
+	}
+	if s.n != g.n {
 		return fmt.Errorf("graph: offset array has %d entries for %d vertices", len(g.off), g.n)
 	}
-	var m int
-	var ew int64
-	var maxDeg int
-	var maxWDeg int64
-	for u := int32(0); int(u) < g.n; u++ {
-		nbrs := g.Neighbors(u)
-		if len(nbrs) > maxDeg {
-			maxDeg = len(nbrs)
-		}
-		var wd int64
-		for i, e := range nbrs {
-			if e.To < 0 || int(e.To) >= g.n {
-				return fmt.Errorf("graph: vertex %d has neighbor %d out of range [0,%d)", u, e.To, g.n)
-			}
-			if e.To == u {
-				return fmt.Errorf("graph: self-loop at vertex %d", u)
-			}
-			if e.W <= 0 {
-				return fmt.Errorf("graph: non-positive weight %d on edge {%d,%d}", e.W, u, e.To)
-			}
-			if i > 0 && nbrs[i-1].To >= e.To {
-				return fmt.Errorf("graph: adjacency of vertex %d not strictly sorted at %d", u, e.To)
-			}
-			if w := g.EdgeWeight(e.To, u); w != e.W {
-				return fmt.Errorf("graph: asymmetric edge {%d,%d}: %d vs %d", u, e.To, e.W, w)
-			}
-			wd += int64(e.W)
-			if u < e.To {
-				m++
-				ew += int64(e.W)
-			}
-		}
-		if wd != g.wdeg[u] {
-			return fmt.Errorf("graph: cached weighted degree %d of vertex %d != actual %d", g.wdeg[u], u, wd)
-		}
-		if wd > maxWDeg {
-			maxWDeg = wd
+	if len(g.wdeg) != g.n {
+		return fmt.Errorf("graph: %d cached weighted degrees for %d vertices", len(g.wdeg), g.n)
+	}
+	for v, wd := range s.wdeg {
+		if wd != g.wdeg[v] {
+			return fmt.Errorf("graph: cached weighted degree %d of vertex %d != actual %d", g.wdeg[v], v, wd)
 		}
 	}
-	if m != g.m {
-		return fmt.Errorf("graph: cached edge count %d != actual %d", g.m, m)
-	}
-	if ew != g.ew {
-		return fmt.Errorf("graph: cached edge weight %d != actual %d", g.ew, ew)
-	}
-	if maxDeg != g.maxDeg {
-		return fmt.Errorf("graph: cached max degree %d != actual %d", g.maxDeg, maxDeg)
-	}
-	if maxWDeg != g.maxWDeg {
-		return fmt.Errorf("graph: cached max weighted degree %d != actual %d", g.maxWDeg, maxWDeg)
-	}
-	var vw int64
-	var maxVW int32 = 1
-	for v := int32(0); int(v) < g.n; v++ {
-		w := g.VertexWeight(v)
-		if w <= 0 {
-			return fmt.Errorf("graph: non-positive vertex weight %d at vertex %d", w, v)
+	for _, c := range []struct {
+		what           string
+		cached, actual int64
+	}{
+		{"edge count", int64(g.m), int64(s.m)},
+		{"edge weight", g.ew, s.ew},
+		{"max degree", int64(g.maxDeg), int64(s.maxDeg)},
+		{"max weighted degree", g.maxWDeg, s.maxWDeg},
+		{"vertex weight", g.vwUp, s.vwUp},
+		{"max vertex weight", int64(g.maxVW), int64(s.maxVW)},
+	} {
+		if c.cached != c.actual {
+			return fmt.Errorf("graph: cached %s %d != actual %d", c.what, c.cached, c.actual)
 		}
-		if w > maxVW {
-			maxVW = w
-		}
-		vw += int64(w)
 	}
-	if vw != g.vwUp {
-		return fmt.Errorf("graph: cached vertex weight %d != actual %d", g.vwUp, vw)
-	}
-	if maxVW != g.maxVW {
-		return fmt.Errorf("graph: cached max vertex weight %d != actual %d", g.maxVW, maxVW)
-	}
-	return nil
+	return checkSymmetry(g)
 }
 
 // String returns a short human-readable summary.
@@ -269,10 +227,13 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d m=%d avgdeg=%.2f}", g.N(), g.M(), g.AvgDegree())
 }
 
-// Builder accumulates edges and produces an immutable Graph. Duplicate
-// insertions of the same undirected edge are merged by summing weights
-// (this is what contraction needs); self-loops are rejected at Build time
-// unless dropped with AddEdgeSafe-style pre-checks by the caller.
+// Builder accumulates edges and produces an immutable Graph; it is the
+// one way to construct a graph from an edge multiset, for the edge-list
+// parser and the generators of internal/gen alike. Duplicate insertions
+// of the same undirected edge are merged by summing weights (this is
+// what contraction needs). AddWeightedEdge refuses self-loops,
+// out-of-range endpoints and non-positive weights, and Build reports the
+// first such refusal.
 type Builder struct {
 	n   int
 	vw  []int32
@@ -285,16 +246,16 @@ type Builder struct {
 // MaxVertices bounds graph sizes accepted by Builder (and therefore by
 // every parser): 2²⁷ ≈ 134M vertices. The cap exists so that malformed
 // or hostile inputs declaring absurd vertex counts fail fast instead of
-// exhausting memory; it admits the 10^7-vertex instances the scale
-// bench drives while staying well below every int32 limit on the
+// exhausting memory, and it stays well below every int32 limit on the
 // construction path — vertex ids and bucket links stay exact through
 // 2³¹−1.
 const MaxVertices = 1 << 27
 
-// MaxEdges bounds the undirected edge count of every graph: Builder,
-// FromCSR, the edge-list parser (against the header, before the body is
-// read) and the BCSR loader all refuse more. Its 2·MaxEdges half-edges
-// are the most int32 CSR offsets can index — 8 GiB of edge storage.
+// MaxEdges bounds the undirected edge count of every graph: the Builder
+// (against its records, before merging), the edge-list parser (against
+// the header, before the body is read) and the BCSR loader all refuse
+// more. Its 2·MaxEdges half-edges are the most int32 CSR offsets can
+// index — 8 GiB of edge storage.
 const MaxEdges = 1<<30 - 1
 
 // ErrTooLarge is wrapped by every refusal of a graph beyond MaxVertices
@@ -345,6 +306,8 @@ func (b *Builder) AddEdge(u, v int32) { b.AddWeightedEdge(u, v, 1) }
 
 // AddWeightedEdge records the undirected edge {u,v} with weight w.
 // Repeated insertions of the same pair are merged by summing weights.
+// A record past the MaxEdges-th is refused with ErrTooLarge, so Build's
+// int32 row offsets cannot overflow.
 func (b *Builder) AddWeightedEdge(u, v int32, w int32) {
 	if b.err != nil {
 		return
@@ -361,109 +324,68 @@ func (b *Builder) AddWeightedEdge(u, v int32, w int32) {
 		b.err = fmt.Errorf("graph: non-positive edge weight %d on {%d,%d}", w, u, v)
 		return
 	}
-	if u > v {
-		u, v = v, u
+	if len(b.us) == MaxEdges {
+		b.err = tooLarge("edge record count", MaxEdges+1, MaxEdges)
+		return
 	}
 	b.us = append(b.us, u)
 	b.vs = append(b.vs, v)
 	b.ws = append(b.ws, w)
 }
 
-// Build finalizes the graph: it merges duplicate edges, lays the
-// half-edges out in CSR order with each list sorted by head vertex, and
-// computes the cached totals and per-vertex degree summaries.
+// Build finalizes the graph: it scatters both half-edges of every record
+// into its endpoints' rows, sorts each row by head vertex, merges
+// repeated neighbours by summing their weights, and hands the rows to
+// ResetCSR, which checks them and computes the cached totals and
+// per-vertex degree summaries.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	// Sort edge triples by (u, v) to merge duplicates in one pass.
-	idx := make([]int, len(b.us))
-	for i := range idx {
-		idx[i] = i
+	// Count each row's half-edges into off[v] and prefix-sum, so off[v]
+	// is the end of v's row; the scatter then decrements it to the row's
+	// start. Scattering the records last to first leaves each row in
+	// insertion order, which the generators emit nearly sorted.
+	n := b.n
+	off := make([]int32, n+1)
+	for i := range b.us {
+		off[b.us[i]]++
+		off[b.vs[i]]++
 	}
-	sort.Slice(idx, func(x, y int) bool {
-		i, j := idx[x], idx[y]
-		if b.us[i] != b.us[j] {
-			return b.us[i] < b.us[j]
-		}
-		return b.vs[i] < b.vs[j]
-	})
-
-	g := &Graph{n: b.n}
-	deg := make([]int32, b.n)
-	// First pass: merged edge list and degrees.
-	type triple struct{ u, v, w int32 }
-	merged := make([]triple, 0, len(idx))
-	for k := 0; k < len(idx); {
-		i := idx[k]
-		u, v := b.us[i], b.vs[i]
-		var w int64
-		for k < len(idx) && b.us[idx[k]] == u && b.vs[idx[k]] == v {
-			w += int64(b.ws[idx[k]])
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	edges := make([]Edge, off[n])
+	for i := len(b.us) - 1; i >= 0; i-- {
+		u, v, w := b.us[i], b.vs[i], b.ws[i]
+		off[u]--
+		edges[off[u]] = Edge{To: v, W: w}
+		off[v]--
+		edges[off[v]] = Edge{To: u, W: w}
+	}
+	// Sort each row and merge its repeated neighbours, compacting the
+	// rows leftwards in place.
+	var k int32
+	for v := 0; v < n; v++ {
+		row := edges[off[v]:off[v+1]]
+		off[v] = k
+		sortEdges(row)
+		for i := 0; i < len(row); {
+			to, w := row[i].To, int64(row[i].W)
+			for i++; i < len(row) && row[i].To == to; i++ {
+				w += int64(row[i].W)
+			}
+			if w > 1<<30 {
+				return nil, fmt.Errorf("graph: merged weight %d on edge {%d,%d} overflows", w, v, to)
+			}
+			edges[k] = Edge{To: to, W: int32(w)}
 			k++
 		}
-		if w > 1<<30 {
-			return nil, fmt.Errorf("graph: merged weight %d on edge {%d,%d} overflows", w, u, v)
-		}
-		merged = append(merged, triple{u, v, int32(w)})
-		deg[u]++
-		deg[v]++
 	}
-	if len(merged) > MaxEdges {
-		return nil, tooLarge("edge count", uint64(len(merged)), MaxEdges)
-	}
-	// CSR offsets by prefix sum, then scatter the half-edges with a
-	// per-vertex cursor.
-	g.off = make([]int32, b.n+1)
-	for v := 0; v < b.n; v++ {
-		g.off[v+1] = g.off[v] + deg[v]
-	}
-	g.edges = make([]Edge, 2*len(merged))
-	cur := make([]int32, b.n)
-	copy(cur, g.off)
-	for _, t := range merged {
-		g.edges[cur[t.u]] = Edge{To: t.v, W: t.w}
-		cur[t.u]++
-		g.edges[cur[t.v]] = Edge{To: t.u, W: t.w}
-		cur[t.v]++
-		g.m++
-		g.ew += int64(t.w)
-	}
-	// merged is sorted by (u, v): vertex u's forward half-edges (to v > u)
-	// arrive in sorted order, and so do its reverse half-edges (from
-	// u' < u, emitted in increasing u'), but the two runs interleave —
-	// sort each list once to establish the by-To order EdgeWeight relies
-	// on.
-	for v := 0; v < b.n; v++ {
-		lo, hi := g.rowBounds(int32(v))
-		a := g.edges[lo:hi]
-		sort.Slice(a, func(i, j int) bool { return a[i].To < a[j].To })
-	}
-	g.wdeg = make([]int64, b.n)
-	for v := 0; v < b.n; v++ {
-		var wd int64
-		for _, e := range g.Neighbors(int32(v)) {
-			wd += int64(e.W)
-		}
-		g.wdeg[v] = wd
-		if wd > g.maxWDeg {
-			g.maxWDeg = wd
-		}
-		if d := int(deg[v]); d > g.maxDeg {
-			g.maxDeg = d
-		}
-	}
-	g.maxVW = 1
-	if b.vw != nil {
-		g.vw = b.vw
-		for _, w := range b.vw {
-			g.vwUp += int64(w)
-			if w > g.maxVW {
-				g.maxVW = w
-			}
-		}
-	} else {
-		g.vwUp = int64(b.n)
+	off[n] = k
+	g := &Graph{}
+	if err := g.ResetCSR(off, edges[:k], b.vw); err != nil {
+		return nil, err
 	}
 	return g, nil
 }

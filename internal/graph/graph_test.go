@@ -61,8 +61,8 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestIsolatedVertices(t *testing.T) {
 	g := NewBuilder(5).MustBuild()
-	if g.N() != 5 || g.M() != 0 {
-		t.Fatalf("n=%d m=%d", g.N(), g.M())
+	if g.N() != 5 || g.M() != 0 || g.TotalVertexWeight() != 5 {
+		t.Fatalf("n=%d m=%d vw=%d", g.N(), g.M(), g.TotalVertexWeight())
 	}
 	if got := len(g.ComponentSizes()); got != 5 {
 		t.Fatalf("want 5 components, got %d", got)

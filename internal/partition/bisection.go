@@ -273,8 +273,9 @@ func (b *Bisection) Assign(from *Bisection) {
 }
 
 // Validate recomputes all incremental state from scratch and returns an
-// error if any cached value has drifted. Used by tests and the harness's
-// paranoid mode.
+// error if any cached value has drifted. cmd/bisect runs it on every
+// result before reporting it, and the tests use it to check the
+// kernels' incremental bookkeeping.
 func (b *Bisection) Validate() error {
 	fresh, err := New(b.g, b.side)
 	if err != nil {

@@ -34,7 +34,7 @@ for ex in examples/*/; do
 done
 
 # TestBuilderAtVertexCap builds a real 2^27-vertex graph on a single
-# goroutine (2.6 GB peak RSS without -race), so the race detector has
+# goroutine (1.5 GB peak RSS without -race), so the race detector has
 # nothing to check in it and its race build does not fit an 8 GB host.
 # It runs without -race in its own step; the race step skips it by name.
 echo "==> go test -run '^TestBuilderAtVertexCap\$' ./internal/graph/ (vertex-cap build, no -race)"
@@ -93,8 +93,10 @@ go test -count=1 -run 'TestChaos' ./internal/service/ -chaos-seed "${CHAOS_SEED:
 # panic, never wrap ids into range, never OOM (go test runs the seed
 # corpora; the smoke explores a little beyond them). FuzzReadBCSR covers
 # the binary header boundaries of the size caps: hostile n/m counts and
-# edge counts past the int32-offset limit.
-for target in FuzzReadEdgeList FuzzCompactCSREquivalence FuzzReadBCSR; do
+# edge counts past the int32-offset limit. FuzzCSREquivalence holds the
+# Builder, which the edge-list parser and every generator go through, to
+# a map model of the merged edge multiset.
+for target in FuzzReadEdgeList FuzzCSREquivalence FuzzReadBCSR; do
   echo "==> go test -fuzz=$target -fuzztime=10s ./internal/graph/"
   go test -run "^$target\$" -fuzz="^$target\$" -fuzztime=10s ./internal/graph/
 done
@@ -120,10 +122,10 @@ echo "==> gengraph -format csr + bisect under -race (mmap smoke)"
 smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir"' EXIT
 go run ./cmd/gengraph -model gnp -n 100000 -deg 4 -seed 7 -format csr -out "$smokedir/smoke.csr"
-go run -race ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl -starts 1 -validate \
+go run -race ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl -starts 1 \
   -out "$smokedir/sides.race"
 echo "==> bisect -race vs plain build: sides must be identical"
-go run ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl -starts 1 -validate \
+go run ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl -starts 1 \
   -out "$smokedir/sides.plain" >"$smokedir/bisect.plain.txt"
 cat "$smokedir/bisect.plain.txt"
 cmp "$smokedir/sides.plain" "$smokedir/sides.race" \
@@ -141,9 +143,9 @@ cutstat_cut=$(grep '^cut:' "$smokedir/cutstat.txt" || true)
 # refinement, the run under the race detector must produce sides
 # byte-identical to the plain build's, through the CLI.
 echo "==> bisect -alg mlkl+spec under -race vs plain build (spectral smoke)"
-go run -race ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl+spec -starts 1 -validate \
+go run -race ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl+spec -starts 1 \
   -out "$smokedir/sides.spec.race"
-go run ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl+spec -starts 1 -validate \
+go run ./cmd/bisect -in "$smokedir/smoke.csr" -alg mlkl+spec -starts 1 \
   -out "$smokedir/sides.spec.plain"
 cmp "$smokedir/sides.spec.plain" "$smokedir/sides.spec.race" \
   || { echo "FAIL: the -race build changed the spectral bisection (sides.spec.plain != sides.spec.race)"; exit 1; }
