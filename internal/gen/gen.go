@@ -21,6 +21,7 @@ package gen
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -185,6 +186,10 @@ func BReg(twoN, b, d int, r *rng.Rand) (*graph.Graph, error) {
 	if b > 0 && d == 0 {
 		return nil, fmt.Errorf("gen: BReg with b=%d but d=0", b)
 	}
+	// Each half holds (n·d−b)/2 edges and the matching b more.
+	if err := checkSize("BReg", twoN, int64(n)*int64(d)); err != nil {
+		return nil, err
+	}
 	gb := graph.NewBuilder(twoN)
 
 	// For each half: choose b deficient vertices, give them internal
@@ -205,6 +210,23 @@ func BReg(twoN, b, d int, r *rng.Rand) (*graph.Graph, error) {
 	return gb.Build()
 }
 
+// checkSize refuses a graph of nv vertices and ne edges beyond
+// graph.MaxVertices or graph.MaxEdges with an error wrapping
+// graph.ErrTooLarge. The configuration-model generators call it before
+// they allocate anything: their stub arrays grow with the edge count,
+// and the Builder would only refuse the graph once they were filled.
+// ne is read only when nv is within its cap, so a caller need not guard
+// its computation against overflow.
+func checkSize(model string, nv int, ne int64) error {
+	if nv > graph.MaxVertices {
+		return fmt.Errorf("gen: %s on %d vertices exceeds limit %d: %w", model, nv, graph.MaxVertices, graph.ErrTooLarge)
+	}
+	if ne > graph.MaxEdges {
+		return fmt.Errorf("gen: %s with %d edges exceeds limit %d: %w", model, ne, graph.MaxEdges, graph.ErrTooLarge)
+	}
+	return nil
+}
+
 // halfBReg adds a near-regular graph on vertices [off, off+n) to gb: b
 // random vertices get internal degree d-1, the others d. It returns the
 // deficient vertices.
@@ -219,12 +241,12 @@ func halfBReg(gb *graph.Builder, off int32, n, b, d int, r *rng.Rand) ([]int32, 
 		deg[perm[i]]--
 		deficient[i] = off + int32(perm[i])
 	}
-	edges, err := configurationModel(deg, r)
+	pairs, err := configurationModel(deg, r)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range edges {
-		gb.AddEdge(off+e[0], off+e[1])
+	for i := 0; i < len(pairs); i += 2 {
+		gb.AddEdge(off+pairs[i], off+pairs[i+1])
 	}
 	return deficient, nil
 }
@@ -241,8 +263,24 @@ const maxConfigAttempts = 10000
 // contributes deg[v] stubs, stubs are paired by a uniform random perfect
 // matching, and the sample is rejected if it contains a self-loop or a
 // parallel edge. Rejection keeps the distribution uniform over simple
-// realizations.
-func configurationModel(deg []int, r *rng.Rand) ([][2]int32, error) {
+// realizations. It returns the accepted pairing as the stub array
+// itself: edge k is {pairs[2k], pairs[2k+1]}.
+//
+// An attempt shuffles the stubs with a downward Fisher–Yates pass, which
+// finalizes pair k (stubs 2k and 2k+1) at step 2k and pair 0 at step 1,
+// and tests each pair as soon as it is final. A sample with any defect is
+// rejected, whichever is found first, so at its first self-loop or
+// repeated pair the attempt stops swapping and only draws the pass's
+// remaining Intn(i+1) values. It takes the same words from r and reaches
+// the same verdict as a full shuffle tested afterwards, so the attempts,
+// the accepted pairing and r's position after the call are those of
+// shuffling in full and testing after (configurationModelOracle, in the
+// tests). Repeated pairs are found in a flat table allocated once per
+// call and cleared per attempt: each pair is listed under its smaller
+// endpoint, in a row as wide as the largest degree, which for the
+// near-regular sequences of BReg and RandomRegular makes the table about
+// as large as the stub array.
+func configurationModel(deg []int, r *rng.Rand) ([]int32, error) {
 	total := 0
 	for v, d := range deg {
 		if d < 0 {
@@ -260,9 +298,12 @@ func configurationModel(deg []int, r *rng.Rand) ([][2]int32, error) {
 		return nil, nil
 	}
 	stubs := make([]int32, total)
-	edges := make([][2]int32, 0, total/2)
+	// The pair table: row u lists the partners v > u of u's pairs so far,
+	// as v+1, and a 0 ends the list. A vertex is in at most w pairs, so
+	// its row has a free slot whenever one of its pairs is tested.
+	w := slices.Max(deg)
+	rows := make([]int32, len(deg)*w)
 
-attempts:
 	for attempt := 0; attempt < maxConfigAttempts; attempt++ {
 		stubs = stubs[:0]
 		for v, d := range deg {
@@ -270,28 +311,39 @@ attempts:
 				stubs = append(stubs, int32(v))
 			}
 		}
-		r.ShuffleInt32(stubs)
-		edges = edges[:0]
-		seen := make(map[int64]struct{}, total/2)
-		for i := 0; i < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
+		clear(rows)
+		i := total - 1
+		for ; i > 0; i-- {
+			j := r.Intn(i + 1)
+			stubs[i], stubs[j] = stubs[j], stubs[i]
+			if i&1 != 0 && i != 1 {
+				continue
+			}
+			// Pair i&^1 is final: i itself after an even step, 0 after
+			// step 1.
+			u, v := stubs[i&^1], stubs[i|1]
+			if u > v {
+				u, v = v, u
+			}
 			if u == v {
-				continue attempts
+				break
 			}
-			a, b := u, v
-			if a > b {
-				a, b = b, a
+			row := rows[int(u)*w:][:w]
+			k := 0
+			for row[k] != 0 && row[k] != v+1 {
+				k++
 			}
-			key := int64(a)<<32 | int64(b)
-			if _, dup := seen[key]; dup {
-				continue attempts
+			if row[k] != 0 {
+				break
 			}
-			seen[key] = struct{}{}
-			edges = append(edges, [2]int32{u, v})
+			row[k] = v + 1
 		}
-		out := make([][2]int32, len(edges))
-		copy(out, edges)
-		return out, nil
+		if i == 0 {
+			return stubs, nil
+		}
+		for i--; i > 0; i-- {
+			r.Intn(i + 1)
+		}
 	}
 	return nil, fmt.Errorf("gen: configuration model failed to produce a simple graph after %d attempts", maxConfigAttempts)
 }
@@ -305,17 +357,20 @@ func RandomRegular(n, d int, r *rng.Rand) (*graph.Graph, error) {
 	if n*d%2 != 0 {
 		return nil, fmt.Errorf("gen: RandomRegular(n=%d, d=%d) has odd degree sum", n, d)
 	}
+	if err := checkSize("RandomRegular", n, int64(n)*int64(d)/2); err != nil {
+		return nil, err
+	}
 	deg := make([]int, n)
 	for i := range deg {
 		deg[i] = d
 	}
-	edges, err := configurationModel(deg, r)
+	pairs, err := configurationModel(deg, r)
 	if err != nil {
 		return nil, err
 	}
 	b := graph.NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e[0], e[1])
+	for i := 0; i < len(pairs); i += 2 {
+		b.AddEdge(pairs[i], pairs[i+1])
 	}
 	return b.Build()
 }

@@ -1,7 +1,9 @@
 package gen
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -328,6 +330,35 @@ func TestRandomRegular(t *testing.T) {
 	}
 }
 
+func TestOversizeRegularGraphsRefused(t *testing.T) {
+	r := rng.NewFib(1)
+	cases := []struct {
+		name string
+		gen  func() (*graph.Graph, error)
+	}{
+		// n·d/2 = 2.5·10⁹ edges.
+		{"RandomRegular(1e5, 5e4)", func() (*graph.Graph, error) { return RandomRegular(100_000, 50_000, r) }},
+		// n·d = 1.6·10⁹ edges, though each half's 8.2·10⁸ is under the cap.
+		{"BReg(2e5, 0, 16384)", func() (*graph.Graph, error) { return BReg(200_000, 0, 16384, r) }},
+		{"RandomRegular over MaxVertices", func() (*graph.Graph, error) { return RandomRegular(graph.MaxVertices+2, 2, r) }},
+		{"BReg over MaxVertices", func() (*graph.Graph, error) { return BReg(graph.MaxVertices+2, 0, 2, r) }},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := tc.gen()
+		runtime.ReadMemStats(&after)
+		if g != nil || !errors.Is(err, graph.ErrTooLarge) {
+			t.Fatalf("%s: got %v, %v; want an error wrapping graph.ErrTooLarge", tc.name, g, err)
+		}
+		// The refusal comes before any stub or degree array: only the
+		// error itself is allocated.
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<16 {
+			t.Fatalf("%s: allocated %d bytes before refusing", tc.name, b)
+		}
+	}
+}
+
 func TestConfigurationModelErrors(t *testing.T) {
 	r := rng.NewFib(1)
 	if _, err := configurationModel([]int{-1, 1}, r); err == nil {
@@ -560,11 +591,24 @@ func BenchmarkGNP5000(b *testing.B) {
 	}
 }
 
-func BenchmarkBReg5000D3(b *testing.B) {
-	r := rng.NewFib(1)
+// bregSeeds is the fixed ensemble the BReg benchmarks generate. Each op
+// builds one instance per seed, every one from a fresh stream, so an op
+// always does the same work (the same rejected attempts) whatever b.N
+// is; ns/graph is the ensemble's mean per instance.
+var bregSeeds = []uint64{1, 2, 3, 4, 5, 6}
+
+func benchmarkBReg(b *testing.B, twoN, width, d int) {
 	for i := 0; i < b.N; i++ {
-		if _, err := BReg(5000, 16, 3, r); err != nil {
-			b.Fatal(err)
+		for _, seed := range bregSeeds {
+			if _, err := BReg(twoN, width, d, rng.NewFib(seed)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bregSeeds)), "ns/graph")
 }
+
+func BenchmarkBReg5000D3(b *testing.B) { benchmarkBReg(b, 5000, 16, 3) }
+
+// BenchmarkBReg1e6D3 generates ml1m_t1's family, Gbreg(10⁶, 1000, 3).
+func BenchmarkBReg1e6D3(b *testing.B) { benchmarkBReg(b, 1_000_000, 1000, 3) }

@@ -107,6 +107,12 @@ done
 echo "==> go test -fuzz=FuzzContractEquivalence -fuzztime=10s ./internal/coarsen/"
 go test -run '^FuzzContractEquivalence$' -fuzz='^FuzzContractEquivalence$' -fuzztime=10s ./internal/coarsen/
 
+# The early-rejecting configuration model against its map-based oracle:
+# arbitrary small degree sequences and seeds must give the same pairs in
+# the same order, the same error and the same next word from the stream.
+echo "==> go test -fuzz=FuzzConfigurationModelEquivalence -fuzztime=10s ./internal/gen/"
+go test -run '^FuzzConfigurationModelEquivalence$' -fuzz='^FuzzConfigurationModelEquivalence$' -fuzztime=10s ./internal/gen/
+
 # Million-vertex pipeline smoke at 10^5 scale: generate a BCSR file,
 # memory-map it, and run multilevel KL under the race detector (with
 # checkptr, which -race turns on, over the mmap'd edge arrays). The same
