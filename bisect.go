@@ -74,7 +74,7 @@ type (
 	// TraceObserver receives trace events; nil means no tracing at zero
 	// cost.
 	TraceObserver = trace.Observer
-	// TraceRecorder is a ring-buffered in-memory observer.
+	// TraceRecorder is an in-memory observer that keeps every event.
 	TraceRecorder = trace.Recorder
 	// TraceJSONL streams events as JSON Lines (deterministic by default).
 	TraceJSONL = trace.JSONL
@@ -119,9 +119,8 @@ func BisectorNames() []string { return core.Names() }
 // changes the bisections an algorithm produces.
 func WithObserver(b Bisector, obs TraceObserver) Bisector { return core.WithObserver(b, obs) }
 
-// NewTraceRecorder returns a ring-buffered in-memory observer keeping at
-// most capacity events (capacity ≤ 0 = unbounded).
-func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(capacity) }
+// NewTraceRecorder returns an in-memory observer that keeps every event.
+func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 
 // NewTraceJSONL returns an observer streaming one JSON object per event
 // line to w; output is byte-identical across runs of the same seed
@@ -234,10 +233,8 @@ func CycleCollectionWidth(g *Graph) (int64, error) { return exact.CycleCollectio
 func HeavyEdgeMatching(g *Graph, r *Rand) []int32 { return matching.HeavyEdge(g, r) }
 
 // RepairBalance greedily restores weight balance and returns the final
-// imbalance.
-func RepairBalance(b *Bisection, maxImbalance int64) int64 {
-	return partition.RepairBalance(b, maxImbalance)
-}
+// imbalance, at most the graph's largest vertex weight.
+func RepairBalance(b *Bisection) int64 { return partition.RepairBalance(b) }
 
 // PermuteGraph relabels g's vertices by the permutation perm.
 func PermuteGraph(g *Graph, perm []int32) (*Graph, error) { return graph.Permute(g, perm) }

@@ -178,7 +178,7 @@ func TestFacadeExactAndPrimitives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bisect.RepairBalance(b, 0)
+	bisect.RepairBalance(b)
 	if b.Imbalance() != 0 {
 		t.Fatal("repair failed")
 	}

@@ -8,10 +8,10 @@
 //   - a move flips one uniformly random vertex; downhill moves are always
 //     accepted, uphill moves with probability exp(−Δ/T);
 //   - the start temperature is calibrated so the initial acceptance ratio
-//     is roughly InitProb; each temperature runs SizeFactor·|V| trials;
-//     the temperature is then multiplied by TempFactor;
+//     is roughly INITPROB = 0.4; each temperature runs SizeFactor·|V|
+//     trials; the temperature is then multiplied by TempFactor;
 //   - the system is "frozen" when the acceptance ratio stays below
-//     MinPercent for FreezeLim consecutive temperatures with no
+//     MINPERCENT = 0.02 for FreezeLim consecutive temperatures with no
 //     improvement to the best solution seen.
 //
 // As the paper notes, SA can migrate away from an optimum found at high
@@ -32,20 +32,24 @@ import (
 	"repro/internal/trace"
 )
 
+// The schedule constants of JAMS'89 that Figure 1 fixes: α weighs the
+// imbalance penalty in the cost, the start temperature is calibrated to
+// accept initProb of random moves, and a temperature whose acceptance
+// ratio falls below minPercent counts toward freezing.
+const (
+	alpha      = 0.05
+	initProb   = 0.4
+	minPercent = 0.02
+)
+
 // Options configures the annealing schedule. Zero values select the
 // defaults noted on each field (the JAMS'89 choices).
 type Options struct {
-	// Alpha is the imbalance penalty coefficient (default 0.05).
-	Alpha float64
-	// InitProb is the target initial acceptance probability used to
-	// calibrate the start temperature (default 0.4).
-	InitProb float64
 	// SizeFactor scales trials per temperature: SizeFactor·|V| (default 16).
 	SizeFactor int
-	// TempFactor is the geometric cooling rate (default 0.95).
+	// TempFactor is the geometric cooling rate (default 0.95): after each
+	// temperature T ← TempFactor·T, Figure 1's "REDUCE TEMPERATURE".
 	TempFactor float64
-	// MinPercent is the freezing acceptance-ratio threshold (default 0.02).
-	MinPercent float64
 	// FreezeLim is how many consecutive low-acceptance, no-improvement
 	// temperatures constitute frozen (default 5).
 	FreezeLim int
@@ -56,16 +60,6 @@ type Options struct {
 	// Dueck & Scheuer's "threshold accepting" — a later simplification
 	// included for the schedule ablation).
 	Acceptance AcceptanceRule
-	// Cooling selects the temperature decrement: CoolGeometric (default,
-	// T ← TempFactor·T, Figure 1's "REDUCE TEMPERATURE") or CoolAdaptive
-	// (Aarts–van Laarhoven: T ← T / (1 + T·ln(1+Delta)/(3σ_T)), where σ_T
-	// is the cost standard deviation observed at the current temperature
-	// — slow cooling through phase transitions, fast elsewhere).
-	Cooling CoolingRule
-	// Delta is the adaptive schedule's distance parameter (default 0.1;
-	// smaller = slower, higher-quality cooling). Ignored for geometric
-	// cooling.
-	Delta float64
 	// Workspace, when non-nil, supplies the reusable run state (vertex
 	// records, acceptance memo, undo log, best-state buffer) so repeated
 	// runs allocate nothing. A nil Workspace makes Run/Refine allocate
@@ -87,16 +81,6 @@ type Options struct {
 	Control *runctl.Control
 }
 
-// CoolingRule selects the temperature decrement rule.
-type CoolingRule int
-
-const (
-	// CoolGeometric multiplies the temperature by TempFactor.
-	CoolGeometric CoolingRule = iota
-	// CoolAdaptive uses the Aarts–van Laarhoven variance-based decrement.
-	CoolAdaptive
-)
-
 // AcceptanceRule selects how uphill moves are accepted.
 type AcceptanceRule int
 
@@ -108,29 +92,17 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.Alpha <= 0 {
-		o.Alpha = 0.05
-	}
-	if o.InitProb <= 0 || o.InitProb >= 1 {
-		o.InitProb = 0.4
-	}
 	if o.SizeFactor <= 0 {
 		o.SizeFactor = 16
 	}
 	if o.TempFactor <= 0 || o.TempFactor >= 1 {
 		o.TempFactor = 0.95
 	}
-	if o.MinPercent <= 0 {
-		o.MinPercent = 0.02
-	}
 	if o.FreezeLim <= 0 {
 		o.FreezeLim = 5
 	}
 	if o.MaxTemps <= 0 {
 		o.MaxTemps = 2000
-	}
-	if o.Delta <= 0 {
-		o.Delta = 0.1
 	}
 	return o
 }
@@ -181,7 +153,6 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 	// float arithmetic in deltaCost/costAt is operation-identical to the
 	// plain Figure 1 code; nothing below may change a result.
 	recs := w.recs
-	alpha := o.Alpha
 	sideDiff := b.SideWeight(0) - b.SideWeight(1)
 	// d and d2 shadow float64(sideDiff) and its square; they are
 	// refreshed from the exact integer whenever a move is accepted, so
@@ -190,7 +161,6 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 	d2 := d * d
 	curCut := b.Cut()
 	metropolis := o.Acceptance != AcceptThreshold
-	adaptive := o.Cooling == CoolAdaptive
 
 	// The loops draw words through a block-prefetching stream and
 	// open-code Intn's Lemire reduction and Float64's conversion with
@@ -213,7 +183,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 		runStart = time.Now()
 	}
 
-	temp := w.calibrateStartTemp(o, sideDiff, &ws)
+	temp := w.calibrateStartTemp(sideDiff, &ws)
 	st.StartTemp = temp
 
 	// The trial loop manages the stream's block cursor in locals (wbuf
@@ -233,7 +203,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 	// accepted move and O(n) memory, against an O(n) full-state copy per
 	// improvement for the clone-on-improvement scheme the test oracle
 	// (oracle_test.go) keeps.
-	bestCost := costAt(curCut, d2, alpha)
+	bestCost := costAt(curCut, d2)
 	bestCut := curCut
 	log := w.log
 	logN := 0
@@ -257,9 +227,9 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 		if obs != nil {
 			tempStart = time.Now()
 		}
-		// Running cost statistics for the adaptive schedule.
-		cur := costAt(curCut, d2, alpha)
-		var costSum, costSumSq float64
+		// cur tracks the current cost by accumulating accepted deltas;
+		// it only gates the exact best-cost recomputation below.
+		cur := costAt(curCut, d2)
 		for k := int64(0); k < trialsPerTemp; k++ {
 			var v int32
 			for {
@@ -286,7 +256,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 				continue
 			}
 			rv := &recs[vi]
-			dE := deltaCost(d, d2, *rv, alpha)
+			dE := deltaCost(d, d2, *rv)
 			accept := dE <= 0
 			if !accept {
 				if metropolis {
@@ -345,26 +315,16 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 				accepted++
 				if cur < bestCost {
 					// Recompute exactly to avoid float drift in the saved
-					// best (dE accumulation is exact in spirit but float).
-					// One evaluation serves both the comparison and the
-					// running-cost reset the adaptive schedule reads.
-					if c := costAt(curCut, d2, alpha); c < bestCost {
-						bestCost = c
+					// best (dE accumulation is exact in spirit but float);
+					// the exact value also resets cur.
+					cur = costAt(curCut, d2)
+					if cur < bestCost {
+						bestCost = cur
 						bestCut = curCut
 						improvedBest = true
 						bestMark = logN
-						cur = c
-					} else {
-						cur = c
 					}
 				}
-			}
-			if adaptive {
-				// The running cost moments feed only the Aarts–van
-				// Laarhoven temperature update; geometric runs skip the
-				// bookkeeping.
-				costSum += cur
-				costSumSq += cur * cur
 			}
 			if obs != nil && (k+1)%trace.SAMoveBatchSize == 0 {
 				imb := sideDiff
@@ -397,18 +357,8 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 				ElapsedNS: time.Since(tempStart).Nanoseconds(),
 			})
 		}
-		if adaptive {
-			mean := costSum / float64(trialsPerTemp)
-			variance := costSumSq/float64(trialsPerTemp) - mean*mean
-			if variance < 1e-12 {
-				variance = 1e-12
-			}
-			sigma := math.Sqrt(variance)
-			temp = temp / (1 + temp*math.Log(1+o.Delta)/(3*sigma))
-		} else {
-			temp *= o.TempFactor
-		}
-		if float64(accepted) < o.MinPercent*float64(trialsPerTemp) && !improvedBest {
+		temp *= o.TempFactor
+		if float64(accepted) < minPercent*float64(trialsPerTemp) && !improvedBest {
 			frozen++
 		} else {
 			frozen = 0
@@ -428,7 +378,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 	if err := b.SetSides(w.bestSides); err != nil {
 		return st, err
 	}
-	partition.RepairBalance(b, partition.MinAchievableImbalance(g.TotalVertexWeight()))
+	partition.RepairBalance(b)
 	st.FinalCut = b.Cut()
 	if obs != nil {
 		ratio := 0.0
@@ -455,8 +405,8 @@ func Run(g *graph.Graph, opts Options, r *rng.Rand) (*partition.Bisection, Stats
 }
 
 // calibrateStartTemp estimates the temperature at which the acceptance
-// ratio of random moves from the current state is about InitProb: it
-// samples uphill deltas and solves exp(−avgUp/T) = InitProb, then doubles
+// ratio of random moves from the current state is about initProb: it
+// samples uphill deltas and solves exp(−avgUp/T) = initProb, then doubles
 // T (a few times at most) until a sampled acceptance ratio reaches the
 // target, mirroring JAMS's trial-run calibration.
 //
@@ -470,10 +420,9 @@ func Run(g *graph.Graph, opts Options, r *rng.Rand) (*partition.Bisection, Stats
 // workspace it allocates nothing. The draw sequence (one Intn per
 // sample, one Float64 per uphill sample) and every produced float are
 // identical to the plain version in the test oracle.
-func (w *Refiner) calibrateStartTemp(o Options, sideDiff int64, ws *wordStream) float64 {
+func (w *Refiner) calibrateStartTemp(sideDiff int64, ws *wordStream) float64 {
 	recs := w.recs
 	n := len(recs)
-	alpha := o.Alpha
 	// Calibration never moves a vertex, so the hoisted d/d2 are fixed.
 	d := float64(sideDiff)
 	d2 := d * d
@@ -494,7 +443,7 @@ func (w *Refiner) calibrateStartTemp(o Options, sideDiff int64, ws *wordStream) 
 	var upSum float64
 	var upCount int
 	for i := 0; i < samples; i++ {
-		if dE := deltaCost(d, d2, draw(), alpha); dE > 0 {
+		if dE := deltaCost(d, d2, draw()); dE > 0 {
 			upSum += dE
 			upCount++
 		}
@@ -503,12 +452,12 @@ func (w *Refiner) calibrateStartTemp(o Options, sideDiff int64, ws *wordStream) 
 		// All moves downhill (or flat): any modest temperature works.
 		return 1.0
 	}
-	temp := (upSum / float64(upCount)) / math.Log(1/o.InitProb)
+	temp := (upSum / float64(upCount)) / math.Log(1/initProb)
 	for iter := 0; iter < 30; iter++ {
 		w.memo.reset(temp)
 		acc := 0
 		for i := 0; i < samples; i++ {
-			dE := deltaCost(d, d2, draw(), alpha)
+			dE := deltaCost(d, d2, draw())
 			if dE <= 0 {
 				acc++
 				continue
@@ -521,7 +470,7 @@ func (w *Refiner) calibrateStartTemp(o Options, sideDiff int64, ws *wordStream) 
 				acc++
 			}
 		}
-		if float64(acc) >= o.InitProb*float64(samples) {
+		if float64(acc) >= initProb*float64(samples) {
 			break
 		}
 		temp *= 2

@@ -66,7 +66,7 @@ func TestAnnealMatchesGenericSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The overall acceptance ratio must be strictly between the frozen
-	// threshold and 1: it starts near InitProb and ends near 0.
+	// threshold and 1: it starts near initProb and ends near 0.
 	ratio := float64(st.Accepted) / float64(st.Trials)
 	if ratio <= 0 || ratio >= 0.9 {
 		t.Fatalf("overall acceptance ratio %.3f implausible for an annealing run", ratio)
@@ -171,13 +171,12 @@ func TestAnnealDeterministicGivenSeed(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Alpha != 0.05 || o.InitProb != 0.4 || o.SizeFactor != 16 ||
-		o.TempFactor != 0.95 || o.MinPercent != 0.02 || o.FreezeLim != 5 || o.MaxTemps != 2000 {
+	if o.SizeFactor != 16 || o.TempFactor != 0.95 || o.FreezeLim != 5 || o.MaxTemps != 2000 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 	// Invalid values also fall back.
-	o2 := Options{Alpha: -1, InitProb: 2, TempFactor: 1.5}.withDefaults()
-	if o2.Alpha != 0.05 || o2.InitProb != 0.4 || o2.TempFactor != 0.95 {
+	o2 := Options{SizeFactor: -1, TempFactor: 1.5}.withDefaults()
+	if o2.SizeFactor != 16 || o2.TempFactor != 0.95 {
 		t.Fatalf("invalid values not defaulted: %+v", o2)
 	}
 }
@@ -249,34 +248,8 @@ func TestAcceptanceRulesDiffer(t *testing.T) {
 	}
 }
 
-func TestAdaptiveCooling(t *testing.T) {
-	r := rng.NewFib(31)
-	g, err := gen.BReg(200, 8, 4, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{SizeFactor: 4, FreezeLim: 3, MaxTemps: 400, Cooling: CoolAdaptive, Delta: 0.2}
-	b, st, err := Run(g, opts, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Imbalance() != 0 {
-		t.Fatalf("imbalance %d", b.Imbalance())
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if st.FinalTemp >= st.StartTemp {
-		t.Fatalf("adaptive schedule did not cool: %g -> %g", st.StartTemp, st.FinalTemp)
-	}
-	// Quality: should at least approach the planted width on degree 4.
-	if b.Cut() > 40 {
-		t.Fatalf("adaptive SA cut %d far above planted 8", b.Cut())
-	}
-}
-
 func TestStartTemperatureCalibration(t *testing.T) {
-	// The calibrated start temperature must accept roughly InitProb of
+	// The calibrated start temperature must accept roughly initProb of
 	// random moves from the initial state (the JAMS calibration target).
 	// We measure the first temperature's acceptance ratio with a schedule
 	// that freezes immediately afterwards.
@@ -286,23 +259,16 @@ func TestStartTemperatureCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := partition.NewRandom(g, r)
-	st, err := Refine(b, Options{SizeFactor: 8, MaxTemps: 1, FreezeLim: 1, InitProb: 0.4}, r)
+	st, err := Refine(b, Options{SizeFactor: 8, MaxTemps: 1, FreezeLim: 1}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ratio := float64(st.Accepted) / float64(st.Trials)
 	// The calibration doubles T until the sampled acceptance reaches the
-	// target, so the realized ratio is at least ~InitProb (minus sampling
+	// target, so the realized ratio is at least ~initProb (minus sampling
 	// noise) and usually well above; it must not be near zero or one.
 	if ratio < 0.3 || ratio > 0.98 {
-		t.Fatalf("first-temperature acceptance %.3f far from InitProb 0.4", ratio)
-	}
-}
-
-func TestAdaptiveCoolingDefaultsDelta(t *testing.T) {
-	o := Options{Cooling: CoolAdaptive}.withDefaults()
-	if o.Delta != 0.1 {
-		t.Fatalf("delta default %v", o.Delta)
+		t.Fatalf("first-temperature acceptance %.3f far from initProb %v", ratio, initProb)
 	}
 }
 

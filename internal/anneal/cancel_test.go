@@ -71,7 +71,7 @@ func TestCancelledRunIsBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tol := partition.MinAchievableImbalance(g.TotalVertexWeight())
+	tol := g.TotalVertexWeight() % 2
 	for k := int64(1); k <= 6; k++ {
 		b := partition.NewRandom(g, rng.NewFib(8))
 		opts := Options{SizeFactor: 4, TempFactor: 0.8, FreezeLim: 3, MaxTemps: 200, Control: runctl.WithBudget(k)}
@@ -105,7 +105,7 @@ func TestPreCancelledContextStillBalances(t *testing.T) {
 	if st.Temperatures != 0 {
 		t.Fatalf("cancelled run annealed %d temperatures", st.Temperatures)
 	}
-	if imb := b.Imbalance(); imb > partition.MinAchievableImbalance(g.TotalVertexWeight()) {
+	if imb := b.Imbalance(); imb > g.TotalVertexWeight()%2 {
 		t.Fatalf("imbalance %d after pre-cancelled run", imb)
 	}
 	if err := b.Validate(); err != nil {

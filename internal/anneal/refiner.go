@@ -102,14 +102,14 @@ func (r vertexRec) side() uint8 { return uint8(math.Float64bits(r.sw) >> 63) }
 // by float accumulation — when a move is accepted. d − sw is d ∓ 2·w(v)
 // exactly (IEEE subtraction of −x is addition of x), so every produced
 // float is the plain Figure 1 delta's, bit for bit.
-func deltaCost(d, d2 float64, r vertexRec, alpha float64) float64 {
+func deltaCost(d, d2 float64, r vertexRec) float64 {
 	nd := d - r.sw
 	return -float64(r.gain) + alpha*(nd*nd-d2)
 }
 
 // costAt returns the annealing cost cut + α·(w(V₀)−w(V₁))² from the
 // hoisted square d2.
-func costAt(cut int64, d2 float64, alpha float64) float64 {
+func costAt(cut int64, d2 float64) float64 {
 	return float64(cut) + alpha*d2
 }
 

@@ -27,7 +27,7 @@ func TestObserverDoesNotChangeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	opts := fastTraceOpts()
 	opts.Observer = rec
 	traced, tracedStats, err := Run(g, opts, rng.NewFib(5))
@@ -54,7 +54,7 @@ func TestTempDoneEventsMatchSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	opts := fastTraceOpts()
 	opts.Observer = rec
 	_, st, err := Run(g, opts, rng.NewFib(9))
@@ -107,7 +107,7 @@ func TestAcceptanceRatioDecays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	opts := fastTraceOpts()
 	opts.Observer = rec
 	if _, _, err := Run(g, opts, rng.NewFib(21)); err != nil {

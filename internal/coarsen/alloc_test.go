@@ -85,7 +85,6 @@ func TestCompactCycleSteadyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.NewFib(7)
-	minImb := partition.MinAchievableImbalance(gs.g.TotalVertexWeight())
 	var failed bool
 	cycle := func() {
 		w.Reset()
@@ -109,7 +108,7 @@ func TestCompactCycleSteadyAllocs(t *testing.T) {
 			failed = true
 			return
 		}
-		partition.RepairBalance(fine, minImb)
+		partition.RepairBalance(fine)
 	}
 	cycle() // warm the projection-side buffers once
 	allocs := testing.AllocsPerRun(50, cycle)

@@ -39,7 +39,7 @@ func cancelRefine(b *partition.Bisection, r *rng.Rand) {
 // identical results.
 func TestMultilevelControlBudget(t *testing.T) {
 	g := cancelTestGraph(t)
-	tol := partition.MinAchievableImbalance(g.TotalVertexWeight())
+	tol := g.TotalVertexWeight() % 2
 	for k := int64(1); k <= 8; k++ {
 		opts := &MultilevelOptions{Control: runctl.WithBudget(k)}
 		b, err := Multilevel(g, opts, cancelInitial, cancelRefine, rng.NewFib(5))
@@ -99,7 +99,7 @@ func TestMultilevelPreCancelledContext(t *testing.T) {
 	if verr := b.Validate(); verr != nil {
 		t.Fatal(verr)
 	}
-	if imb := b.Imbalance(); imb > partition.MinAchievableImbalance(g.TotalVertexWeight()) {
+	if imb := b.Imbalance(); imb > g.TotalVertexWeight()%2 {
 		t.Fatalf("imbalance %d after pre-cancelled run", imb)
 	}
 }

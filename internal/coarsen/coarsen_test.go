@@ -176,7 +176,7 @@ func TestRepairBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := partition.RepairBalance(b, 0); got != 0 {
+	if got := partition.RepairBalance(b); got != 0 {
 		t.Fatalf("repaired imbalance %d, want 0", got)
 	}
 	n0, n1 := b.CountSides()
@@ -206,7 +206,7 @@ func TestRepairBalancePrefersLowCutMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partition.RepairBalance(b, 0)
+	partition.RepairBalance(b)
 	if b.Imbalance() != 0 {
 		t.Fatalf("imbalance %d", b.Imbalance())
 	}
@@ -221,7 +221,7 @@ func TestRepairBalanceOddTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := partition.RepairBalance(b, partition.MinAchievableImbalance(g.TotalVertexWeight()))
+	got := partition.RepairBalance(b)
 	if got != 1 {
 		t.Fatalf("odd-total repair reached imbalance %d, want 1", got)
 	}
@@ -234,17 +234,11 @@ func TestRepairBalanceAlreadyBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	cutBefore := b.Cut()
-	if got := partition.RepairBalance(b, 0); got != 0 {
+	if got := partition.RepairBalance(b); got != 0 {
 		t.Fatalf("imbalance %d", got)
 	}
 	if b.Cut() != cutBefore {
 		t.Fatal("repair disturbed a balanced bisection")
-	}
-}
-
-func TestMinAchievableImbalance(t *testing.T) {
-	if partition.MinAchievableImbalance(10) != 0 || partition.MinAchievableImbalance(11) != 1 {
-		t.Fatal("parity wrong")
 	}
 }
 
@@ -366,12 +360,12 @@ func TestMultilevelNeedsInitial(t *testing.T) {
 func TestMultilevelOptionsDefaults(t *testing.T) {
 	var o *MultilevelOptions
 	d := o.withDefaults()
-	if d.MinSize != 32 || d.MaxLevels != 30 || d.Match == nil {
+	if d.Match == nil || d.Workspace != nil || d.SpectralInit {
 		t.Fatalf("defaults: %+v", d)
 	}
-	o2 := &MultilevelOptions{MinSize: 8}
+	o2 := &MultilevelOptions{Workspace: NewWorkspace(), SpectralInit: true}
 	d2 := o2.withDefaults()
-	if d2.MinSize != 8 || d2.MaxLevels != 30 {
+	if d2.Match == nil || d2.Workspace != o2.Workspace || !d2.SpectralInit {
 		t.Fatalf("partial defaults: %+v", d2)
 	}
 }

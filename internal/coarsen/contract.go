@@ -41,9 +41,9 @@ type Contraction struct {
 	// two slots per coarse id (a matching contracts at most pairs);
 	// slot 2c+1 is −1 for an uncontracted singleton.
 	members []int32
-	// owner is the workspace level whose buffers back this contraction,
-	// nil when the contraction was produced by the package-level
-	// Contract and owns its storage outright.
+	// owner is the workspace level whose buffers back this contraction.
+	// Every contraction has one: the package-level Contract runs in a
+	// fresh workspace of its own, so its storage is still its own.
 	owner *level
 }
 

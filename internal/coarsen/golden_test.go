@@ -148,7 +148,7 @@ func runGoldenCase(c goldenCase, p goldenPipeline) (goldenRecord, error) {
 	}
 	rec.CoarseHash = hashContraction(con)
 
-	tr := trace.NewRecorder(0)
+	tr := trace.NewRecorder()
 	b, err := p.compactOnce(c.g, goldenInitial, rng.NewFib(c.seed+1), tr)
 	if err != nil {
 		return rec, err
@@ -159,7 +159,7 @@ func runGoldenCase(c goldenCase, p goldenPipeline) (goldenRecord, error) {
 	rec.CompactSidesHash = sh.Sum64()
 	rec.CompactTraceHash = hashTrace(tr.Events())
 
-	tr = trace.NewRecorder(0)
+	tr = trace.NewRecorder()
 	mb, err := p.multilevel(c.g, goldenInitial, rng.NewFib(c.seed+2), tr)
 	if err != nil {
 		return rec, err

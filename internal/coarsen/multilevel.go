@@ -21,17 +21,18 @@ type RefineFunc func(b *partition.Bisection, r *rng.Rand)
 // InitialFunc produces a starting bisection of the coarsest graph.
 type InitialFunc func(g *graph.Graph, r *rng.Rand) *partition.Bisection
 
+// Multilevel coarsening stops once the graph has at most minSize
+// vertices, after maxLevels contractions, or at a contraction that keeps
+// more than minRatio of the vertices (|coarse| > 0.95·|fine|), which
+// happens on graphs with almost no edges.
+const (
+	minSize   = 32
+	maxLevels = 30
+	minRatio  = 0.95
+)
+
 // MultilevelOptions configures the recursive compaction driver.
 type MultilevelOptions struct {
-	// MinSize stops coarsening once the graph has at most this many
-	// vertices (default 32).
-	MinSize int
-	// MaxLevels bounds the coarsening depth (default 30).
-	MaxLevels int
-	// MinRatio aborts coarsening when a level shrinks the graph by less
-	// than this factor (default 0.95: stop if |coarse| > 0.95·|fine|),
-	// which happens on graphs with almost no edges.
-	MinRatio float64
 	// Match selects the matching policy (default matching.RandomMaximal).
 	Match MatchFunc
 	// Observer, when non-nil, receives level_done trace events for every
@@ -67,18 +68,9 @@ type MultilevelOptions struct {
 }
 
 func (o *MultilevelOptions) withDefaults() MultilevelOptions {
-	out := MultilevelOptions{MinSize: 32, MaxLevels: 30, MinRatio: 0.95, Match: matching.RandomMaximal}
+	out := MultilevelOptions{Match: matching.RandomMaximal}
 	if o == nil {
 		return out
-	}
-	if o.MinSize > 0 {
-		out.MinSize = o.MinSize
-	}
-	if o.MaxLevels > 0 {
-		out.MaxLevels = o.MaxLevels
-	}
-	if o.MinRatio > 0 {
-		out.MinRatio = o.MinRatio
 	}
 	out.Workspace = o.Workspace
 	if o.Match != nil {

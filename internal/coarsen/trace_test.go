@@ -26,7 +26,7 @@ func TestMultilevelLevelEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	traced, err := Multilevel(g, &MultilevelOptions{Observer: rec}, initial, nil, rng.NewFib(6))
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestCompactOnceLevelEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	initial := func(cg *graph.Graph, r *rng.Rand) *partition.Bisection { return partition.NewRandom(cg, r) }
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	b, err := CompactOnce(g, nil, initial, nil, rng.NewFib(8), rec)
 	if err != nil {
 		t.Fatal(err)

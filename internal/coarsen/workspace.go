@@ -85,12 +85,6 @@ func (w *Workspace) RandomMaximal(g *graph.Graph, r *rng.Rand) []int32 {
 	return w.match.RandomMaximal(g, r)
 }
 
-// HeavyEdge runs matching.HeavyEdge on the workspace's matching
-// scratch; see RandomMaximal.
-func (w *Workspace) HeavyEdge(g *graph.Graph, r *rng.Rand) []int32 {
-	return w.match.HeavyEdge(g, r)
-}
-
 // Contract is the workspace counterpart of the package-level Contract:
 // same validation, same coarse graph, but every output — the
 // contraction record, its map and member arrays, and the coarse graph's
@@ -257,13 +251,10 @@ func (w *Workspace) contractInto(lv *level, g *graph.Graph, mate []int32) error 
 // workspace — valid until the next Project on the same contraction or
 // until the level slot is reused — which is why the multilevel driver
 // uses it only for interior levels and returns a caller-owned bisection
-// from the final one. A contraction not produced by a workspace falls
-// back to the allocating path.
+// from the final one. c must come from Contract (every Contract, the
+// package-level one included, runs in a workspace level slot).
 func (w *Workspace) Project(c *Contraction, coarse *partition.Bisection) (*partition.Bisection, error) {
 	lv := c.owner
-	if lv == nil {
-		return c.Project(coarse)
-	}
 	if coarse.Graph() != c.Coarse {
 		return nil, fmt.Errorf("coarsen: Project called with a bisection of a different graph")
 	}
@@ -304,7 +295,7 @@ func (w *Workspace) CompactOnce(g *graph.Graph, match MatchFunc, initial Initial
 		if b == nil || b.Graph() != g {
 			return nil, fmt.Errorf("coarsen: initial bisector returned an invalid bisection")
 		}
-		partition.RepairBalance(b, partition.MinAchievableImbalance(g.TotalVertexWeight()))
+		partition.RepairBalance(b)
 		return b, nil
 	}
 	c, err := w.Contract(g, mate)
@@ -321,7 +312,7 @@ func (w *Workspace) CompactOnce(g *graph.Graph, match MatchFunc, initial Initial
 	if cb == nil || cb.Graph() != c.Coarse {
 		return nil, fmt.Errorf("coarsen: initial bisector returned an invalid bisection")
 	}
-	partition.RepairBalance(cb, partition.MinAchievableImbalance(c.Coarse.TotalVertexWeight()))
+	partition.RepairBalance(cb)
 	if refine != nil {
 		refine(cb, r)
 	}
@@ -329,7 +320,7 @@ func (w *Workspace) CompactOnce(g *graph.Graph, match MatchFunc, initial Initial
 	if err != nil {
 		return nil, err
 	}
-	partition.RepairBalance(fine, partition.MinAchievableImbalance(g.TotalVertexWeight()))
+	partition.RepairBalance(fine)
 	if obs != nil {
 		obs.Observe(trace.Event{
 			Type: trace.TypeLevelDone, Algo: "coarsen", Phase: "uncoarsen",
@@ -356,7 +347,7 @@ func (w *Workspace) multilevel(g *graph.Graph, o MultilevelOptions, initial Init
 	var stopErr error
 	nlv := 0
 	cur := g
-	for nlv < o.MaxLevels && cur.N() > o.MinSize {
+	for nlv < maxLevels && cur.N() > minSize {
 		if stopErr = o.Control.Check(); stopErr != nil {
 			break
 		}
@@ -368,7 +359,7 @@ func (w *Workspace) multilevel(g *graph.Graph, o MultilevelOptions, initial Init
 		if err != nil {
 			return nil, err
 		}
-		if c.Ratio() > o.MinRatio {
+		if c.Ratio() > minRatio {
 			w.depth-- // pop the unproductive level so its slot is reusable
 			break
 		}
@@ -387,7 +378,7 @@ func (w *Workspace) multilevel(g *graph.Graph, o MultilevelOptions, initial Init
 	if b == nil || b.Graph() != cur {
 		return nil, fmt.Errorf("coarsen: initial bisector returned an invalid bisection")
 	}
-	partition.RepairBalance(b, partition.MinAchievableImbalance(cur.TotalVertexWeight()))
+	partition.RepairBalance(b)
 	if refine != nil && stopErr == nil {
 		refine(b, r)
 	}
@@ -418,7 +409,7 @@ func (w *Workspace) multilevel(g *graph.Graph, o MultilevelOptions, initial Init
 			return nil, err
 		}
 		b = fine
-		partition.RepairBalance(b, partition.MinAchievableImbalance(b.Graph().TotalVertexWeight()))
+		partition.RepairBalance(b)
 		if refine != nil && stopErr == nil {
 			refine(b, r)
 		}

@@ -37,8 +37,10 @@ import (
 
 // Bisector produces a balanced bisection of a graph. Implementations must
 // be deterministic given the random source and must return a bisection of
-// exactly the argument graph, balanced to the parity minimum for
-// unit-weight graphs.
+// exactly the argument graph whose weight imbalance is at most the
+// graph's largest vertex weight: the parity minimum for unit-weight
+// graphs. Every registry entry ends in partition.RepairBalance or, for
+// random, assigns each vertex to the lighter side.
 type Bisector interface {
 	// Name returns a short stable identifier ("kl", "csa", ...).
 	Name() string
@@ -144,9 +146,11 @@ type KL struct{ Opts kl.Options }
 // Name implements Bisector.
 func (KL) Name() string { return "kl" }
 
-// Bisect implements Bisector.
+// Bisect implements Bisector. KL swaps pairs, so it keeps its random
+// start's vertex-count balance; the repair then balances vertex weights.
 func (a KL) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error) {
 	b, _, err := kl.Run(g, a.Opts, r)
+	partition.RepairBalance(b)
 	return b, err
 }
 
@@ -169,12 +173,16 @@ type Spectral struct{ Opts spectral.Options }
 // Name implements Bisector.
 func (Spectral) Name() string { return "spectral" }
 
-// Bisect implements Bisector.
+// Bisect implements Bisector. The median split balances vertex counts;
+// the repair then balances vertex weights.
 func (a Spectral) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error) {
 	if g.N() == 0 {
 		return partition.NewRandom(g, r), nil
 	}
 	b, err := spectral.Bisect(g, a.Opts, r)
+	if b != nil {
+		partition.RepairBalance(b)
+	}
 	if err != nil && spectral.IsNotConverged(err) {
 		// An exhausted matvec budget still yields a valid best-effort
 		// bisection; campaign drivers (BestOf, the harness, bisectd)
@@ -373,7 +381,7 @@ func (c Compacted) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, er
 			stopErr = err
 		}
 	}
-	partition.RepairBalance(start, partition.MinAchievableImbalance(g.TotalVertexWeight()))
+	partition.RepairBalance(start)
 	return start, stopErr
 }
 
@@ -428,7 +436,7 @@ func (m Multilevel) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, e
 		// bisection back to g; keep it and carry the sentinel.
 		stopErr = err
 	}
-	partition.RepairBalance(b, partition.MinAchievableImbalance(g.TotalVertexWeight()))
+	partition.RepairBalance(b)
 	return b, stopErr
 }
 

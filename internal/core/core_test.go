@@ -57,11 +57,40 @@ func TestAllBisectorsProduceValidBalancedBisections(t *testing.T) {
 			if b.Graph() != g {
 				t.Fatalf("%s returned bisection of wrong graph", alg.Name())
 			}
-			if b.Imbalance() > partition.MinAchievableImbalance(g.TotalVertexWeight()) {
+			if b.Imbalance() > g.TotalVertexWeight()%2 {
 				t.Fatalf("%s on graph %d: imbalance %d", alg.Name(), gi, b.Imbalance())
 			}
 			if err := b.Validate(); err != nil {
 				t.Fatalf("%s on graph %d: %v", alg.Name(), gi, err)
+			}
+		}
+	}
+}
+
+// TestWeightedImbalanceWithinMaxVertexWeight holds every registry entry,
+// at its registry options, to the Bisector contract on weighted input:
+// the final weight imbalance is at most the largest vertex weight.
+func TestWeightedImbalanceWithinMaxVertexWeight(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rng.NewFib(seed)
+		u := mustGraph(gen.GNP(200, 0.02, r))
+		bld := graph.NewBuilder(u.N())
+		for v := int32(0); int(v) < u.N(); v++ {
+			bld.SetVertexWeight(v, int32(1+r.Intn(3)))
+		}
+		u.Edges(func(a, b, w int32) { bld.AddWeightedEdge(a, b, w) })
+		g := mustGraph(bld.Build())
+		for _, name := range Names() {
+			alg, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := alg.Bisect(g, rng.NewFib(seed))
+			if err != nil {
+				t.Fatalf("%s on seed %d: %v", name, seed, err)
+			}
+			if imb, maxW := b.Imbalance(), int64(g.MaxVertexWeight()); imb > maxW {
+				t.Errorf("%s on seed %d: imbalance %d exceeds the largest vertex weight %d", name, seed, imb, maxW)
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func TestMultilevelLookaheadKeepsGbregResults(t *testing.T) {
 				t.Fatalf("%s: registry KL has Lookahead %d", name, ml.Inner.(KL).Opts.Lookahead)
 			}
 			full := Multilevel{Inner: KL{}, Opts: ml.Opts}
-			rec := trace.NewRecorder(0)
+			rec := trace.NewRecorder()
 			got, err := WithObserver(bounded, rec).Bisect(g, rng.NewFib(7))
 			if err != nil {
 				t.Fatal(err)
@@ -67,7 +67,7 @@ func TestPlainKLPassesRunInFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := trace.NewRecorder(0)
+		rec := trace.NewRecorder()
 		if _, err := WithObserver(b, rec).Bisect(g, rng.NewFib(22)); err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func TestDeterminismMatrix(t *testing.T) {
 		events    int
 	}
 	run := func(alg Bisector) cell {
-		rec := trace.NewRecorder(0)
+		rec := trace.NewRecorder()
 		b, err := WithObserver(alg, rec).Bisect(g, rng.NewFib(101))
 		if err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ func TestBestOfStartStamps(t *testing.T) {
 		{"unstopped", nil, 4},
 		{"budget 1", runctl.WithBudget(1), 1},
 	} {
-		rec := trace.NewRecorder(0)
+		rec := trace.NewRecorder()
 		b := WithControl(BestOf{Inner: KL{}, Starts: 4, Observer: rec}, tc.ctl)
 		if _, err := b.Bisect(g, rng.NewFib(14)); err != nil && !runctl.IsStop(err) {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -121,7 +121,7 @@ func TestWithObserverHelper(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rec := trace.NewRecorder(0)
+		rec := trace.NewRecorder()
 		traced, err := WithObserver(alg, rec).Bisect(g, rng.NewFib(2))
 		if err != nil {
 			t.Fatalf("%s traced: %v", name, err)

@@ -38,9 +38,12 @@ func GNP(n int, p float64, r *rng.Rand) (*graph.Graph, error) {
 	if p < 0 || p > 1 {
 		return nil, fmt.Errorf("gen: GNP with p=%v outside [0,1]", p)
 	}
+	total := int64(n) * int64(n-1) / 2
+	if err := checkSize("GNP", n, int64(p*float64(total))); err != nil {
+		return nil, err
+	}
 	b := graph.NewBuilder(n)
 	if p > 0 {
-		total := int64(n) * int64(n-1) / 2
 		forEachSkippedIndex(total, p, r, func(k int64) {
 			u, v := pairFromIndex(k)
 			b.AddEdge(int32(u), int32(v))
@@ -107,8 +110,11 @@ func TwoSet(twoN int, pA, pB float64, bis int, r *rng.Rand) (*graph.Graph, error
 	if bis < 0 || int64(bis) > int64(n)*int64(n) {
 		return nil, fmt.Errorf("gen: TwoSet with bis=%d outside [0, n²=%d]", bis, int64(n)*int64(n))
 	}
-	b := graph.NewBuilder(twoN)
 	half := int64(n) * int64(n-1) / 2
+	if err := checkSize("TwoSet", twoN, int64(pA*float64(half)+pB*float64(half))+int64(bis)); err != nil {
+		return nil, err
+	}
+	b := graph.NewBuilder(twoN)
 	if pA > 0 {
 		forEachSkippedIndex(half, pA, r, func(k int64) {
 			u, v := pairFromIndex(k)
@@ -212,11 +218,12 @@ func BReg(twoN, b, d int, r *rng.Rand) (*graph.Graph, error) {
 
 // checkSize refuses a graph of nv vertices and ne edges beyond
 // graph.MaxVertices or graph.MaxEdges with an error wrapping
-// graph.ErrTooLarge. The configuration-model generators call it before
-// they allocate anything: their stub arrays grow with the edge count,
-// and the Builder would only refuse the graph once they were filled.
-// ne is read only when nv is within its cap, so a caller need not guard
-// its computation against overflow.
+// graph.ErrTooLarge. Every random generator calls it before it allocates
+// anything: the configuration model's stub arrays grow with the edge
+// count, and the Builder would only refuse the graph once its records
+// were filled. GNP and TwoSet draw their edge count at random and pass
+// its expectation. ne is read only when nv is within its cap, so a
+// caller need not guard its computation against overflow.
 func checkSize(model string, nv int, ne int64) error {
 	if nv > graph.MaxVertices {
 		return fmt.Errorf("gen: %s on %d vertices exceeds limit %d: %w", model, nv, graph.MaxVertices, graph.ErrTooLarge)

@@ -330,19 +330,17 @@ func TestRandomRegular(t *testing.T) {
 	}
 }
 
-func TestOversizeRegularGraphsRefused(t *testing.T) {
-	r := rng.NewFib(1)
-	cases := []struct {
-		name string
-		gen  func() (*graph.Graph, error)
-	}{
-		// n·d/2 = 2.5·10⁹ edges.
-		{"RandomRegular(1e5, 5e4)", func() (*graph.Graph, error) { return RandomRegular(100_000, 50_000, r) }},
-		// n·d = 1.6·10⁹ edges, though each half's 8.2·10⁸ is under the cap.
-		{"BReg(2e5, 0, 16384)", func() (*graph.Graph, error) { return BReg(200_000, 0, 16384, r) }},
-		{"RandomRegular over MaxVertices", func() (*graph.Graph, error) { return RandomRegular(graph.MaxVertices+2, 2, r) }},
-		{"BReg over MaxVertices", func() (*graph.Graph, error) { return BReg(graph.MaxVertices+2, 0, 2, r) }},
-	}
+// oversizeCase is a generator call that must be refused as too large.
+type oversizeCase struct {
+	name string
+	gen  func() (*graph.Graph, error)
+}
+
+// requireRefusedBeforeAlloc runs each case and requires an error wrapping
+// graph.ErrTooLarge, returned before any stub, degree or edge array is
+// allocated: only the error itself is.
+func requireRefusedBeforeAlloc(t *testing.T, cases []oversizeCase) {
+	t.Helper()
 	for _, tc := range cases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -351,12 +349,41 @@ func TestOversizeRegularGraphsRefused(t *testing.T) {
 		if g != nil || !errors.Is(err, graph.ErrTooLarge) {
 			t.Fatalf("%s: got %v, %v; want an error wrapping graph.ErrTooLarge", tc.name, g, err)
 		}
-		// The refusal comes before any stub or degree array: only the
-		// error itself is allocated.
 		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<16 {
 			t.Fatalf("%s: allocated %d bytes before refusing", tc.name, b)
 		}
 	}
+}
+
+func TestOversizeRegularGraphsRefused(t *testing.T) {
+	r := rng.NewFib(1)
+	requireRefusedBeforeAlloc(t, []oversizeCase{
+		// n·d/2 = 2.5·10⁹ edges.
+		{"RandomRegular(1e5, 5e4)", func() (*graph.Graph, error) { return RandomRegular(100_000, 50_000, r) }},
+		// n·d = 1.6·10⁹ edges, though each half's 8.2·10⁸ is under the cap.
+		{"BReg(2e5, 0, 16384)", func() (*graph.Graph, error) { return BReg(200_000, 0, 16384, r) }},
+		{"RandomRegular over MaxVertices", func() (*graph.Graph, error) { return RandomRegular(graph.MaxVertices+2, 2, r) }},
+		{"BReg over MaxVertices", func() (*graph.Graph, error) { return BReg(graph.MaxVertices+2, 0, 2, r) }},
+	})
+}
+
+// GNP and TwoSet draw their edge count at random, so they are refused on
+// its expectation.
+func TestOversizeRandomGraphsRefused(t *testing.T) {
+	r := rng.NewFib(1)
+	requireRefusedBeforeAlloc(t, []oversizeCase{
+		// C(10⁵, 2) ≈ 5.0·10⁹ edges.
+		{"GNP(1e5, 1)", func() (*graph.Graph, error) { return GNP(100_000, 1, r) }},
+		// 0.25·C(10⁵, 2) ≈ 1.25·10⁹ expected edges.
+		{"GNP(1e5, 0.25)", func() (*graph.Graph, error) { return GNP(100_000, 0.25, r) }},
+		// 2·0.15·C(10⁵, 2) ≈ 1.5·10⁹ expected edges, though each side's
+		// 7.5·10⁸ is under the cap.
+		{"TwoSet(2e5, 0.15, 0.15, 0)", func() (*graph.Graph, error) { return TwoSet(200_000, 0.15, 0.15, 0, r) }},
+		// The bis cross edges alone exceed the cap.
+		{"TwoSet(2e5, 0, 0, 2^30)", func() (*graph.Graph, error) { return TwoSet(200_000, 0, 0, 1<<30, r) }},
+		{"GNP over MaxVertices", func() (*graph.Graph, error) { return GNP(graph.MaxVertices+1, 0, r) }},
+		{"TwoSet over MaxVertices", func() (*graph.Graph, error) { return TwoSet(graph.MaxVertices+2, 0, 0, 0, r) }},
+	})
 }
 
 func TestConfigurationModelErrors(t *testing.T) {

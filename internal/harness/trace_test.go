@@ -67,7 +67,7 @@ func TestRunObserverSameSeedIdentical(t *testing.T) {
 // carries its row label, and each (algorithm, instance) contributes one
 // harness-phase run_done whose cut matches the table's accounting.
 func TestRunObserverEventShape(t *testing.T) {
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	cfg := Config{
 		Seed:       7,
 		Algorithms: []core.Bisector{core.KL{}},
@@ -110,7 +110,7 @@ func TestRunWithoutObserverUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Observer = trace.NewRecorder(0)
+	cfg.Observer = trace.NewRecorder()
 	traced, err := Run(traceTable(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func checkScanVariants(t *testing.T, base *partition.Bisection) {
 		}
 		return b, st
 	}
-	fastRec, plainRec := trace.NewRecorder(0), trace.NewRecorder(0)
+	fastRec, plainRec := trace.NewRecorder(), trace.NewRecorder()
 	fast, fastSt := run(Options{Observer: fastRec})
 	full, fullSt := run(Options{DisablePruning: true})
 	plain := base.Clone()

@@ -60,7 +60,7 @@ func TestRefineSteadyStateZeroAlloc(t *testing.T) {
 	} {
 		w := NewRefiner()
 		b := tc.start.Clone()
-		rec := trace.NewRecorder(0)
+		rec := trace.NewRecorder()
 		warm := tc.opts
 		warm.Observer = rec
 		if _, err := w.Refine(b, warm); err != nil {

@@ -16,7 +16,7 @@ import (
 // and returns the events.
 func checkOracle(t *testing.T, base *partition.Bisection, opts Options, bruteMax bool) []trace.Event {
 	t.Helper()
-	fastRec, plainRec := trace.NewRecorder(0), trace.NewRecorder(0)
+	fastRec, plainRec := trace.NewRecorder(), trace.NewRecorder()
 	fast, plain := base.Clone(), base.Clone()
 	opts.Observer = fastRec
 	fastSt, err := Refine(fast, opts)

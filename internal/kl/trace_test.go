@@ -86,7 +86,7 @@ func TestObserverDoesNotChangeResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	traced, tracedStats, err := Run(g, Options{Observer: rec}, rng.NewFib(7))
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestObserverDoesNotChangeResult(t *testing.T) {
 // equal the Stats, and monotone non-increasing pass cuts.
 func TestTraceEventsMatchStats(t *testing.T) {
 	g := traceGraph(t)
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	b := partition.NewRandom(g, rng.NewFib(3))
 	st, err := Refine(b, Options{Observer: rec})
 	if err != nil {

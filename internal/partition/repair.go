@@ -1,23 +1,25 @@
 package partition
 
 // RepairBalance restores weight balance to a bisection by greedily moving
-// the highest-gain movable vertex from the heavy side until the imbalance
-// is at most maxImbalance (or no single move can reduce it further). It
-// returns the final imbalance.
+// the highest-gain movable vertex from the heavy side until no single
+// move reduces the imbalance. It returns the final imbalance, which is at
+// most the lightest heavy-side vertex weight and so at most the graph's
+// largest vertex weight; on unit weights it is the parity of the total
+// weight.
 //
 // Moving weight w from the heavy side changes the imbalance from d to
 // |d − 2w|, a strict decrease iff w < d; among strict decreases the move
 // with the best cut gain is taken, breaking ties toward larger weight
 // (faster convergence).
-func RepairBalance(b *Bisection, maxImbalance int64) int64 {
+func RepairBalance(b *Bisection) int64 {
 	for {
 		d := b.SideWeight(0) - b.SideWeight(1)
 		abs := d
 		if abs < 0 {
 			abs = -abs
 		}
-		if abs <= maxImbalance {
-			return abs
+		if abs <= 1 {
+			return abs // every vertex weighs at least 1: no move decreases it
 		}
 		heavy := uint8(0)
 		if d < 0 {
@@ -45,9 +47,3 @@ func RepairBalance(b *Bisection, maxImbalance int64) int64 {
 		b.Move(best)
 	}
 }
-
-// MinAchievableImbalance returns the smallest imbalance any bisection of
-// a graph with the given total vertex weight can achieve under unit (or
-// unit-and-two, as contraction produces) weights: the parity of the
-// total.
-func MinAchievableImbalance(total int64) int64 { return total % 2 }

@@ -15,7 +15,7 @@ func TestRepairBalanceFromExtremes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := RepairBalance(b, 0); got != 0 {
+	if got := RepairBalance(b); got != 0 {
 		t.Fatalf("imbalance %d after repair", got)
 	}
 	if err := b.Validate(); err != nil {
@@ -23,25 +23,9 @@ func TestRepairBalanceFromExtremes(t *testing.T) {
 	}
 	// Repairing an already-balanced bisection is a no-op.
 	cut := b.Cut()
-	RepairBalance(b, 0)
+	RepairBalance(b)
 	if b.Cut() != cut {
 		t.Fatal("no-op repair changed the cut")
-	}
-}
-
-func TestRepairBalanceRespectsTolerance(t *testing.T) {
-	g := mustGraph(gen.Cycle(12))
-	side := make([]uint8, 12)
-	for i := 0; i < 9; i++ {
-		side[i] = 1 // 3 vs 9: imbalance 6
-	}
-	b, err := New(g, side)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := RepairBalance(b, 4)
-	if got > 4 {
-		t.Fatalf("imbalance %d exceeds tolerance 4", got)
 	}
 }
 
@@ -58,7 +42,7 @@ func TestRepairBalanceStuckOnHeavyVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := RepairBalance(b, 0)
+	got := RepairBalance(b)
 	if got != 4 {
 		t.Fatalf("expected repair to stop at imbalance 4, got %d", got)
 	}
@@ -83,17 +67,11 @@ func TestRepairBalancePropertyNeverWorsens(t *testing.T) {
 			return false
 		}
 		before := b.Imbalance()
-		after := RepairBalance(b, 0)
+		after := RepairBalance(b)
 		return after <= before && b.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMinAchievableImbalanceParity(t *testing.T) {
-	if MinAchievableImbalance(8) != 0 || MinAchievableImbalance(9) != 1 {
-		t.Fatal("parity rule broken")
 	}
 }
 

@@ -24,7 +24,7 @@
 //     run is called from one goroutine at a time, so observers do not
 //     need internal locking.
 //
-// Concrete observers: Recorder (ring-buffered in-memory) and JSONL
+// Concrete observers: Recorder (in-memory, every event) and JSONL
 // (streaming one JSON object per line, the one trace file format).
 // WithStart and WithLabel stamp events with a start index or a row label
 // as they pass through.

@@ -13,12 +13,12 @@ func ev(i int) Event {
 }
 
 func TestRecorderUnbounded(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	for i := 0; i < 100; i++ {
 		r.Observe(ev(i))
 	}
-	if r.Len() != 100 || r.Dropped() != 0 {
-		t.Fatalf("len=%d dropped=%d, want 100, 0", r.Len(), r.Dropped())
+	if r.Len() != 100 {
+		t.Fatalf("len=%d, want 100", r.Len())
 	}
 	events := r.Events()
 	for i, e := range events {
@@ -26,27 +26,8 @@ func TestRecorderUnbounded(t *testing.T) {
 			t.Fatalf("event %d has index %d", i, e.Index)
 		}
 	}
-}
-
-func TestRecorderRingWrap(t *testing.T) {
-	r := NewRecorder(8)
-	for i := 0; i < 20; i++ {
-		r.Observe(ev(i))
-	}
-	if r.Len() != 8 {
-		t.Fatalf("len=%d, want 8", r.Len())
-	}
-	if r.Dropped() != 12 {
-		t.Fatalf("dropped=%d, want 12", r.Dropped())
-	}
-	events := r.Events()
-	for i, e := range events {
-		if want := 12 + i; e.Index != want {
-			t.Fatalf("event %d has index %d, want %d (oldest-first after wrap)", i, e.Index, want)
-		}
-	}
 	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 {
+	if r.Len() != 0 || len(r.Events()) != 0 {
 		t.Fatal("Reset did not clear the recorder")
 	}
 }

@@ -25,6 +25,12 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+# Every other step builds for the host, which is unix, so none of them
+# compiles the non-unix BCSR loader (internal/graph/csrfile_fallback.go,
+# //go:build !unix). Vetting the module for Windows type-checks it.
+echo "==> GOOS=windows go vet ./..."
+GOOS=windows go vet ./...
+
 # The build step only compiles the examples; each must also run to
 # completion and exit 0. Each takes under a second (service-client
 # starts an in-process daemon on a loopback port).
