@@ -78,17 +78,15 @@ type (
 	TraceRecorder = trace.Recorder
 	// TraceJSONL streams events as JSON Lines (deterministic by default).
 	TraceJSONL = trace.JSONL
-	// ObservableBisector is a Bisector whose runs can report trace
-	// events.
-	ObservableBisector = core.Observable
 )
 
 // NewRand returns a deterministic random source (lagged-Fibonacci) seeded
 // with seed.
 func NewRand(seed uint64) *Rand { return rng.NewFib(seed) }
 
-// RunKL bisects g with Kernighan–Lin from a random balanced start and
-// also returns the run statistics (the KL Bisector discards them).
+// RunKL bisects g with Kernighan–Lin from a random balanced start,
+// repairs the weight balance, and also returns the run statistics (the
+// KL Bisector discards them); their FinalCut is the returned cut.
 func RunKL(g *Graph, opts KLOptions, r *Rand) (*Bisection, KLStats, error) {
 	return kl.Run(g, opts, r)
 }
@@ -114,9 +112,10 @@ func BisectorNames() []string { return core.Names() }
 
 // Observability (docs/OBSERVABILITY.md).
 
-// WithObserver attaches obs to b if b is observable; otherwise (or when
-// obs is nil) it returns b unchanged. Attaching an observer never
-// changes the bisections an algorithm produces.
+// WithObserver attaches obs to b and to every bisector b wraps; random
+// and spectral report no events, and a nil obs returns b unchanged.
+// Attaching an observer never changes the bisections an algorithm
+// produces.
 func WithObserver(b Bisector, obs TraceObserver) Bisector { return core.WithObserver(b, obs) }
 
 // NewTraceRecorder returns an in-memory observer that keeps every event.

@@ -117,7 +117,7 @@ func TestAcceptMemoExact(t *testing.T) {
 	m.reset(2)
 	check("empty-slot key", math.Float64frombits(memoEmpty))
 	for i := 0; i < 2*memoSize; i++ {
-		check("fresh slot", 0.001+float64(i)*0.37)
+		check("fresh slot", 0.001+float64(float64(i)*0.37))
 	}
 
 	// The trial loop's pattern: a small set of ΔE values, many repeats,
@@ -128,6 +128,6 @@ func TestAcceptMemoExact(t *testing.T) {
 			temp *= 0.8
 			m.reset(temp)
 		}
-		check("sweep", float64(1+r.Intn(6))+0.05*float64(r.Intn(40)))
+		check("sweep", float64(1+r.Intn(6))+float64(0.05*float64(r.Intn(40))))
 	}
 }

@@ -72,7 +72,7 @@ func TestAnnealMatchesGenericSchema(t *testing.T) {
 		t.Fatalf("overall acceptance ratio %.3f implausible for an annealing run", ratio)
 	}
 	// Geometric cooling: final temp = start * TempFactor^(temps-1).
-	want := st.StartTemp * math.Pow(0.9, float64(st.Temperatures-1))
+	want := float64(st.StartTemp * math.Pow(0.9, float64(st.Temperatures-1)))
 	if math.Abs(want-st.FinalTemp)/want > 1e-9 {
 		t.Fatalf("cooling not geometric: final %g, want %g", st.FinalTemp, want)
 	}

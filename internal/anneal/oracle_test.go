@@ -36,9 +36,9 @@ func plainRefine(b *partition.Bisection, opts Options, r *rng.Rand) Stats {
 		if b.Side(v) == 0 {
 			nd = d - 2*float64(g.VertexWeight(v))
 		}
-		return -float64(b.Gain(v)) + alpha*(nd*nd-d*d)
+		return -float64(b.Gain(v)) + float64(alpha*(float64(nd*nd)-float64(d*d)))
 	}
-	cost := func() float64 { d := imbalance(); return float64(b.Cut()) + alpha*(d*d) }
+	cost := func() float64 { d := imbalance(); return float64(b.Cut()) + float64(alpha*(d*d)) }
 
 	// Start temperature: solve exp(−avgUp/T) = initProb over sampled
 	// uphill moves, then double T until the sampled acceptance reaches it.

@@ -104,13 +104,13 @@ func (r vertexRec) side() uint8 { return uint8(math.Float64bits(r.sw) >> 63) }
 // float is the plain Figure 1 delta's, bit for bit.
 func deltaCost(d, d2 float64, r vertexRec) float64 {
 	nd := d - r.sw
-	return -float64(r.gain) + alpha*(nd*nd-d2)
+	return -float64(r.gain) + float64(alpha*(float64(nd*nd)-float64(d2)))
 }
 
 // costAt returns the annealing cost cut + α·(w(V₀)−w(V₁))² from the
 // hoisted square d2.
 func costAt(cut int64, d2 float64) float64 {
-	return float64(cut) + alpha*d2
+	return float64(cut) + float64(alpha*d2)
 }
 
 // Refiner is the reusable workspace for annealing runs: the per-vertex

@@ -14,10 +14,10 @@
 //
 // All algorithms are deterministic functions of the supplied rng.Rand.
 //
-// Algorithms and drivers that can report their dynamics implement
-// Observable; WithObserver attaches a trace.Observer to any Bisector
-// (a no-op for baselines). Every run executes on one goroutine, so its
-// event stream is a deterministic function of the seed — see
+// WithObserver, WithControl and WithWorkspace attach a trace observer, a
+// run control and a reusable workspace to any Bisector; the drivers hand
+// each to the bisector they wrap. Every run executes on one goroutine,
+// so its event stream is a deterministic function of the seed — see
 // internal/trace and docs/OBSERVABILITY.md.
 package core
 
@@ -48,57 +48,63 @@ type Bisector interface {
 	Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error)
 }
 
-// Observable is a Bisector whose runs can report trace events. All the
-// algorithmic bisectors (KL, SA) and the composing drivers (Compacted,
-// Multilevel, BestOf) implement it; the trivial baselines (Random,
-// Spectral) have no interior dynamics to report and do not.
-type Observable interface {
-	Bisector
-	// WithObserver returns a copy of the bisector whose runs report to
-	// obs. The receiver is not modified, and the returned bisector
-	// produces exactly the same bisections (observers never touch the
-	// random stream).
-	WithObserver(obs trace.Observer) Bisector
+// companions are what WithObserver, WithControl and WithWorkspace
+// attach to a bisector: a trace observer, a run control, and whether to
+// give it a fresh private workspace. A zero field attaches nothing.
+type companions struct {
+	obs       trace.Observer
+	ctl       *runctl.Control
+	workspace bool
 }
 
-// WithObserver attaches obs to b if b is Observable; otherwise it
-// returns b unchanged. A nil obs also returns b unchanged, preserving
-// the nil fast path.
+// attacher is a Bisector that takes companions: its attach returns a
+// copy that keeps the companions its own runs use and passes them on to
+// the bisector it wraps. The receiver is never modified.
+type attacher interface {
+	attach(c companions) Bisector
+}
+
+// attach attaches c to b, or returns b unchanged when b takes no
+// companions (Random, or a caller's own Bisector).
+func attach(b Bisector, c companions) Bisector {
+	if a, ok := b.(attacher); ok {
+		return a.attach(c)
+	}
+	return b
+}
+
+// attachRefinable is attach keeping the RefinableBisector interface (it
+// holds for the concrete algorithms; the fallback covers exotic user
+// implementations).
+func attachRefinable(b RefinableBisector, c companions) RefinableBisector {
+	if rb, ok := attach(b, c).(RefinableBisector); ok {
+		return rb
+	}
+	return b
+}
+
+// WithObserver returns a copy of b whose runs, and the runs of every
+// bisector it wraps, report trace events to obs. Observers never touch
+// the random stream, so the copy produces exactly b's bisections. KL,
+// SA and the drivers report events; Random and Spectral have no
+// interior dynamics and report none. A nil obs returns b unchanged,
+// preserving the nil fast path.
 func WithObserver(b Bisector, obs trace.Observer) Bisector {
 	if obs == nil {
 		return b
 	}
-	if o, ok := b.(Observable); ok {
-		return o.WithObserver(obs)
-	}
-	return b
+	return attach(b, companions{obs: obs})
 }
 
-// Reusable is a Bisector whose repeated runs can share a reusable
-// workspace (gain buckets, swap logs, undo logs, solver bases, scratch
-// arrays) so that steady-state runs allocate little or nothing. The
-// algorithmic refiners (KL, SA), Spectral's eigensolver and the composing
-// drivers (Compacted, Multilevel, BestOf) implement it; Random holds no
-// reusable state and does not.
-type Reusable interface {
-	Bisector
-	// WithWorkspace returns a copy of the bisector owning a freshly
-	// allocated private workspace that its runs reuse. Results are
-	// identical with or without a workspace. The returned bisector is
-	// not safe for concurrent use; create one per goroutine.
-	WithWorkspace() Bisector
-}
-
-// WithWorkspace attaches a private reusable workspace to b if b is
-// Reusable; otherwise it returns b unchanged. cmd/bisect wraps its
-// BestOf in it once per run and the harness once per (row, algorithm);
-// each bisectd worker wraps every algorithm once and runs BestOf over
-// it. Every start after the first then runs allocation-free.
+// WithWorkspace returns a copy of b, and of every bisector it wraps,
+// owning a freshly allocated private workspace (gain buckets, swap and
+// undo logs, solver bases, compaction arenas) that its runs reuse, so
+// steady-state runs allocate little or nothing. Results are identical
+// with or without a workspace. The copy is not safe for concurrent use;
+// cmd/bisect and the harness wrap their BestOf in it once per run or
+// row, and each bisectd worker wraps every algorithm once.
 func WithWorkspace(b Bisector) Bisector {
-	if ru, ok := b.(Reusable); ok {
-		return ru.WithWorkspace()
-	}
-	return b
+	return attach(b, companions{workspace: true})
 }
 
 // WithParallel returns b unchanged: every run executes on one
@@ -107,26 +113,6 @@ func WithWorkspace(b Bisector) Bisector {
 // Deprecated: kept only for cmd/benchmark, its one caller; the next
 // change to that benchmark removes both.
 func WithParallel(b Bisector, degree int) Bisector { return b }
-
-// withWorkspaceRefinable is WithWorkspace keeping the RefinableBisector
-// interface (it holds for the concrete algorithms; the fallback covers
-// exotic user implementations).
-func withWorkspaceRefinable(b RefinableBisector) RefinableBisector {
-	if rb, ok := WithWorkspace(b).(RefinableBisector); ok {
-		return rb
-	}
-	return b
-}
-
-// withObserverRefinable attaches obs to b, keeping the RefinableBisector
-// interface when the observed copy still satisfies it (it does for the
-// concrete algorithms; the fallback covers exotic user implementations).
-func withObserverRefinable(b RefinableBisector, obs trace.Observer) RefinableBisector {
-	if rb, ok := WithObserver(b, obs).(RefinableBisector); ok {
-		return rb
-	}
-	return b
-}
 
 // Random assigns sides uniformly at random under exact balance. It is the
 // paper's initial-bisection generator and the weakest baseline.
@@ -147,11 +133,26 @@ type KL struct{ Opts kl.Options }
 func (KL) Name() string { return "kl" }
 
 // Bisect implements Bisector. KL swaps pairs, so it keeps its random
-// start's vertex-count balance; the repair then balances vertex weights.
+// start's vertex-count balance; kl.Run then repairs the vertex-weight
+// balance.
 func (a KL) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error) {
 	b, _, err := kl.Run(g, a.Opts, r)
-	partition.RepairBalance(b)
 	return b, err
+}
+
+// attach gives KL one Refiner (gain buckets, swap log, scratch stamps)
+// that serves every pass of every run.
+func (a KL) attach(c companions) Bisector {
+	if c.obs != nil {
+		a.Opts.Observer = c.obs
+	}
+	if c.ctl != nil {
+		a.Opts.Control = c.ctl
+	}
+	if c.workspace {
+		a.Opts.Workspace = kl.NewRefiner()
+	}
+	return a
 }
 
 // SA is plain simulated annealing from a random balanced start.
@@ -164,6 +165,22 @@ func (SA) Name() string { return "sa" }
 func (a SA) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error) {
 	b, _, err := anneal.Run(g, a.Opts, r)
 	return b, err
+}
+
+// attach gives SA its own annealing workspace (vertex records,
+// acceptance memo, undo log, best-state buffer), so every run after the
+// first is allocation-free.
+func (a SA) attach(c companions) Bisector {
+	if c.obs != nil {
+		a.Opts.Observer = c.obs
+	}
+	if c.ctl != nil {
+		a.Opts.Control = c.ctl
+	}
+	if c.workspace {
+		a.Opts.Workspace = anneal.NewRefiner()
+	}
+	return a
 }
 
 // Spectral is Fiedler-vector bisection (restarted Lanczos; see
@@ -194,12 +211,14 @@ func (a Spectral) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, err
 	return b, err
 }
 
-// WithWorkspace implements Reusable for Spectral: the solver workspace
-// (Lanczos basis slab, matvec buffers, tridiagonal scratch) is reused
-// across runs, so every warm solve allocates only the returned
-// bisection.
-func (a Spectral) WithWorkspace() Bisector {
-	a.Opts.Workspace = spectral.NewWorkspace()
+// attach takes only a workspace: the solver's (Lanczos basis slab,
+// matvec buffers, tridiagonal scratch) is reused across runs, so every
+// warm solve allocates only the returned bisection. Spectral runs in one
+// shot and reports no events.
+func (a Spectral) attach(c companions) Bisector {
+	if c.workspace {
+		a.Opts.Workspace = spectral.NewWorkspace()
+	}
 	return a
 }
 
@@ -218,7 +237,8 @@ type Compacted struct {
 	Observer trace.Observer
 	// Workspace, when non-nil, is the reusable compaction arena the
 	// match/contract/project pipeline runs in (see coarsen.Workspace);
-	// WithWorkspace sets it. Results are identical with or without one.
+	// WithWorkspace sets it, and a nil one gets a fresh arena per run.
+	// Results are identical with or without one.
 	Workspace *coarsen.Workspace
 }
 
@@ -243,130 +263,38 @@ func (a SA) Refine(b *partition.Bisection, r *rng.Rand) error {
 	return err
 }
 
-// WithObserver implements Observable for KL.
-func (a KL) WithObserver(obs trace.Observer) Bisector {
-	a.Opts.Observer = obs
-	return a
-}
-
-// WithWorkspace implements Reusable for KL.
-func (a KL) WithWorkspace() Bisector {
-	a.Opts.Workspace = kl.NewRefiner()
-	return a
-}
-
-// WithWorkspace implements Reusable for SA: the annealing workspace
-// (vertex records, acceptance memo, undo log, best-state buffer) is
-// reused across starts, making every run after the first
-// allocation-free.
-func (a SA) WithWorkspace() Bisector {
-	a.Opts.Workspace = anneal.NewRefiner()
-	return a
-}
-
-// WithWorkspace implements Reusable for Compacted: the inner bisector's
-// workspace serves both the coarse solve and the final refinement (the
-// workspace sizes itself to the larger graph and is reused as-is on the
-// smaller one), and a coarsen.Workspace arena carries the matching,
-// contraction, and projection, so steady-state compaction allocates
-// only the returned bisection.
-func (c Compacted) WithWorkspace() Bisector {
-	c.Workspace = coarsen.NewWorkspace()
-	if c.Inner != nil {
-		c.Inner = withWorkspaceRefinable(c.Inner)
-	}
-	return c
-}
-
-// WithWorkspace implements Reusable for Multilevel: one inner workspace
-// serves every level of the hierarchy, and a coarsen.Workspace arena
-// carries every contraction and interior projection. The options are
-// copied, never mutated in place.
-func (m Multilevel) WithWorkspace() Bisector {
-	var o coarsen.MultilevelOptions
-	if m.Opts != nil {
-		o = *m.Opts
-	}
-	o.Workspace = coarsen.NewWorkspace()
-	m.Opts = &o
-	if m.Inner != nil {
-		m.Inner = withWorkspaceRefinable(m.Inner)
-	}
-	return m
-}
-
-// WithWorkspace implements Reusable for BestOf: it attaches one
-// workspace to Inner, which every sequential start then reuses.
-func (b BestOf) WithWorkspace() Bisector {
-	if b.Inner != nil {
-		b.Inner = WithWorkspace(b.Inner)
-	}
-	return b
-}
-
-// WithObserver implements Observable for SA.
-func (a SA) WithObserver(obs trace.Observer) Bisector {
-	a.Opts.Observer = obs
-	return a
-}
-
-// WithObserver implements Observable for Compacted: obs receives the
-// compaction's own level_done events plus the inner bisector's events
-// from both the coarse solve and the final refinement.
-func (c Compacted) WithObserver(obs trace.Observer) Bisector {
-	c.Observer = obs
-	if c.Inner != nil {
-		c.Inner = withObserverRefinable(c.Inner, obs)
-	}
-	return c
-}
-
-// WithObserver implements Observable for Multilevel: obs receives one
-// level_done per coarsening and uncoarsening level plus the inner
-// bisector's events at every level. The options are copied, never
-// mutated in place.
-func (m Multilevel) WithObserver(obs trace.Observer) Bisector {
-	var o coarsen.MultilevelOptions
-	if m.Opts != nil {
-		o = *m.Opts
-	}
-	o.Observer = obs
-	m.Opts = &o
-	if m.Inner != nil {
-		m.Inner = withObserverRefinable(m.Inner, obs)
-	}
-	return m
-}
-
 // Name implements Bisector.
 func (c Compacted) Name() string { return "c" + c.Inner.Name() }
+
+// coarseSolver returns the compaction drivers' initial bisector: inner
+// bisects the coarsest graph. An interrupted inner run's best-so-far is
+// a valid coarse bisection, so it is kept and its sentinel stored in
+// *stopErr; a failed one degrades to a random start.
+func coarseSolver(inner Bisector, stopErr *error) coarsen.InitialFunc {
+	return func(cg *graph.Graph, r *rng.Rand) *partition.Bisection {
+		b, err := inner.Bisect(cg, r)
+		if err == nil {
+			return b
+		}
+		if runctl.IsStop(err) && b != nil {
+			*stopErr = err
+			return b
+		}
+		return partition.NewRandom(cg, r)
+	}
+}
 
 // Bisect implements Bisector.
 func (c Compacted) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error) {
 	if c.Inner == nil {
 		return nil, fmt.Errorf("core: Compacted with nil inner bisector")
 	}
+	ws := c.Workspace
+	if ws == nil {
+		ws = coarsen.NewWorkspace()
+	}
 	var stopErr error
-	initial := func(cg *graph.Graph, rr *rng.Rand) *partition.Bisection {
-		b, err := c.Inner.Bisect(cg, rr)
-		if err != nil {
-			if runctl.IsStop(err) && b != nil {
-				// Interrupted, not failed: the inner run's best-so-far is a
-				// valid coarse bisection — keep it and carry the sentinel.
-				stopErr = err
-				return b
-			}
-			return partition.NewRandom(cg, rr) // degrade gracefully
-		}
-		return b
-	}
-	var start *partition.Bisection
-	var err error
-	if c.Workspace != nil {
-		start, err = c.Workspace.CompactOnce(g, c.Match, initial, nil, r, c.Observer)
-	} else {
-		start, err = coarsen.CompactOnce(g, c.Match, initial, nil, r, c.Observer)
-	}
+	start, err := ws.CompactOnce(g, c.Match, coarseSolver(c.Inner, &stopErr), nil, r, c.Observer)
 	if err != nil {
 		return nil, err
 	}
@@ -383,6 +311,24 @@ func (c Compacted) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, er
 	}
 	partition.RepairBalance(start)
 	return start, stopErr
+}
+
+// attach keeps the observer, for the compaction's own level_done events,
+// and a coarsen.Workspace arena for the matching, contraction and
+// projection; Inner gets all three companions, for both the coarse solve
+// and the final refinement. Inner's one workspace serves both graphs: it
+// sizes itself to the larger and is reused as-is on the smaller.
+func (c Compacted) attach(k companions) Bisector {
+	if k.obs != nil {
+		c.Observer = k.obs
+	}
+	if k.workspace {
+		c.Workspace = coarsen.NewWorkspace()
+	}
+	if c.Inner != nil {
+		c.Inner = attachRefinable(c.Inner, k)
+	}
+	return c
 }
 
 // Multilevel runs the recursive-compaction pipeline with the inner
@@ -408,17 +354,6 @@ func (m Multilevel) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, e
 		return nil, fmt.Errorf("core: Multilevel with nil inner bisector")
 	}
 	var stopErr error
-	initial := func(cg *graph.Graph, rr *rng.Rand) *partition.Bisection {
-		b, err := m.Inner.Bisect(cg, rr)
-		if err != nil {
-			if runctl.IsStop(err) && b != nil {
-				stopErr = err
-				return b
-			}
-			return partition.NewRandom(cg, rr)
-		}
-		return b
-	}
 	refine := func(b *partition.Bisection, rr *rng.Rand) {
 		// A stop during a level's refinement leaves b at its last
 		// checkpoint; later levels stop at their first poll. Keep the
@@ -427,7 +362,7 @@ func (m Multilevel) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, e
 			stopErr = err
 		}
 	}
-	b, err := coarsen.Multilevel(g, m.Opts, initial, refine, r)
+	b, err := coarsen.Multilevel(g, m.Opts, coarseSolver(m.Inner, &stopErr), refine, r)
 	if err != nil {
 		if !runctl.IsStop(err) || b == nil {
 			return nil, err
@@ -438,6 +373,32 @@ func (m Multilevel) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, e
 	}
 	partition.RepairBalance(b)
 	return b, stopErr
+}
+
+// attach copies the options, never mutating the caller's, and sets the
+// observer (one level_done per coarsening and uncoarsening level), the
+// control (polled before every coarsening level) and a coarsen.Workspace
+// arena for every contraction and interior projection. Inner gets all
+// three, so one inner workspace serves every level of the hierarchy.
+func (m Multilevel) attach(c companions) Bisector {
+	var o coarsen.MultilevelOptions
+	if m.Opts != nil {
+		o = *m.Opts
+	}
+	if c.obs != nil {
+		o.Observer = c.obs
+	}
+	if c.ctl != nil {
+		o.Control = c.ctl
+	}
+	if c.workspace {
+		o.Workspace = coarsen.NewWorkspace()
+	}
+	m.Opts = &o
+	if m.Inner != nil {
+		m.Inner = attachRefinable(m.Inner, c)
+	}
+	return m
 }
 
 // BestOf runs the inner bisector k times, one start after another on
@@ -463,12 +424,6 @@ type BestOf struct {
 
 // Name implements Bisector.
 func (b BestOf) Name() string { return fmt.Sprintf("%s×%d", b.Inner.Name(), b.Starts) }
-
-// WithObserver implements Observable.
-func (b BestOf) WithObserver(obs trace.Observer) Bisector {
-	b.Observer = obs
-	return b
-}
 
 // Bisect implements Bisector.
 func (b BestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error) {
@@ -520,6 +475,23 @@ func (b BestOf) Bisect(g *graph.Graph, r *rng.Rand) (*partition.Bisection, error
 		})
 	}
 	return best, stopErr
+}
+
+// attach keeps the observer for itself, because Bisect stamps each
+// start's events with the start index, and passes the control and the
+// workspace to Inner: every start polls the one control and reuses the
+// one workspace.
+func (b BestOf) attach(c companions) Bisector {
+	if c.obs != nil {
+		b.Observer = c.obs
+	}
+	if c.ctl != nil {
+		b.Control = c.ctl
+	}
+	if b.Inner != nil && (c.ctl != nil || c.workspace) {
+		b.Inner = attach(b.Inner, companions{ctl: c.ctl, workspace: c.workspace})
+	}
+	return b
 }
 
 // New returns the named algorithm with default options. Recognized names:

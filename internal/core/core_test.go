@@ -7,9 +7,11 @@ import (
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/kl"
 	"repro/internal/matching"
 	"repro/internal/partition"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 func mustGraph(g *graph.Graph, err error) *graph.Graph {
@@ -72,14 +74,7 @@ func TestAllBisectorsProduceValidBalancedBisections(t *testing.T) {
 // the final weight imbalance is at most the largest vertex weight.
 func TestWeightedImbalanceWithinMaxVertexWeight(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		r := rng.NewFib(seed)
-		u := mustGraph(gen.GNP(200, 0.02, r))
-		bld := graph.NewBuilder(u.N())
-		for v := int32(0); int(v) < u.N(); v++ {
-			bld.SetVertexWeight(v, int32(1+r.Intn(3)))
-		}
-		u.Edges(func(a, b, w int32) { bld.AddWeightedEdge(a, b, w) })
-		g := mustGraph(bld.Build())
+		g := weightedGNP(seed)
 		for _, name := range Names() {
 			alg, err := New(name)
 			if err != nil {
@@ -92,6 +87,46 @@ func TestWeightedImbalanceWithinMaxVertexWeight(t *testing.T) {
 			if imb, maxW := b.Imbalance(), int64(g.MaxVertexWeight()); imb > maxW {
 				t.Errorf("%s on seed %d: imbalance %d exceeds the largest vertex weight %d", name, seed, imb, maxW)
 			}
+		}
+	}
+}
+
+// weightedGNP returns Gnp(200, 0.02) with vertex weights uniform in
+// {1, 2, 3}, both drawn from seed.
+func weightedGNP(seed uint64) *graph.Graph {
+	r := rng.NewFib(seed)
+	u := mustGraph(gen.GNP(200, 0.02, r))
+	bld := graph.NewBuilder(u.N())
+	for v := int32(0); int(v) < u.N(); v++ {
+		bld.SetVertexWeight(v, int32(1+r.Intn(3)))
+	}
+	u.Edges(func(a, b, w int32) { bld.AddWeightedEdge(a, b, w) })
+	return mustGraph(bld.Build())
+}
+
+// TestKLRunDoneReportsReturnedBisection holds kl's run_done and
+// kl.Run's Stats to the bisection KL returns: on weighted input the
+// balance repair comes before both, so they describe the repaired cut.
+func TestKLRunDoneReportsReturnedBisection(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		g := weightedGNP(seed)
+		rec := trace.NewRecorder()
+		b, err := WithObserver(KL{}, rec).Bisect(g, rng.NewFib(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last trace.Event
+		for _, e := range rec.Events() {
+			if e.Type == trace.TypeRunDone && e.Algo == "kl" {
+				last = e
+			}
+		}
+		if last.Cut != b.Cut() || last.Imbalance != b.Imbalance() {
+			t.Errorf("seed %d: kl run_done reads cut %d imbalance %d, KL returned cut %d imbalance %d",
+				seed, last.Cut, last.Imbalance, b.Cut(), b.Imbalance())
+		}
+		if _, st, _ := kl.Run(g, kl.Options{}, rng.NewFib(seed)); st.FinalCut != b.Cut() {
+			t.Errorf("seed %d: kl.Run's FinalCut %d, KL returned cut %d", seed, st.FinalCut, b.Cut())
 		}
 	}
 }

@@ -57,7 +57,7 @@ func GNP(n int, p float64, r *rng.Rand) (*graph.Graph, error) {
 // C(v,2).
 func pairFromIndex(k int64) (u, v int64) {
 	// Find v such that C(v,2) <= k < C(v+1,2).
-	v = int64((1 + math.Sqrt(1+8*float64(k))) / 2)
+	v = int64((1 + math.Sqrt(1+float64(8*float64(k)))) / 2)
 	for v*(v-1)/2 > k {
 		v--
 	}
@@ -111,7 +111,7 @@ func TwoSet(twoN int, pA, pB float64, bis int, r *rng.Rand) (*graph.Graph, error
 		return nil, fmt.Errorf("gen: TwoSet with bis=%d outside [0, n²=%d]", bis, int64(n)*int64(n))
 	}
 	half := int64(n) * int64(n-1) / 2
-	if err := checkSize("TwoSet", twoN, int64(pA*float64(half)+pB*float64(half))+int64(bis)); err != nil {
+	if err := checkSize("TwoSet", twoN, int64(float64(pA*float64(half))+float64(pB*float64(half)))+int64(bis)); err != nil {
 		return nil, err
 	}
 	b := graph.NewBuilder(twoN)
@@ -154,7 +154,7 @@ func TwoSetForAvgDegree(twoN int, avgDeg float64, bis int) (float64, error) {
 		return 0, fmt.Errorf("gen: TwoSetForAvgDegree needs at least 4 vertices, got %d", twoN)
 	}
 	// Expected edges: 2 * p * C(n,2) + bis = avgDeg * 2n / 2.
-	want := avgDeg*float64(n) - float64(bis)
+	want := float64(avgDeg*float64(n)) - float64(bis)
 	if want < 0 {
 		return 0, fmt.Errorf("gen: avg degree %v unreachable: bis=%d alone exceeds it", avgDeg, bis)
 	}

@@ -191,15 +191,26 @@ func (w *Refiner) stamp(g *graph.Graph, a int32) uint32 {
 // opts.MaxPasses is reached). The bisection's side sizes are preserved
 // exactly: KL only ever exchanges opposite-side pairs.
 func Refine(b *partition.Bisection, opts Options) (Stats, error) {
-	w := opts.Workspace
-	if w == nil {
-		w = new(Refiner)
+	return workspace(opts).Refine(b, opts)
+}
+
+// workspace returns opts.Workspace, or a private Refiner when it is nil.
+func workspace(opts Options) *Refiner {
+	if opts.Workspace != nil {
+		return opts.Workspace
 	}
-	return w.Refine(b, opts)
+	return new(Refiner)
 }
 
 // Refine is Refine using this workspace (opts.Workspace is ignored).
 func (w *Refiner) Refine(b *partition.Bisection, opts Options) (Stats, error) {
+	return w.refine(b, opts, false)
+}
+
+// refine is Refine that, when repair is set, ends in
+// partition.RepairBalance before it fills in FinalCut and reports
+// run_done, so both describe the bisection the caller gets back.
+func (w *Refiner) refine(b *partition.Bisection, opts Options, repair bool) (Stats, error) {
 	st := Stats{InitialCut: b.Cut(), FinalCut: b.Cut()}
 	limit := opts.MaxPasses
 	if limit <= 0 {
@@ -240,6 +251,10 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options) (Stats, error) {
 			break
 		}
 	}
+	if repair {
+		partition.RepairBalance(b)
+		st.FinalCut = b.Cut()
+	}
 	if obs != nil {
 		obs.Observe(trace.Event{
 			Type: trace.TypeRunDone, Algo: "kl", Index: st.Passes,
@@ -251,10 +266,14 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options) (Stats, error) {
 	return st, stopErr
 }
 
-// Run bisects g from a fresh random balanced bisection.
+// Run bisects g from a fresh random balanced bisection. KL keeps the
+// start's vertex counts, so on weighted graphs Run ends in
+// partition.RepairBalance, which brings the weight imbalance within the
+// largest vertex weight; the returned Stats and the run_done event
+// describe the repaired bisection.
 func Run(g *graph.Graph, opts Options, r *rng.Rand) (*partition.Bisection, Stats, error) {
 	b := partition.NewRandom(g, r)
-	st, err := Refine(b, opts)
+	st, err := workspace(opts).refine(b, opts, true)
 	return b, st, err
 }
 
@@ -262,11 +281,7 @@ func Run(g *graph.Graph, opts Options, r *rng.Rand) (*partition.Bisection, Stats
 // early). It returns the cut improvement achieved (≥ 0), the number of
 // pair exchanges kept, and the number of candidate pairs scanned.
 func Pass(b *partition.Bisection, opts Options) (improvement int64, kept int, scanned int64, err error) {
-	w := opts.Workspace
-	if w == nil {
-		w = new(Refiner)
-	}
-	return w.Pass(b, opts)
+	return workspace(opts).Pass(b, opts)
 }
 
 // Pass is Pass using this workspace (opts.Workspace is ignored).

@@ -31,18 +31,10 @@ type Bisection struct {
 // New creates a Bisection from an explicit side assignment (entries must
 // be 0 or 1). The slice is copied.
 func New(g *graph.Graph, side []uint8) (*Bisection, error) {
-	if len(side) != g.N() {
-		return nil, fmt.Errorf("partition: side slice has %d entries for %d vertices", len(side), g.N())
+	b := new(Bisection)
+	if err := b.Reset(g, side); err != nil {
+		return nil, err
 	}
-	b := &Bisection{g: g, side: append([]uint8(nil), side...)}
-	b.gain = make([]int64, g.N())
-	for v := int32(0); int(v) < g.N(); v++ {
-		if b.side[v] > 1 {
-			return nil, fmt.Errorf("partition: vertex %d assigned to side %d", v, b.side[v])
-		}
-		b.sideW[b.side[v]] += int64(g.VertexWeight(v))
-	}
-	b.recomputeGainsAndCut()
 	return b, nil
 }
 
@@ -123,37 +115,21 @@ func (b *Bisection) GainsRef() []int64 { return b.gain }
 // best state seen during annealing, maintained by replaying a move log)
 // can rematerialize the full bisection — gains, cut, side weights — at
 // the end of a run instead of cloning on every improvement.
-func (b *Bisection) SetSides(side []uint8) error {
-	if len(side) != b.g.N() {
-		return fmt.Errorf("partition: SetSides with %d entries for %d vertices", len(side), b.g.N())
-	}
-	for v, s := range side {
-		if s > 1 {
-			return fmt.Errorf("partition: vertex %d assigned to side %d", v, s)
-		}
-	}
-	copy(b.side, side)
-	b.sideW = [2]int64{}
-	for v := int32(0); int(v) < b.g.N(); v++ {
-		b.sideW[b.side[v]] += int64(b.g.VertexWeight(v))
-	}
-	b.recomputeGainsAndCut()
-	return nil
-}
+func (b *Bisection) SetSides(side []uint8) error { return b.Reset(b.g, side) }
 
 // Reset re-initializes b for graph g with the given side assignment
 // (entries must be 0 or 1; the slice is copied), rebuilding all
-// incremental state in O(m). Unlike New it works on an existing value —
-// including the zero value — and grows the internal arrays only when g
-// is larger than any graph this bisection has held, so a warm bisection
-// resets without allocating. Unlike SetSides it accepts a different
-// graph, or the same *graph.Graph whose contents were rebuilt in place
-// (the multilevel workspace re-derives its level graphs every run), so
-// it never trusts previously cached sizes.
+// incremental state in O(m); New and SetSides are Reset on a zero value
+// and on b's own graph. It grows the internal arrays only when g is
+// larger than any graph this bisection has held, so a warm bisection
+// resets without allocating. It accepts a different graph, or the same
+// *graph.Graph whose contents were rebuilt in place (the multilevel
+// workspace re-derives its level graphs every run), so it never trusts
+// previously cached sizes. On error b is unchanged.
 func (b *Bisection) Reset(g *graph.Graph, side []uint8) error {
 	n := g.N()
 	if len(side) != n {
-		return fmt.Errorf("partition: Reset with %d entries for %d vertices", len(side), n)
+		return fmt.Errorf("partition: side slice has %d entries for %d vertices", len(side), n)
 	}
 	for v, s := range side {
 		if s > 1 {

@@ -28,11 +28,11 @@ func rayleigh(g *graph.Graph, x []float64) float64 {
 	var num float64
 	g.Edges(func(u, v, w int32) {
 		d := x[u] - x[v]
-		num += float64(w) * d * d
+		num += float64(float64(w) * d * d)
 	})
 	var den float64
 	for _, v := range x {
-		den += v * v
+		den += float64(v * v)
 	}
 	if den == 0 {
 		return 0

@@ -49,7 +49,7 @@ func (w *Workspace) lanczosFiedler(g *graph.Graph, o Options, r *rng.Rand) ([]fl
 	// oracle in the tests uses.
 	x := w.x
 	for i := range x {
-		x[i] = r.Float64() - 0.5
+		x[i] = float64(r.Float64()) - 0.5
 	}
 	w.deflate(x)
 	w.normalize(x)
@@ -194,15 +194,15 @@ func tql2(d, e, z []float64, m int) bool {
 				s = f / r
 				c = g / r
 				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
+				r = float64((d[i]-g)*s) + float64(2*c*b)
+				p = float64(s * r)
 				d[i+1] = g + p
-				g = c*r - b
+				g = float64(c*r) - float64(b)
 				// Accumulate the rotation into the eigenvector matrix.
 				for k := 0; k < m; k++ {
 					f := z[k*m+i+1]
-					z[k*m+i+1] = s*z[k*m+i] + c*f
-					z[k*m+i] = c*z[k*m+i] - s*f
+					z[k*m+i+1] = float64(s*z[k*m+i]) + float64(c*f)
+					z[k*m+i] = float64(c*z[k*m+i]) - float64(s*f)
 				}
 			}
 			if r == 0 && i >= l {

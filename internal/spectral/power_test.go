@@ -19,7 +19,7 @@ func (w *Workspace) powerFiedler(g *graph.Graph, opts Options, r *rng.Rand) ([]f
 	c := w.cshift
 	x, y := w.x, w.y
 	for i := range x {
-		x[i] = r.Float64() - 0.5
+		x[i] = float64(r.Float64()) - 0.5
 	}
 	w.deflate(x)
 	w.normalize(x)
@@ -34,7 +34,7 @@ func (w *Workspace) powerFiedler(g *graph.Graph, opts Options, r *rng.Rand) ([]f
 			// eigenvector of the deflated complement); restart from
 			// fresh noise.
 			for i := range y {
-				y[i] = r.Float64() - 0.5
+				y[i] = float64(r.Float64()) - 0.5
 			}
 			w.deflate(y)
 		}

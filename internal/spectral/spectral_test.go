@@ -25,7 +25,7 @@ func TestFiedlerIsZeroMeanUnit(t *testing.T) {
 	var mean, nrm float64
 	for _, v := range f {
 		mean += v
-		nrm += v * v
+		nrm += float64(v * v)
 	}
 	mean /= float64(len(f))
 	if math.Abs(mean) > 1e-9 {

@@ -109,7 +109,7 @@ func (w *Workspace) matvec(g *graph.Graph, dst, src []float64, shift float64) {
 	for v := range dst {
 		sum := (shift - deg[v]) * src[v]
 		for _, e := range g.Neighbors(int32(v)) {
-			sum += float64(e.W) * src[e.To]
+			sum += float64(float64(e.W) * src[e.To])
 		}
 		dst[v] = sum
 	}
@@ -122,7 +122,7 @@ func (w *Workspace) dot(a, b []float64) float64 {
 		hi := min(lo+dotBlock, w.n)
 		var part float64
 		for i := lo; i < hi; i++ {
-			part += a[i] * b[i]
+			part += float64(a[i] * b[i])
 		}
 		sum += part
 	}
@@ -146,7 +146,7 @@ func (w *Workspace) sum(a []float64) float64 {
 // axpy computes dst += c·a.
 func (w *Workspace) axpy(dst []float64, c float64, a []float64) {
 	for i := range dst {
-		dst[i] += c * a[i]
+		dst[i] += float64(c * a[i])
 	}
 }
 

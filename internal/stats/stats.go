@@ -43,7 +43,7 @@ func Summarize(xs []float64) Summary {
 		var ss float64
 		for _, x := range xs {
 			d := x - s.Mean
-			ss += d * d
+			ss += float64(d * d)
 		}
 		s.StdDev = math.Sqrt(ss / float64(s.N-1))
 	}

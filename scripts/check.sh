@@ -1,10 +1,11 @@
 #!/bin/sh
 # Tier-2 verification gate. Tier 1 is `go build ./... && go test ./...`;
-# this script adds vet, gofmt, the race detector over the whole module,
-# the fault, chaos and fuzz gates, a run of every example, end-to-end
-# CLI smokes (with cmd/cutstat recomputing bisect's cut from the returned
-# sides) and the zero-alloc contracts. Performance is measured by
-# cmd/benchmark (see its README), not here.
+# this script adds vet, gofmt, a cross-compiled check for fused
+# multiply-adds, the race detector over the whole module, the fault,
+# chaos and fuzz gates, a run of every example, end-to-end CLI smokes
+# (with cmd/cutstat recomputing bisect's cut from the returned sides) and
+# the zero-alloc contracts. Performance is measured by cmd/benchmark (see
+# its README), not here.
 #
 # Usage: scripts/check.sh
 set -eu
@@ -30,6 +31,32 @@ go build ./...
 # //go:build !unix). Vetting the module for Windows type-checks it.
 echo "==> GOOS=windows go vet ./..."
 GOOS=windows go vet ./...
+
+# The same bits on every GOARCH. The Go spec lets a compiler fuse x*y + z
+# into one multiply-add that rounds once; amd64 never does, but arm64,
+# loong64, ppc64le, riscv64 and s390x do, and a fused SA cost delta can
+# turn an exact 0 into 5.55e-17 and change whether a move draws a random
+# word. An explicit float64(…) conversion rounds the product and forbids
+# the fusion, so every product that feeds an addition is wrapped in one.
+# This step compiles the module for those five architectures, and the
+# test binaries of the packages whose oracles repeat that arithmetic,
+# and fails on any fused instruction in the assembly.
+echo "==> GOARCH={arm64,loong64,ppc64le,riscv64,s390x} go build -gcflags=-S (no fused multiply-adds)"
+asm=$(mktemp)
+trap 'rm -f "$asm"' EXIT
+for arch in arm64 loong64 ppc64le riscv64 s390x; do
+  GOARCH=$arch go build -gcflags=-S ./... 2>"$asm" \
+    || { cat "$asm"; echo "FAIL: GOARCH=$arch go build"; exit 1; }
+  for pkg in anneal spectral stats gen; do
+    GOARCH=$arch go test -c -o /dev/null -gcflags=-S "./internal/$pkg" 2>>"$asm" \
+      || { cat "$asm"; echo "FAIL: GOARCH=$arch go test -c ./internal/$pkg"; exit 1; }
+  done
+  if grep -E '[[:space:]]FN?M(ADD|SUB)[DFS]?[[:space:]]' "$asm"; then
+    echo "FAIL: fused multiply-adds on $arch (above); wrap each product in float64(…)"
+    exit 1
+  fi
+done
+rm -f "$asm"
 
 # The build step only compiles the examples; each must also run to
 # completion and exit 0. Each takes under a second (service-client
@@ -176,4 +203,4 @@ go test -count=1 -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./
 echo "==> (cd cmd/benchmark && go test .) (tiny-scale certified run of every workload)"
 (cd cmd/benchmark && go test -count=1 .)
 
-echo "OK: vet, build, examples, race tests, paper reproduction, daemon load smoke, fault/chaos gates, fuzz smoke, CLI smokes with cutstat's recomputed cut, alloc contracts and the benchmark's tiny run all passed"
+echo "OK: vet, build, no fused multiply-adds, examples, race tests, paper reproduction, daemon load smoke, fault/chaos gates, fuzz smoke, CLI smokes with cutstat's recomputed cut, alloc contracts and the benchmark's tiny run all passed"
