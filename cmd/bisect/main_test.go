@@ -1,16 +1,33 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// TestMain runs the test binary as bisect itself when it is given
+// arguments after "--", so a test can check the exit status and the
+// standard error of a real bisect process.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"bisect"}, args...)
+		flag.CommandLine = flag.NewFlagSet("bisect", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // TestStartsBelowOneRejected pins the usage check on -starts: BestOf
 // would run one start for any value below 1, so accepting one would
@@ -71,6 +88,38 @@ func TestForgedAsymmetricBCSRRejected(t *testing.T) {
 	_, err = run()
 	if err == nil || !strings.Contains(err.Error(), "asymmetric") {
 		t.Fatalf("run on a forged asymmetric BCSR file: err = %v, want an asymmetry error", err)
+	}
+}
+
+// TestVersion1BCSRExitsOne: an image of the retired BCSR version 1,
+// which stored header aggregates and a weighted-degree section, makes
+// bisect exit 1 with a message that names the version; it is never
+// parsed as an edge list.
+func TestVersion1BCSRExitsOne(t *testing.T) {
+	// A single edge {0,1}: n, m, flags, total edge weight, total vertex
+	// weight, maximum degree, maximum weighted degree and maximum vertex
+	// weight; then off [0 1 2] padded to 16 bytes, the two half-edges
+	// and the weighted degrees [1 1].
+	image := []byte("BCSRG1\x00\x00")
+	for _, v := range []uint64{2, 1, 0, 1, 2, 1, 1, 1} {
+		image = binary.LittleEndian.AppendUint64(image, v)
+	}
+	image = append(image,
+		0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, // off
+		1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, // edges
+		1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0) // wdeg
+	path := filepath.Join(t.TempDir(), "edge.v1.csr")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "--", "-in", path, "-alg", "kl")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("bisect on a version 1 image: %v, want exit status 1; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `BCSR version "1"`) {
+		t.Errorf("bisect on a version 1 image printed %q, want a message naming version 1", out)
 	}
 }
 

@@ -79,7 +79,7 @@ func TestCSRLoadsLikeEdgeList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(raw, []byte("BCSRG1\x00\x00")) {
+	if !bytes.HasPrefix(raw, []byte("BCSRG2\x00\x00")) {
 		t.Fatal("-format csr did not write a BCSR image")
 	}
 }

@@ -72,8 +72,8 @@ func TestContractSteadyAllocs(t *testing.T) {
 // TestCompactCycleSteadyAllocs: the full interior compaction cycle —
 // match, contract, coarse bisection reset, workspace projection,
 // balance repair — runs allocation-free on a warm workspace. (The
-// public CompactOnce additionally allocates its caller-owned result;
-// this test pins everything beneath that.)
+// workspace's CompactOnce additionally allocates its caller-owned
+// result; this test pins everything beneath that.)
 func TestCompactCycleSteadyAllocs(t *testing.T) {
 	gs := allocGraph(t)
 	w := NewWorkspace()

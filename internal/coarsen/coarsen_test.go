@@ -23,7 +23,7 @@ func TestContractPath(t *testing.T) {
 	// edge between two weight-2 vertices, carrying weight 1 (edge 1-2).
 	g := mustGraph(gen.Path(4))
 	mate := []int32{1, 0, 3, 2}
-	c, err := Contract(g, mate)
+	c, err := NewWorkspace().Contract(g, mate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestContractMergesParallelEdges(t *testing.T) {
 	// parallel between the two coarse vertices and must merge to weight 2.
 	g := mustGraph(gen.Cycle(4))
 	mate := []int32{1, 0, 3, 2}
-	c, err := Contract(g, mate)
+	c, err := NewWorkspace().Contract(g, mate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +60,10 @@ func TestContractMergesParallelEdges(t *testing.T) {
 
 func TestContractRejectsInvalidMatching(t *testing.T) {
 	g := mustGraph(gen.Path(4))
-	if _, err := Contract(g, []int32{2, -1, 0, -1}); err == nil {
+	if _, err := NewWorkspace().Contract(g, []int32{2, -1, 0, -1}); err == nil {
 		t.Fatal("non-edge matching accepted")
 	}
-	if _, err := Contract(g, []int32{-1}); err == nil {
+	if _, err := NewWorkspace().Contract(g, []int32{-1}); err == nil {
 		t.Fatal("short mate accepted")
 	}
 }
@@ -80,7 +80,7 @@ func TestContractRejectsAsymmetricGraph(t *testing.T) {
 	if err := g.ResetCSR(off, edges, nil); err != nil {
 		t.Fatalf("ResetCSR rejected the rows: %v", err)
 	}
-	c, err := Contract(&g, []int32{1, 0, -1, -1})
+	c, err := NewWorkspace().Contract(&g, []int32{1, 0, -1, -1})
 	if err == nil {
 		t.Fatalf("Contract accepted an asymmetric graph (coarse Validate: %v)", c.Coarse.Validate())
 	}
@@ -89,7 +89,7 @@ func TestContractRejectsAsymmetricGraph(t *testing.T) {
 func TestContractEmptyMatching(t *testing.T) {
 	g := mustGraph(gen.Path(4))
 	mate := []int32{-1, -1, -1, -1}
-	c, err := Contract(g, mate)
+	c, err := NewWorkspace().Contract(g, mate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestContractionInvariants(t *testing.T) {
 			return false
 		}
 		mate := matching.RandomMaximal(g, r)
-		c, err := Contract(g, mate)
+		c, err := NewWorkspace().Contract(g, mate)
 		if err != nil {
 			return false
 		}
@@ -146,7 +146,7 @@ func TestContractRaisesAverageDegree(t *testing.T) {
 		t.Fatal(err)
 	}
 	mate := matching.RandomMaximal(g, r)
-	c, err := Contract(g, mate)
+	c, err := NewWorkspace().Contract(g, mate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestProjectRejectsForeignBisection(t *testing.T) {
 	r := rng.NewFib(1)
 	g := mustGraph(gen.Cycle(8))
 	mate := matching.RandomMaximal(g, r)
-	c, err := Contract(g, mate)
+	c, err := NewWorkspace().Contract(g, mate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestCompactOnceProducesBalancedBisection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompactOnce(g, matching.RandomMaximal, randomInitial, nil, r, nil)
+	b, err := NewWorkspace().CompactOnce(g, matching.RandomMaximal, randomInitial, nil, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestCompactOnceProducesBalancedBisection(t *testing.T) {
 func TestCompactOnceEdgelessGraph(t *testing.T) {
 	g := graph.NewBuilder(6).MustBuild()
 	r := rng.NewFib(2)
-	b, err := CompactOnce(g, nil, randomInitial, nil, r, nil)
+	b, err := NewWorkspace().CompactOnce(g, nil, randomInitial, nil, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestCompactOnceEdgelessGraph(t *testing.T) {
 
 func TestCompactOnceNeedsInitial(t *testing.T) {
 	g := mustGraph(gen.Cycle(6))
-	if _, err := CompactOnce(g, nil, nil, nil, rng.NewFib(1), nil); err == nil {
+	if _, err := NewWorkspace().CompactOnce(g, nil, nil, nil, rng.NewFib(1), nil); err == nil {
 		t.Fatal("nil initial accepted")
 	}
 }
@@ -379,7 +379,7 @@ func BenchmarkContract5000(b *testing.B) {
 	mate := matching.RandomMaximal(g, r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Contract(g, mate); err != nil {
+		if _, err := NewWorkspace().Contract(g, mate); err != nil {
 			b.Fatal(err)
 		}
 	}

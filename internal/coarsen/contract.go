@@ -16,11 +16,11 @@
 // order of coarse source, so each row comes out sorted with parallel
 // edges folded at its end, and the coarse graph adopts the buffers via
 // graph.ResetCSR — no graph.Builder, no sort, no per-edge allocations.
-// A persistent Workspace reuses every buffer across levels and runs;
-// the package-level functions create an ephemeral one per call, so
-// their results are independently owned. Both produce byte-identical
-// graphs to the original Builder-based path, as the golden fixture in
-// testdata (captured from that path) pins.
+// Every contraction runs in a Workspace, which reuses every buffer
+// across levels and runs; Multilevel without a workspace option creates
+// one per call. A fresh workspace and a reused one both produce graphs
+// byte-identical to the original Builder-based path, as the golden
+// fixture in testdata (captured from that path) pins.
 package coarsen
 
 import (
@@ -42,22 +42,7 @@ type Contraction struct {
 	// slot 2c+1 is −1 for an uncontracted singleton.
 	members []int32
 	// owner is the workspace level whose buffers back this contraction.
-	// Every contraction has one: the package-level Contract runs in a
-	// fresh workspace of its own, so its storage is still its own.
 	owner *level
-}
-
-// Contract builds the coarse graph obtained by coalescing each matched
-// pair of the given matching into a single vertex. Matched pairs must
-// form a valid matching of g (checked). Edges that become internal to a
-// coarse vertex (the matched edges themselves) disappear; parallel edges
-// merge by weight summation; vertex weights add.
-//
-// The returned contraction owns fresh storage. Campaigns that contract
-// repeatedly should hold a Workspace and call its Contract method,
-// which reuses one set of buffers across calls.
-func Contract(g *graph.Graph, mate []int32) (*Contraction, error) {
-	return NewWorkspace().Contract(g, mate)
 }
 
 // Project lifts a bisection of the coarse graph to the fine graph: every

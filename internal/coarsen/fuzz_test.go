@@ -48,7 +48,7 @@ func FuzzContractEquivalence(f *testing.F) {
 			t.Fatalf("Build rejected a valid edge sequence: %v", err)
 		}
 		mate := matching.RandomMaximal(g, rng.NewFib(seed))
-		c, err := Contract(g, mate)
+		c, err := NewWorkspace().Contract(g, mate)
 		if err != nil {
 			t.Fatalf("kernel Contract failed: %v", err)
 		}

@@ -113,19 +113,23 @@ func capturedFormat(e trace.Event) string {
 }
 
 // goldenPipeline abstracts which implementation runs the three pinned
-// stages, so the same record builder covers the package-level entry
-// points and the reused-workspace variant.
+// stages, so the same record builder covers a fresh workspace per call
+// and the reused-workspace variant.
 type goldenPipeline struct {
 	contract    func(g *graph.Graph, mate []int32) (*Contraction, error)
 	compactOnce func(g *graph.Graph, initial InitialFunc, r *rng.Rand, obs trace.Observer) (*partition.Bisection, error)
 	multilevel  func(g *graph.Graph, initial InitialFunc, r *rng.Rand, obs trace.Observer) (*partition.Bisection, error)
 }
 
+// packagePipeline runs every stage in a fresh workspace, as Multilevel
+// does without MultilevelOptions.Workspace.
 func packagePipeline() goldenPipeline {
 	return goldenPipeline{
-		contract: Contract,
+		contract: func(g *graph.Graph, mate []int32) (*Contraction, error) {
+			return NewWorkspace().Contract(g, mate)
+		},
 		compactOnce: func(g *graph.Graph, initial InitialFunc, r *rng.Rand, obs trace.Observer) (*partition.Bisection, error) {
-			return CompactOnce(g, nil, initial, nil, r, obs)
+			return NewWorkspace().CompactOnce(g, nil, initial, nil, r, obs)
 		},
 		multilevel: func(g *graph.Graph, initial InitialFunc, r *rng.Rand, obs trace.Observer) (*partition.Bisection, error) {
 			return Multilevel(g, &MultilevelOptions{Observer: obs}, initial, nil, r)

@@ -29,7 +29,7 @@ func workspacePipeline(w *Workspace) goldenPipeline {
 }
 
 // TestGoldenCompactionVariants holds the workspace execution mode to
-// the same fixture the package-level entry points are pinned to: one
+// the same fixture a fresh workspace per call is pinned to: one
 // workspace reused across all cases and rounds (the multi-start steady
 // state). The fixture was captured from the original graph.Builder
 // contraction, so matching records prove the kernel and the arena

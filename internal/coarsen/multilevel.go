@@ -104,15 +104,3 @@ func Multilevel(g *graph.Graph, opts *MultilevelOptions, initial InitialFunc, re
 	}
 	return w.multilevel(g, o, initial, refine, r)
 }
-
-// CompactOnce performs exactly one level of the paper's compaction: match,
-// contract, solve the coarse graph with initial+refine, project back, and
-// repair balance. The returned bisection of g is the "good starting
-// bisection" that the caller then hands to the full bisection procedure.
-//
-// A non-nil obs receives a "coarsen" level_done after the contraction and
-// an "uncoarsen" level_done after the projection back to g; nil skips all
-// tracing work.
-func CompactOnce(g *graph.Graph, match MatchFunc, initial InitialFunc, refine RefineFunc, r *rng.Rand, obs trace.Observer) (*partition.Bisection, error) {
-	return NewWorkspace().CompactOnce(g, match, initial, refine, r, obs)
-}

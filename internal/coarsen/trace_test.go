@@ -81,7 +81,7 @@ func TestCompactOnceLevelEvents(t *testing.T) {
 	}
 	initial := func(cg *graph.Graph, r *rng.Rand) *partition.Bisection { return partition.NewRandom(cg, r) }
 	rec := trace.NewRecorder()
-	b, err := CompactOnce(g, nil, initial, nil, rng.NewFib(8), rec)
+	b, err := NewWorkspace().CompactOnce(g, nil, initial, nil, rng.NewFib(8), rec)
 	if err != nil {
 		t.Fatal(err)
 	}

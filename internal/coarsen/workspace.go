@@ -85,12 +85,16 @@ func (w *Workspace) RandomMaximal(g *graph.Graph, r *rng.Rand) []int32 {
 	return w.match.RandomMaximal(g, r)
 }
 
-// Contract is the workspace counterpart of the package-level Contract:
-// same validation, same coarse graph, but every output — the
-// contraction record, its map and member arrays, and the coarse graph's
-// CSR — lives in workspace buffers that the next Reset/Contract cycle
-// reuses. The returned contraction is valid until this level slot is
-// reused.
+// Contract builds the coarse graph obtained by coalescing each matched
+// pair of the given matching into a single vertex. Matched pairs must
+// form a valid matching of g (checked). Edges that become internal to a
+// coarse vertex (the matched edges themselves) disappear; parallel edges
+// merge by weight summation; vertex weights add.
+//
+// Every output — the contraction record, its map and member arrays, and
+// the coarse graph's CSR — lives in workspace buffers that the next
+// Reset/Contract cycle reuses. The returned contraction is valid until
+// this level slot is reused.
 func (w *Workspace) Contract(g *graph.Graph, mate []int32) (*Contraction, error) {
 	if err := matching.Validate(g, mate); err != nil {
 		return nil, err
@@ -251,8 +255,8 @@ func (w *Workspace) contractInto(lv *level, g *graph.Graph, mate []int32) error 
 // workspace — valid until the next Project on the same contraction or
 // until the level slot is reused — which is why the multilevel driver
 // uses it only for interior levels and returns a caller-owned bisection
-// from the final one. c must come from Contract (every Contract, the
-// package-level one included, runs in a workspace level slot).
+// from the final one. c must come from a workspace's Contract, which
+// runs in a level slot.
 func (w *Workspace) Project(c *Contraction, coarse *partition.Bisection) (*partition.Bisection, error) {
 	lv := c.owner
 	if coarse.Graph() != c.Coarse {
@@ -271,13 +275,21 @@ func (w *Workspace) Project(c *Contraction, coarse *partition.Bisection) (*parti
 	return &lv.fineBis, nil
 }
 
-// CompactOnce is the workspace counterpart of the package-level
-// CompactOnce: identical protocol, identical random stream, identical
-// trace events, but the matching, contraction, and interior buffers all
-// come from the workspace. The returned fine bisection is freshly
-// allocated and caller-owned (multi-start drivers keep candidates from
-// several runs alive at once), so one bisection allocation per run
-// remains; everything interior is reused.
+// CompactOnce performs exactly one level of the paper's compaction: match,
+// contract, solve the coarse graph with initial+refine, project back, and
+// repair balance. The returned bisection of g is the "good starting
+// bisection" that the caller then hands to the full bisection procedure.
+// A nil match uses the workspace's RandomMaximal.
+//
+// A non-nil obs receives a "coarsen" level_done after the contraction and
+// an "uncoarsen" level_done after the projection back to g; nil skips all
+// tracing work.
+//
+// The matching, contraction, and interior buffers all come from the
+// workspace. The returned fine bisection is freshly allocated and
+// caller-owned (multi-start drivers keep candidates from several runs
+// alive at once), so one bisection allocation per run remains;
+// everything interior is reused.
 func (w *Workspace) CompactOnce(g *graph.Graph, match MatchFunc, initial InitialFunc, refine RefineFunc, r *rng.Rand, obs trace.Observer) (*partition.Bisection, error) {
 	if initial == nil {
 		return nil, fmt.Errorf("coarsen: CompactOnce needs an initial bisector")

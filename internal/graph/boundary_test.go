@@ -15,8 +15,9 @@ import (
 // TestBuilderAtVertexCap exercises Builder exactly at MaxVertices and
 // one past it: the cap must reject before any O(n) allocation, and a
 // graph at exactly the cap must build and serve its accessors. The
-// at-cap build allocates about 1.5 GB transiently — that is the point:
-// the 2²⁷ ceiling is a supported configuration, not a theoretical one.
+// at-cap build peaks at about 0.5 GB resident (517 MB by getrusage on
+// linux/amd64) — that is the point: the 2²⁷ ceiling is a supported
+// configuration, not a theoretical one.
 func TestBuilderAtVertexCap(t *testing.T) {
 	if _, err := NewBuilder(MaxVertices + 1).Build(); err == nil {
 		t.Fatal("Builder accepted MaxVertices+1 vertices")
@@ -25,7 +26,7 @@ func TestBuilderAtVertexCap(t *testing.T) {
 	}
 
 	if testing.Short() {
-		t.Skip("at-cap build allocates about 1.5 GB")
+		t.Skip("at-cap build peaks at about 0.5 GB")
 	}
 	b := NewBuilder(MaxVertices)
 	b.AddEdge(0, MaxVertices-1)
@@ -42,7 +43,7 @@ func TestBuilderAtVertexCap(t *testing.T) {
 	}
 }
 
-// bcsrHeader builds a 72-byte BCSR header with the given vertex count,
+// bcsrHeader builds a 32-byte BCSR header with the given vertex count,
 // edge count, and flags — enough to drive parseCSRInto's validation
 // order without materializing a body.
 func bcsrHeader(n, m, flags uint64) []byte {
@@ -150,7 +151,7 @@ func FuzzReadBCSR(f *testing.F) {
 	f.Add(bcsrHeader(1<<20, 1<<30, 0)) // int32 offset overflow
 	f.Add(bcsrHeader(1<<20, 1<<30, 1)) // retired int64-offset flag
 	f.Add(bcsrHeader(1<<62, 1<<62, csrFlagVW))
-	// Mid-section bit flips past the header: offsets, edges, wdeg. The
+	// Mid-section bit flips past the header: offsets and edges. The
 	// header (size, counts, flags) still validates; the body sweep must
 	// reject. Also truncations that keep a plausible header.
 	for _, idx := range []int{csrHeaderSize + 1, csrHeaderSize + 16, len(valid) - 9, len(valid) - 1} {
@@ -190,10 +191,12 @@ func TestBCSRCorruptionTyped(t *testing.T) {
 		// could instead yield an asymmetric-but-consistent image, which the
 		// sweep documents as the writer's contract (Validate's job).
 		{"edge-head-flip", flipBit(valid, csrHeaderSize+5*8, 2)},
-		{"wdeg-flip", flipBit(valid, len(valid)-5, 2)},
+		// The last half-edge, 3→2, is a backward one: bit 7 of its
+		// weight makes it 129, and the half-edges no longer weigh twice
+		// the forward edges.
+		{"backward-weight-flip", flipBit(valid, len(valid)-4, 7)},
 		{"tail-truncated", valid[:len(valid)-8]},
 		{"ragged-truncated", valid[:len(valid)-3]},
-		{"header-aggregate-flip", flipBit(valid, 33, 0)}, // total edge weight
 	}
 	dir := t.TempDir()
 	for _, mut := range muts {

@@ -7,10 +7,9 @@ import "fmt"
 // records into rows and ends in ResetCSR; the contraction kernel in
 // internal/coarsen writes its rows already sorted and calls ResetCSR on
 // the same Graph value level after level from workspace-owned buffers;
+// the BCSR loader hands it the read-only sections of a mapped image;
 // Validate runs ResetCSR over a graph's own arrays into a scratch Graph
-// and adds the symmetry check. The BCSR loader alone keeps its own sweep
-// (parseCSRInto), because it holds read-only mapped sections to their
-// stored aggregates without allocating.
+// and adds the symmetry check.
 
 // sortEdges sorts a half-edge list in place by head vertex without
 // allocating: insertion sort for the short rows that dominate the
@@ -72,16 +71,18 @@ func checkSymmetry(g *Graph) error {
 
 // ResetCSR re-initializes g in place from CSR arrays whose rows are
 // already strictly sorted by head vertex, recomputing every cached
-// aggregate. Only the per-row invariants — sortedness (which subsumes
-// duplicate detection), head range, no self-loops, positive weights —
-// are checked, fused into the aggregate sweep; adjacency symmetry is the
-// caller's contract (Builder output and the contraction kernel's coarse
-// graph are symmetric by construction, and Validate checks it).
+// aggregate. It checks each row — offsets that stay within edges and
+// never decrease, heads in range, strict sortedness (which subsumes
+// duplicate detection), no self-loops, positive weights — and two
+// totals every symmetric graph meets: the half-edges number twice the
+// forward edges (head above the row's vertex) and weigh twice as much.
+// Full adjacency symmetry is the caller's contract (Builder output and
+// the contraction kernel's coarse graph are symmetric by construction,
+// and Validate checks it).
 //
-// The slices are adopted, not copied. The only allocation is growing
-// the cached weighted-degree array when the vertex count exceeds any
-// previous ResetCSR on this Graph value, so workspace-owned Graphs
-// reach a zero-allocation steady state.
+// The slices are adopted, not copied, and ResetCSR allocates nothing,
+// so workspace-owned Graphs reach a zero-allocation steady state and a
+// mapped BCSR image is served where it lies. On error g is unchanged.
 func (g *Graph) ResetCSR(off []int32, edges []Edge, vw []int32) error {
 	if len(off) == 0 {
 		return fmt.Errorf("graph: ResetCSR needs at least one offset entry")
@@ -99,14 +100,9 @@ func (g *Graph) ResetCSR(off []int32, edges []Edge, vw []int32) error {
 	if vw != nil && len(vw) != n {
 		return fmt.Errorf("graph: ResetCSR vertex weights have %d entries for %d vertices", len(vw), n)
 	}
-	if cap(g.wdeg) < n {
-		g.wdeg = make([]int64, n)
-	} else {
-		g.wdeg = g.wdeg[:n]
-	}
 	var (
 		m       int
-		ew      int64
+		ew, hw  int64 // forward-edge weight, half-edge weight
 		maxDeg  int
 		maxWDeg int64
 	)
@@ -114,6 +110,9 @@ func (g *Graph) ResetCSR(off []int32, edges []Edge, vw []int32) error {
 		lo, hi := off[v], off[v+1]
 		if hi < lo {
 			return fmt.Errorf("graph: ResetCSR offsets decrease at vertex %d", v)
+		}
+		if int(hi) > len(edges) {
+			return fmt.Errorf("graph: ResetCSR offset %d of vertex %d is past the %d half-edges", hi, v+1, len(edges))
 		}
 		if d := int(hi - lo); d > maxDeg {
 			maxDeg = d
@@ -141,13 +140,16 @@ func (g *Graph) ResetCSR(off []int32, edges []Edge, vw []int32) error {
 				ew += int64(e.W)
 			}
 		}
-		g.wdeg[v] = wd
+		hw += wd
 		if wd > maxWDeg {
 			maxWDeg = wd
 		}
 	}
 	if 2*m != len(edges) {
 		return fmt.Errorf("graph: ResetCSR half-edge count %d is not twice the %d forward edges (asymmetric input)", len(edges), m)
+	}
+	if hw != 2*ew {
+		return fmt.Errorf("graph: ResetCSR half-edge weight %d is not twice the forward edges' %d (asymmetric input)", hw, ew)
 	}
 	var vwUp int64
 	var maxVW int32 = 1
@@ -164,15 +166,10 @@ func (g *Graph) ResetCSR(off []int32, edges []Edge, vw []int32) error {
 	} else {
 		vwUp = int64(n)
 	}
-	g.n = n
-	g.off = off
-	g.edges = edges
-	g.vw = vw
-	g.m = m
-	g.ew = ew
-	g.vwUp = vwUp
-	g.maxDeg = maxDeg
-	g.maxWDeg = maxWDeg
-	g.maxVW = maxVW
+	*g = Graph{
+		n: n, off: off, edges: edges, vw: vw,
+		m: m, ew: ew, vwUp: vwUp,
+		maxDeg: maxDeg, maxWDeg: maxWDeg, maxVW: maxVW,
+	}
 	return nil
 }

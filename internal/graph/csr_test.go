@@ -63,28 +63,39 @@ func TestBuilderSortsRows(t *testing.T) {
 }
 
 // TestInvalidCSRRejected: each invariant violation in raw CSR arrays is
-// caught, by ResetCSR's per-row sweep or, for the cross-row symmetry
-// ResetCSR leaves to its caller, by Validate.
+// caught by ResetCSR itself or, for a missing mirror that keeps its
+// count and weight totals balanced, by Validate's symmetry check.
 func TestInvalidCSRRejected(t *testing.T) {
 	cases := []struct {
 		name  string
 		off   []int32
 		edges []Edge
 		vw    []int32
+		// mirror marks the violation ResetCSR leaves to Validate.
+		mirror bool
 	}{
 		{name: "empty offsets"},
 		{name: "offsets start nonzero", off: []int32{1, 1}},
 		{name: "offsets decrease", off: []int32{0, 2, 1, 2}, edges: make([]Edge, 2)},
 		{name: "offsets miss edge count", off: []int32{0, 1}, edges: nil},
+		// An interior offset past the half-edges; the last one still
+		// matches their count.
+		{name: "offset past edges",
+			off:   []int32{0, 10, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
+			edges: []Edge{{To: 1, W: 1}, {To: 2, W: 1}}},
 		{name: "neighbor out of range", off: []int32{0, 1, 2}, edges: []Edge{{To: 5, W: 1}, {To: 0, W: 1}}},
 		{name: "self loop", off: []int32{0, 1, 2}, edges: []Edge{{To: 0, W: 1}, {To: 1, W: 1}}},
 		{name: "duplicate edge", off: []int32{0, 2, 4},
 			edges: []Edge{{To: 1, W: 1}, {To: 1, W: 1}, {To: 0, W: 1}, {To: 0, W: 1}}},
 		{name: "non-positive weight", off: []int32{0, 1, 2}, edges: []Edge{{To: 1, W: 0}, {To: 0, W: 0}}},
 		{name: "asymmetric missing reverse", off: []int32{0, 1, 1, 2},
-			edges: []Edge{{To: 1, W: 1}, {To: 0, W: 1}}},
+			edges: []Edge{{To: 1, W: 1}, {To: 0, W: 1}}, mirror: true},
 		{name: "asymmetric weight mismatch", off: []int32{0, 1, 2},
 			edges: []Edge{{To: 1, W: 1}, {To: 0, W: 2}}},
+		// The path 0–1–2 with the backward half-edge 2→1 weighing 129:
+		// the half-edges weigh 132, not twice the forward edges' 2.
+		{name: "backward weight unbalanced", off: []int32{0, 1, 3, 4},
+			edges: []Edge{{To: 1, W: 1}, {To: 0, W: 1}, {To: 2, W: 1}, {To: 1, W: 129}}},
 		{name: "bad vertex weight count", off: []int32{0, 0, 0}, vw: []int32{1}},
 		{name: "non-positive vertex weight", off: []int32{0, 0}, vw: []int32{0}},
 	}
@@ -92,7 +103,7 @@ func TestInvalidCSRRejected(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var g Graph
 			err := g.ResetCSR(tc.off, tc.edges, tc.vw)
-			if err == nil {
+			if err == nil && tc.mirror {
 				err = g.Validate()
 			}
 			if err == nil {
@@ -103,9 +114,7 @@ func TestInvalidCSRRejected(t *testing.T) {
 }
 
 // TestResetCSRReuse: a Graph value re-initialized in place serves a
-// sequence of different graphs correctly, growing only its cached
-// weighted-degree array — and after the first sizing, reuses with no
-// allocations at all.
+// sequence of different graphs correctly, with no allocations at all.
 func TestResetCSRReuse(t *testing.T) {
 	want := buildSample(t)
 	off, edges, vw := csrFromBuilder(t, want)

@@ -2,8 +2,11 @@ package graph_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -210,19 +213,23 @@ func TestCSRFileRejectsCorruption(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"garbage", []byte("not a BCSR file at all")},
-		{"truncated-header", good[:40]},
+		{"truncated-header", good[:24]},
 		{"truncated-body", good[:len(good)-8]},
 		{"trailing-garbage", append(append([]byte(nil), good...), 0, 0, 0, 0, 0, 0, 0, 0)},
 		{"bad-magic", mutate(0, 'X')},
 		{"bad-flags", mutate(24, 0xFF)},
 		{"wrong-n", mutate(8, good[8]+1)},
+		// The header ends at byte 32; these two now land on off[0] and
+		// off[4].
 		{"wrong-ew", mutate(32, good[32]+1)},
 		{"wrong-maxdeg", mutate(48, good[48]+1)},
-		{"wrong-wdeg", mutate(len(good)-4, good[len(good)-4]+1)},
+		// The last half-edge leaves vertex 59 for a lower vertex: a
+		// backward half-edge, whose weight 1 becomes 129.
+		{"backward-weight", mutate(len(good)-4, good[len(good)-4]^0x80)},
 	}
-	// Corrupt the first edge's head vertex: breaks sortedness, range,
-	// or the wdeg cross-check depending on the value.
-	edgeStart := 72 + ((int(60)+1)*4+7)&^7
+	// Corrupt the first edge's head vertex: breaks sortedness or range
+	// depending on the value.
+	edgeStart := 32 + ((int(60)+1)*4+7)&^7
 	cases = append(cases,
 		struct {
 			name string
@@ -236,4 +243,94 @@ func TestCSRFileRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCSRFileLayoutV2 pins the version 2 byte layout of
+// docs/PERFORMANCE.md: a 32-byte header (magic, n, m, flags), then off,
+// edges and vw, each padded to 8 bytes. The weighted path 0–1–2 must
+// serialize to exactly the hand-written image and load back from it.
+func TestCSRFileLayoutV2(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.AddWeightedEdge(0, 1, 5)
+	b.AddWeightedEdge(1, 2, 7)
+	b.SetVertexWeight(0, 2)
+	b.SetVertexWeight(2, 3)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{
+		'B', 'C', 'S', 'R', 'G', '2', 0, 0, // magic
+		3, 0, 0, 0, 0, 0, 0, 0, // n
+		2, 0, 0, 0, 0, 0, 0, 0, // m
+		2, 0, 0, 0, 0, 0, 0, 0, // flags: bit 1, vertex weights
+		0, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, // off [0 1 3 4]
+		1, 0, 0, 0, 5, 0, 0, 0, // edges: 0→1 weight 5
+		0, 0, 0, 0, 5, 0, 0, 0, //        1→0 weight 5
+		2, 0, 0, 0, 7, 0, 0, 0, //        1→2 weight 7
+		1, 0, 0, 0, 7, 0, 0, 0, //        2→1 weight 7
+		2, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, // vw [2 1 3]
+		0, 0, 0, 0, // padding to 8 bytes
+	}
+	var buf bytes.Buffer
+	if err := graph.WriteCSRFile(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteCSRFile wrote\n%v\nwant\n%v", buf.Bytes(), want)
+	}
+	path := filepath.Join(t.TempDir(), "path3.csr")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := graph.OpenCSRFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	equalGraphs(t, "layout", g, c.Graph())
+}
+
+// TestCSRFileRefusesVersion1: an image of the retired version 1 layout,
+// which also stored five header aggregates and a weighted-degree
+// section, is refused by OpenCSRFile and by LoadFile with
+// ErrCorruptBCSR and a message that names its version; LoadFile never
+// reads it as an edge list.
+func TestCSRFileRefusesVersion1(t *testing.T) {
+	u64 := func(b []byte, vs ...uint64) []byte {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}
+	// The path 0–1–2 with unit weights: n, m, flags, then total edge
+	// weight, total vertex weight, maximum degree, maximum weighted
+	// degree and maximum vertex weight; off [0 1 3 4], four half-edges
+	// and the weighted degrees [1 2 1].
+	v1 := u64([]byte("BCSRG1\x00\x00"), 3, 2, 0, 2, 3, 2, 2, 1)
+	v1 = append(v1, 0, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0)
+	v1 = append(v1,
+		1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+		2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0)
+	v1 = u64(v1, 1, 2, 1)
+	path := filepath.Join(t.TempDir(), "path3.v1.csr")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, err error) {
+		t.Helper()
+		if !errors.Is(err, graph.ErrCorruptBCSR) || !strings.Contains(err.Error(), `BCSR version "1"`) {
+			t.Errorf("%s on a version 1 image: got %v, want ErrCorruptBCSR naming version 1", name, err)
+		}
+	}
+	c, err := graph.OpenCSRFile(path)
+	if err == nil {
+		c.Close()
+	}
+	check("OpenCSRFile", err)
+	_, release, err := graph.LoadFile(path)
+	if err == nil {
+		release()
+	}
+	check("LoadFile", err)
 }

@@ -17,10 +17,11 @@
 // sorted by head vertex. The flat layout keeps refinement inner loops
 // (which walk the neighborhoods of many vertices per pass) on sequential
 // memory, and the sorted lists make EdgeWeight a binary search instead of
-// a linear probe. Derived per-vertex quantities that the algorithms
-// consult every pass — weighted degree, the maximum weighted degree (the
-// gain-bucket bound), the maximum vertex weight — are computed once at
-// Build time and served in O(1).
+// a linear probe. The summaries the algorithms consult every pass — the
+// maximum weighted degree (the gain-bucket bound), the maximum vertex
+// weight, the totals — are computed once at Build time and served in
+// O(1); the only per-vertex arrays are the offsets, the half-edges and
+// the optional vertex weights.
 package graph
 
 import (
@@ -47,10 +48,9 @@ type Graph struct {
 	off   []int32 // CSR offsets: v's half-edges are edges[off[v]:off[v+1]]
 	edges []Edge  // all half-edges, each list sorted by To
 	vw    []int32
-	wdeg  []int64 // cached weighted degree per vertex
-	m     int     // number of undirected edges
-	ew    int64   // total edge weight
-	vwUp  int64   // total vertex weight
+	m     int   // number of undirected edges
+	ew    int64 // total edge weight
+	vwUp  int64 // total vertex weight
 
 	maxDeg  int   // cached maximum degree
 	maxWDeg int64 // cached maximum weighted degree (the gain bound)
@@ -72,9 +72,15 @@ func (g *Graph) TotalVertexWeight() int64 { return g.vwUp }
 // Degree returns the number of neighbors of v.
 func (g *Graph) Degree(v int32) int { return int(g.off[v+1] - g.off[v]) }
 
-// WeightedDegree returns the sum of edge weights incident to v (cached at
-// Build time; O(1)).
-func (g *Graph) WeightedDegree(v int32) int64 { return g.wdeg[v] }
+// WeightedDegree returns the sum of edge weights incident to v, summed
+// over v's row (O(degree)).
+func (g *Graph) WeightedDegree(v int32) int64 {
+	var wd int64
+	for _, e := range g.Neighbors(v) {
+		wd += int64(e.W)
+	}
+	return wd
+}
 
 // MaxWeightedDegree returns the maximum weighted degree over all vertices
 // (0 for the empty graph). This is the gain bound the bucket structures
@@ -171,18 +177,6 @@ func (g *Graph) Edges(fn func(u, v int32, w int32)) {
 	}
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := *g
-	c.off = append([]int32(nil), g.off...)
-	c.edges = append([]Edge(nil), g.edges...)
-	c.wdeg = append([]int64(nil), g.wdeg...)
-	if g.vw != nil {
-		c.vw = append([]int32(nil), g.vw...)
-	}
-	return &c
-}
-
 // Validate checks the structural invariants: adjacency symmetry with equal
 // weights, sorted lists, no self-loops, no parallel edges, positive
 // weights, and consistent cached totals. It returns the first violation
@@ -195,14 +189,6 @@ func (g *Graph) Validate() error {
 	}
 	if s.n != g.n {
 		return fmt.Errorf("graph: offset array has %d entries for %d vertices", len(g.off), g.n)
-	}
-	if len(g.wdeg) != g.n {
-		return fmt.Errorf("graph: %d cached weighted degrees for %d vertices", len(g.wdeg), g.n)
-	}
-	for v, wd := range s.wdeg {
-		if wd != g.wdeg[v] {
-			return fmt.Errorf("graph: cached weighted degree %d of vertex %d != actual %d", g.wdeg[v], v, wd)
-		}
 	}
 	for _, c := range []struct {
 		what           string
@@ -336,8 +322,8 @@ func (b *Builder) AddWeightedEdge(u, v int32, w int32) {
 // Build finalizes the graph: it scatters both half-edges of every record
 // into its endpoints' rows, sorts each row by head vertex, merges
 // repeated neighbours by summing their weights, and hands the rows to
-// ResetCSR, which checks them and computes the cached totals and
-// per-vertex degree summaries.
+// ResetCSR, which checks them and computes the cached totals and degree
+// bounds.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err

@@ -190,19 +190,6 @@ func TestEdgesIteration(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := path(t, 5)
-	c := g.Clone()
-	// Mutate the clone's adjacency in place; original must not change.
-	c.edges[0].W = 99
-	if g.edges[0].W == 99 {
-		t.Fatal("Clone shares adjacency storage")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestComponents(t *testing.T) {
 	b := NewBuilder(7)
 	b.AddEdge(0, 1)

@@ -165,11 +165,13 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 }
 
 // LoadFile loads the graph stored at path in either format. A file that
-// starts with the BCSR magic is memory-mapped by OpenCSRFile and then
-// Validated: the mapping checks each row but leaves adjacency symmetry,
-// which every algorithm assumes, to the file's writer. Anything else is
-// parsed as an edge list. The file name plays no part. Call release
-// when done with the graph; a mapped graph is invalid after it.
+// starts with "BCSRG", the prefix of every BCSR version's magic, goes to
+// OpenCSRFile, which maps a version 2 image and refuses any other
+// version; a mapped image is then Validated: the mapping checks each row
+// but leaves adjacency symmetry, which every algorithm assumes, to the
+// file's writer. Anything else is parsed as an edge list. The file name
+// plays no part. Call release when done with the graph; a mapped graph
+// is invalid after it.
 func LoadFile(path string) (g *Graph, release func() error, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -180,7 +182,7 @@ func LoadFile(path string) (g *Graph, release func() error, err error) {
 	// short of the magic, and the edge-list parser meets the same end of
 	// file or error and reports it.
 	br := bufio.NewReader(f)
-	if head, _ := br.Peek(len(csrMagic)); string(head) != csrMagic {
+	if head, _ := br.Peek(len(csrFamily)); string(head) != csrFamily {
 		g, err := ReadEdgeList(br)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", path, err)

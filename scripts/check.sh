@@ -67,9 +67,10 @@ for ex in examples/*/; do
 done
 
 # TestBuilderAtVertexCap builds a real 2^27-vertex graph on a single
-# goroutine (1.5 GB peak RSS without -race), so the race detector has
-# nothing to check in it and its race build does not fit an 8 GB host.
-# It runs without -race in its own step; the race step skips it by name.
+# goroutine (0.5 GB peak RSS without -race: 517 MB by getrusage on
+# linux/amd64), so the race detector has nothing to check in it and its
+# shadow memory would only multiply that peak. It runs without -race in
+# its own step; the race step skips it by name.
 echo "==> go test -run '^TestBuilderAtVertexCap\$' ./internal/graph/ (vertex-cap build, no -race)"
 go test -count=1 -run '^TestBuilderAtVertexCap$' ./internal/graph/
 
@@ -125,8 +126,12 @@ go test -count=1 -run 'TestChaos' ./internal/service/ -chaos-seed "${CHAOS_SEED:
 # formats, the edge list and BCSR. Malformed input must error — never
 # panic, never wrap ids into range, never OOM (go test runs the seed
 # corpora; the smoke explores a little beyond them). FuzzReadBCSR covers
-# the binary header boundaries of the size caps: hostile n/m counts and
-# edge counts past the int32-offset limit. FuzzCSREquivalence holds the
+# the binary header boundaries of the size caps (hostile n/m counts and
+# edge counts past the int32-offset limit) and, past the header,
+# ResetCSR's row checks, which the loader runs over the mapped sections
+# as every Builder output and coarse graph passes them: offsets within
+# the edges, sorted in-range rows, positive weights, and half-edges that
+# number and weigh twice the forward edges. FuzzCSREquivalence holds the
 # Builder, which the edge-list parser and every generator go through, to
 # a map model of the merged edge multiset.
 for target in FuzzReadEdgeList FuzzCSREquivalence FuzzReadBCSR; do
