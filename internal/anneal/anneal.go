@@ -174,7 +174,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 	un := uint64(n)
 	unThresh := -un % un
 	var ws wordStream
-	ws.init(r.Source(), w.words)
+	ws.init(r, w.words)
 	defer ws.finish()
 
 	obs := o.Observer
@@ -187,8 +187,7 @@ func (w *Refiner) Refine(b *partition.Bisection, opts Options, r *rng.Rand) (Sta
 	st.StartTemp = temp
 
 	// The trial loop manages the stream's block cursor in locals (wbuf
-	// never changes identity across refills; draw-through mode keeps it
-	// nil so every draw takes the refill path). Stores into the records
+	// never changes identity across refills). Stores into the records
 	// would otherwise force the compiler to re-load the cursor field —
 	// and re-check bounds — on every draw. ws.pos is synced back before
 	// anything else touches the stream.

@@ -115,13 +115,14 @@ func costAt(cut int64, d2 float64) float64 {
 
 // Refiner is the reusable workspace for annealing runs: the per-vertex
 // records the trial loop reads and updates, the acceptance memo, the
-// undo log of accepted moves, and the best-state side buffer the log
-// materializes into. A zero Refiner is ready to use; it sizes itself to
-// each graph it sees and is reused across runs without further
-// allocation (a warm Refiner makes an entire Refine allocation-free —
-// asserted by TestRefineSteadyStateZeroAlloc). Refiners carry no
-// algorithm state between calls — using one never changes results — but
-// they are not safe for concurrent use; give each goroutine its own (see
+// undo log of accepted moves, the best-state side buffer the log
+// materializes into, and the block the word stream prefetches into. A
+// zero Refiner is ready to use; it sizes itself to each graph it sees
+// and is reused across runs without further allocation (a warm Refiner
+// makes an entire Refine allocation-free — asserted by
+// TestRefineSteadyStateZeroAlloc). Refiners carry no algorithm state
+// between calls — using one never changes results — but they are not
+// safe for concurrent use; give each goroutine its own (see
 // core.WithWorkspace).
 type Refiner struct {
 	recs      []vertexRec // the run's live state; b is rebuilt from bestSides at the end
@@ -187,46 +188,35 @@ func workspace(opts Options) *Refiner {
 
 // wordStreamBlock is the prefetch block size: 4KB of words, small
 // enough to stay L1-resident next to the trial loop's working set,
-// large enough to amortize the per-block Fill dispatch to noise.
+// large enough to amortize the per-block Fill call to noise.
 const wordStreamBlock = 512
 
-// wordStream hands the annealing loops their random words. For a
-// rewindable source (the production lagged-Fibonacci generator) it
-// prefetches words a block at a time with Fill — so the hot path reads
-// the next word from a local buffer instead of making an interface
-// call per draw — and returns the unconsumed tail with Unread when the
-// run finishes. Net source consumption is therefore exactly the words
-// the run used, in order: callers sharing the source before and after
-// the run (BestOf chains, calibration, the golden fixtures) see the
-// same stream as scalar draws. Sources without rewind fall back to
-// draw-through, one virtual call per word, same results.
+// wordStream hands the annealing loops their random words. It
+// prefetches them a block at a time with Rand.Fill, so the hot path
+// reads the next word from a local buffer instead of making a call per
+// draw, and returns the unconsumed tail with Rand.Unread when the run
+// finishes. Net consumption of the Rand is therefore exactly the words
+// the run used, in order: callers sharing it before and after the run
+// (BestOf chains, calibration, the golden fixtures) see the same
+// stream as scalar draws.
 type wordStream struct {
-	buf []uint64     // prefetched block; nil in draw-through mode
-	pos int          // next unconsumed index; len(buf) when drained
-	rw  rng.Rewinder // non-nil in block mode
-	src rng.Source   // draw-through fallback
+	buf []uint64 // prefetched block
+	pos int      // next unconsumed index; len(buf) when drained
+	r   *rng.Rand
 }
 
-func (s *wordStream) init(src rng.Source, buf []uint64) {
-	s.src = src
-	if rw, ok := src.(rng.Rewinder); ok && len(buf) > 0 {
-		s.rw = rw
-		s.buf = buf
-		s.pos = len(buf) // drained: the first draw fills the block
-	} else {
-		s.rw = nil
-		s.buf = nil
-		s.pos = 0
-	}
+// init starts a drained stream over r; the first draw fills buf, which
+// must not be empty.
+func (s *wordStream) init(r *rng.Rand, buf []uint64) {
+	s.buf, s.pos, s.r = buf, len(buf), r
 }
 
 // tryNext returns the stream's next word when the block has one — a
 // bounds-known buffer load and a cursor bump, no calls, so it inlines
-// into the trial loop. On a drained block (or in draw-through mode,
-// always) it reports false and the caller falls back to refill; the
-// pair at a call site is the moral equivalent of a next() method,
-// split so the fast path fits the inlining budget with the refill call
-// kept out of line.
+// into the trial loop. On a drained block it reports false and the
+// caller falls back to refill; the pair at a call site is the moral
+// equivalent of a next() method, split so the fast path fits the
+// inlining budget with the refill call kept out of line.
 func (s *wordStream) tryNext() (uint64, bool) {
 	if s.pos < len(s.buf) {
 		w := s.buf[s.pos]
@@ -238,20 +228,15 @@ func (s *wordStream) tryNext() (uint64, bool) {
 
 //go:noinline
 func (s *wordStream) refill() uint64 {
-	if s.rw == nil {
-		return s.src.Uint64()
-	}
-	s.rw.Fill(s.buf)
+	s.r.Fill(s.buf)
 	s.pos = 1
 	return s.buf[0]
 }
 
-// finish returns the prefetched-but-unconsumed words to the source,
+// finish returns the prefetched-but-unconsumed words to the Rand,
 // restoring its position to exactly what scalar consumption would have
-// left. Must run before the caller's source is used by anyone else.
+// left. Must run before anyone else draws from the Rand.
 func (s *wordStream) finish() {
-	if s.rw != nil {
-		s.rw.Unread(len(s.buf) - s.pos)
-		s.pos = len(s.buf)
-	}
+	s.r.Unread(len(s.buf) - s.pos)
+	s.pos = len(s.buf)
 }

@@ -120,43 +120,6 @@ func TestCompactCycleSteadyAllocs(t *testing.T) {
 	}
 }
 
-// TestProjectMatchesFreshPath: the workspace projection and the
-// allocating Contraction.Project agree on every vertex side and the
-// cut, for random coarse bisections.
-func TestProjectMatchesFreshPath(t *testing.T) {
-	gs := allocGraph(t)
-	w := NewWorkspace()
-	r := rng.NewFib(11)
-	for round := 0; round < 5; round++ {
-		w.Reset()
-		mate := w.RandomMaximal(gs.g, r)
-		c, err := w.Contract(gs.g, mate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cb := partition.NewRandom(c.Coarse, r)
-		fresh, err := c.Project(cb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := w.Project(c, cb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fresh.Cut() != ws.Cut() {
-			t.Fatalf("round %d: fresh cut %d != workspace cut %d", round, fresh.Cut(), ws.Cut())
-		}
-		for v := int32(0); int(v) < gs.g.N(); v++ {
-			if fresh.Side(v) != ws.Side(v) {
-				t.Fatalf("round %d: side mismatch at vertex %d", round, v)
-			}
-		}
-		if err := ws.Validate(); err != nil {
-			t.Fatalf("round %d: workspace projection invalid: %v", round, err)
-		}
-	}
-}
-
 // TestWorkspaceMatchingStream: the workspace matching consumes the
 // random stream identically to the package function, so switching a
 // driver to an arena can never move any downstream draw.

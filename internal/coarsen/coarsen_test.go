@@ -113,7 +113,8 @@ func TestContractionInvariants(t *testing.T) {
 			return false
 		}
 		mate := matching.RandomMaximal(g, r)
-		c, err := NewWorkspace().Contract(g, mate)
+		w := NewWorkspace()
+		c, err := w.Contract(g, mate)
 		if err != nil {
 			return false
 		}
@@ -125,7 +126,7 @@ func TestContractionInvariants(t *testing.T) {
 		}
 		// Random coarse bisection; project; cuts must agree.
 		cb := partition.NewRandom(c.Coarse, r)
-		fb, err := c.Project(cb)
+		fb, err := w.Project(c, cb)
 		if err != nil {
 			return false
 		}
@@ -159,12 +160,13 @@ func TestProjectRejectsForeignBisection(t *testing.T) {
 	r := rng.NewFib(1)
 	g := mustGraph(gen.Cycle(8))
 	mate := matching.RandomMaximal(g, r)
-	c, err := NewWorkspace().Contract(g, mate)
+	w := NewWorkspace()
+	c, err := w.Contract(g, mate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := partition.NewRandom(g, r) // bisection of the fine graph, not coarse
-	if _, err := c.Project(other); err == nil {
+	if _, err := w.Project(c, other); err == nil {
 		t.Fatal("foreign bisection accepted")
 	}
 }
@@ -396,11 +398,10 @@ func BenchmarkContractChain(b *testing.B) {
 		b.Fatal(err)
 	}
 	w := NewWorkspace()
-	src := rng.NewFibonacci(2)
-	r := rng.New(src)
+	r := rng.NewFib(2)
 	chain := func() {
 		w.Reset()
-		src.Seed(2) // every chain contracts the same levels
+		r.Seed(2) // every chain contracts the same levels
 		for cur := g; cur.N() > 32; {
 			mate := w.RandomMaximal(cur, r)
 			if matching.Size(mate) == 0 {

@@ -23,12 +23,7 @@
 // fixture in testdata (captured from that path) pins.
 package coarsen
 
-import (
-	"fmt"
-
-	"repro/internal/graph"
-	"repro/internal/partition"
-)
+import "repro/internal/graph"
 
 // Contraction records the correspondence between a fine graph and the
 // coarse graph obtained by contracting a matching.
@@ -43,23 +38,6 @@ type Contraction struct {
 	members []int32
 	// owner is the workspace level whose buffers back this contraction.
 	owner *level
-}
-
-// Project lifts a bisection of the coarse graph to the fine graph: every
-// fine vertex inherits the side of its coarse vertex. The weighted cut is
-// preserved exactly. The fine bisection's weight imbalance equals the
-// coarse one's. The result is freshly allocated and caller-owned; the
-// Workspace Project method is the buffer-reusing counterpart.
-func (c *Contraction) Project(coarse *partition.Bisection) (*partition.Bisection, error) {
-	if coarse.Graph() != c.Coarse {
-		return nil, fmt.Errorf("coarsen: Project called with a bisection of a different graph")
-	}
-	side := make([]uint8, c.Fine.N())
-	cs := coarse.SidesRef() // read-only; avoids a per-vertex accessor call
-	for v := range side {
-		side[v] = cs[c.Map[v]]
-	}
-	return partition.New(c.Fine, side)
 }
 
 // Ratio returns the coarsening ratio |coarse| / |fine| (1.0 when nothing

@@ -248,19 +248,26 @@ func (w *Workspace) contractInto(lv *level, g *graph.Graph, mate []int32) error 
 	return nil
 }
 
-// Project is the workspace counterpart of Contraction.Project: the fine
-// bisection is materialized in the contraction's level slot (via
-// partition.Reset) instead of freshly allocated, so a warm interior
-// projection allocates nothing. The returned bisection is owned by the
-// workspace — valid until the next Project on the same contraction or
-// until the level slot is reused — which is why the multilevel driver
-// uses it only for interior levels and returns a caller-owned bisection
-// from the final one. c must come from a workspace's Contract, which
-// runs in a level slot.
+// Project lifts a bisection of c's coarse graph to its fine graph in
+// the contraction's level slot: every fine vertex inherits the side of
+// its coarse vertex, so the weighted cut and the weight imbalance are
+// preserved exactly. A warm projection allocates nothing. The returned
+// bisection is owned by the workspace — valid until the next Project on
+// the same contraction or until the level slot is reused — which is why
+// the multilevel driver uses it only for interior levels and projects
+// the final level into a caller-owned bisection.
 func (w *Workspace) Project(c *Contraction, coarse *partition.Bisection) (*partition.Bisection, error) {
-	lv := c.owner
+	if err := w.projectInto(&c.owner.fineBis, c, coarse); err != nil {
+		return nil, err
+	}
+	return &c.owner.fineBis, nil
+}
+
+// projectInto resets dst to the projection of coarse through c, staging
+// the fine sides in the workspace's side buffer.
+func (w *Workspace) projectInto(dst *partition.Bisection, c *Contraction, coarse *partition.Bisection) error {
 	if coarse.Graph() != c.Coarse {
-		return nil, fmt.Errorf("coarsen: Project called with a bisection of a different graph")
+		return fmt.Errorf("coarsen: Project called with a bisection of a different graph")
 	}
 	n := c.Fine.N()
 	w.side = growUint8(w.side, n)
@@ -269,10 +276,7 @@ func (w *Workspace) Project(c *Contraction, coarse *partition.Bisection) (*parti
 	for v := 0; v < n; v++ {
 		side[v] = cs[c.Map[v]]
 	}
-	if err := lv.fineBis.Reset(c.Fine, side); err != nil {
-		return nil, err
-	}
-	return &lv.fineBis, nil
+	return dst.Reset(c.Fine, side)
 }
 
 // CompactOnce performs exactly one level of the paper's compaction: match,
@@ -328,8 +332,8 @@ func (w *Workspace) CompactOnce(g *graph.Graph, match MatchFunc, initial Initial
 	if refine != nil {
 		refine(cb, r)
 	}
-	fine, err := c.Project(cb)
-	if err != nil {
+	fine := new(partition.Bisection)
+	if err := w.projectInto(fine, c, cb); err != nil {
 		return nil, err
 	}
 	partition.RepairBalance(fine)
@@ -413,7 +417,8 @@ func (w *Workspace) multilevel(g *graph.Graph, o MultilevelOptions, initial Init
 		var fine *partition.Bisection
 		var err error
 		if i == 0 {
-			fine, err = c.Project(b)
+			fine = new(partition.Bisection)
+			err = w.projectInto(fine, c, b)
 		} else {
 			fine, err = w.Project(c, b)
 		}

@@ -98,13 +98,12 @@ func TestCompanionsReachEveryLayer(t *testing.T) {
 			}
 
 			warm := WithWorkspace(alg)
-			src := rng.NewFibonacci(4)
-			r := rng.New(src)
+			r := rng.NewFib(4)
 			if _, err := warm.Bisect(g, r); err != nil {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(3, func() {
-				src.Seed(4)
+				r.Seed(4)
 				if _, err := warm.Bisect(g, r); err != nil {
 					t.Fatal(err)
 				}

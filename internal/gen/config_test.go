@@ -154,15 +154,19 @@ func FuzzConfigurationModelEquivalence(f *testing.F) {
 	})
 }
 
-// countingSource counts the words drawn from it.
-type countingSource struct {
-	rng.Source
-	words int
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.words++
-	return c.Source.Uint64()
+// wordsDrawn returns how many words r has drawn since NewFib(seed): the
+// index of r's next word in a fresh stream of that seed.
+func wordsDrawn(t *testing.T, r *rng.Rand, seed uint64) int {
+	t.Helper()
+	next := r.Uint64()
+	fresh := rng.NewFib(seed)
+	for k := 0; k < 1<<20; k++ {
+		if fresh.Uint64() == next {
+			return k
+		}
+	}
+	t.Fatalf("seed %d: next word not within the first 2^20 of the stream", seed)
+	return 0
 }
 
 func TestConfigurationModelAllocsIndependentOfAttempts(t *testing.T) {
@@ -170,11 +174,11 @@ func TestConfigurationModelAllocsIndependentOfAttempts(t *testing.T) {
 	// Each attempt draws total−1 words (plus a rare Intn retry), so the
 	// word count tells attempt counts apart.
 	words := func(seed uint64) int {
-		c := &countingSource{Source: rng.NewFibonacci(seed)}
-		if _, err := configurationModel(deg, rng.New(c)); err != nil {
+		r := rng.NewFib(seed)
+		if _, err := configurationModel(deg, r); err != nil {
 			t.Fatal(err)
 		}
-		return c.words
+		return wordsDrawn(t, r, seed)
 	}
 	seeds := []uint64{1}
 	for s := uint64(2); len(seeds) < 2 && s < 100; s++ {

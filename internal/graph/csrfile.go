@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"unsafe"
 )
 
@@ -62,9 +63,11 @@ import (
 // holds its parser to that.
 var ErrCorruptBCSR = errors.New("corrupt BCSR image")
 
-// bcsrErrf builds a validation error carrying ErrCorruptBCSR.
+// bcsrErrf builds a validation error carrying ErrCorruptBCSR. The
+// message names no package: OpenCSRFile puts "graph: <path>: " in front
+// of it.
 func bcsrErrf(format string, args ...any) error {
-	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), ErrCorruptBCSR)
+	return fmt.Errorf(format+": %w", append(args, ErrCorruptBCSR)...)
 }
 
 const (
@@ -219,10 +222,10 @@ func parseCSRInto(g *Graph, data []byte) error {
 	}
 	hasVW := flags&csrFlagVW != 0
 	if n > MaxVertices {
-		return fmt.Errorf("%w: %w", tooLarge("BCSR vertex count", n, MaxVertices), ErrCorruptBCSR)
+		return bcsrErrf("BCSR vertex count %d exceeds limit %d: %w", n, MaxVertices, ErrTooLarge)
 	}
 	if m > MaxEdges {
-		return fmt.Errorf("%w: %w", tooLarge("BCSR edge count", m, MaxEdges), ErrCorruptBCSR)
+		return bcsrErrf("BCSR edge count %d exceeds limit %d: %w", m, MaxEdges, ErrTooLarge)
 	}
 	l := layoutCSR(int64(n), int64(m), hasVW)
 	if int64(len(data)) != l.total {
@@ -237,7 +240,8 @@ func parseCSRInto(g *Graph, data []byte) error {
 	}
 	off := sliceOf[int32](data[l.offPos:], int(n)+1)
 	if err := g.ResetCSR(off, sliceOf[Edge](data[l.edgePos:], int(2*m)), vw); err != nil {
-		return fmt.Errorf("%w: %w", err, ErrCorruptBCSR)
+		// ResetCSR's message opens with the "graph: " OpenCSRFile adds.
+		return bcsrErrf("%s", strings.TrimPrefix(err.Error(), "graph: "))
 	}
 	return nil
 }

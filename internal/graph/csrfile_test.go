@@ -184,7 +184,7 @@ func TestCSRFileRejectsCorruption(t *testing.T) {
 	}
 	good := buf.Bytes()
 
-	openBytes := func(t *testing.T, img []byte) error {
+	openBytes := func(t *testing.T, img []byte) (string, error) {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "bad.csr")
 		if err := os.WriteFile(path, img, 0o644); err != nil {
@@ -194,11 +194,11 @@ func TestCSRFileRejectsCorruption(t *testing.T) {
 		if err == nil {
 			c.Close()
 		}
-		return err
+		return path, err
 	}
 
 	// Sanity: the pristine image loads.
-	if err := openBytes(t, good); err != nil {
+	if _, err := openBytes(t, good); err != nil {
 		t.Fatalf("pristine image rejected: %v", err)
 	}
 
@@ -236,10 +236,20 @@ func TestCSRFileRejectsCorruption(t *testing.T) {
 			img  []byte
 		}{"corrupt-edge", mutate(edgeStart, good[edgeStart]^0x80)},
 	)
+	// Every refusal reads "graph: <path>: <reason>: corrupt BCSR image",
+	// naming the package once, whichever check refused it.
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := openBytes(t, tc.img); err == nil {
+			path, err := openBytes(t, tc.img)
+			if err == nil {
 				t.Fatal("corrupted image accepted")
+			}
+			msg := err.Error()
+			if !errors.Is(err, graph.ErrCorruptBCSR) ||
+				!strings.HasPrefix(msg, "graph: "+path+": ") ||
+				!strings.HasSuffix(msg, ": corrupt BCSR image") ||
+				strings.Count(msg, "graph:") != 1 {
+				t.Fatalf("refusal %q, want \"graph: %s: <reason>: corrupt BCSR image\"", msg, path)
 			}
 		})
 	}

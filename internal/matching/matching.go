@@ -160,17 +160,6 @@ func Size(mate []int32) int {
 	return matched / 2
 }
 
-// Edges returns the matched pairs (u, v) with u < v.
-func Edges(mate []int32) [][2]int32 {
-	out := make([][2]int32, 0, len(mate)/2)
-	for v, m := range mate {
-		if m > int32(v) {
-			out = append(out, [2]int32{int32(v), m})
-		}
-	}
-	return out
-}
-
 // Validate checks that mate is a matching of g: involutive, irreflexive,
 // and supported on edges of g.
 func Validate(g *graph.Graph, mate []int32) error {

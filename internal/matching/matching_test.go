@@ -168,23 +168,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestEdgesListsEachPairOnce(t *testing.T) {
-	g := mustGraph(gen.Cycle(8))
-	mate := RandomMaximal(g, rng.NewFib(5))
-	pairs := Edges(mate)
-	if len(pairs) != Size(mate) {
-		t.Fatalf("Edges returned %d pairs for size %d", len(pairs), Size(mate))
-	}
-	for _, p := range pairs {
-		if p[0] >= p[1] {
-			t.Fatalf("pair %v not ordered", p)
-		}
-		if mate[p[0]] != p[1] {
-			t.Fatalf("pair %v not matched", p)
-		}
-	}
-}
-
 func TestMatchingOnSparsePaperGraphs(t *testing.T) {
 	// On a degree-3 regular graph a random maximal matching should leave
 	// only a small fraction unmatched; the compaction heuristic depends on

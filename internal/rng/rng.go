@@ -1,100 +1,17 @@
-// Package rng provides the deterministic random number generators used
+// Package rng provides the deterministic random number generator used
 // throughout the repository.
 //
 // The paper generated all random numbers with "a Fibonacci random number
-// generator"; this package provides a lagged-Fibonacci generator with the
-// classical (24, 55) lags, together with a SplitMix64 generator used for
-// seeding and for cheap independent streams. Both satisfy Source, a small
-// interface compatible with the needs of the graph generators and the
-// randomized algorithms (uniform 64-bit words, bounded integers, floats,
-// permutations).
+// generator"; Rand is a lagged-Fibonacci generator with the classical
+// (24, 55) lags, and it derives the distributions the graph generators
+// and the randomized algorithms need from its words (bounded integers,
+// floats, permutations). SplitMix64 expands seeds into its state.
 //
 // Everything here is deterministic given a seed, so every experiment in
 // the repository is exactly reproducible.
 package rng
 
 import "math/bits"
-
-// Source is the minimal random source used by the rest of the repository.
-// Implementations must be deterministic functions of their seed.
-type Source interface {
-	// Uint64 returns a uniformly distributed 64-bit word.
-	Uint64() uint64
-}
-
-// Filler is a Source that can also generate a block of words in one
-// call. Sources that implement it (Fibonacci does) let Rand.Fill hand
-// out a whole block with one dispatch, for consumers that want many
-// words at once.
-//
-// Scalar draws deliberately do NOT prefetch through a buffer: that was
-// measured slower than direct dispatch in the annealing trial loop (the
-// words traverse memory twice and every draw pays a position store,
-// while the monomorphic interface call predicts perfectly).
-type Filler interface {
-	Source
-	// Fill writes the next len(dst) words of the sequence into dst, in
-	// order — exactly the words len(dst) successive Uint64 calls would
-	// return.
-	Fill(dst []uint64)
-}
-
-// Rewinder is a Filler whose position can be stepped back, so a
-// consumer may overdraw a block with Fill and then return the unused
-// tail — net stream consumption exactly matches scalar draws, which is
-// what lets block prefetching coexist with the repository's
-// bit-identical determinism contract. Fibonacci implements it.
-type Rewinder interface {
-	Filler
-	// Unread steps the stream back n positions; the next n words
-	// repeat the n most recently generated ones. n must not exceed
-	// the number of words generated so far.
-	Unread(n int)
-}
-
-// Rand wraps a Source with the derived distributions the algorithms need.
-type Rand struct {
-	src  Source
-	bulk Filler // non-nil when src supports block generation
-}
-
-// New returns a Rand drawing from src.
-func New(src Source) *Rand {
-	r := &Rand{src: src}
-	r.bulk, _ = src.(Filler)
-	return r
-}
-
-// NewFib returns a Rand backed by a lagged-Fibonacci source seeded with seed.
-func NewFib(seed uint64) *Rand { return New(NewFibonacci(seed)) }
-
-// Uint64 returns a uniformly distributed 64-bit word.
-func (r *Rand) Uint64() uint64 {
-	return r.src.Uint64()
-}
-
-// Source returns the underlying word source. Hot loops that draw
-// millions of words hoist it into a local so the dispatch pointer stays
-// in a register across the loop's other calls; drawing from the source
-// is exactly drawing from the Rand (Uint64 is a plain delegate). A
-// caller deriving values from raw words (bounded integers, floats) must
-// reproduce the Rand methods' arithmetic word for word to keep streams
-// aligned — see the annealing trial loop, which is pinned to that
-// contract by its golden fixture.
-func (r *Rand) Source() Source { return r.src }
-
-// Fill writes the next len(dst) words of the stream into dst — the bulk
-// counterpart of calling Uint64 len(dst) times, with the per-word
-// dispatch amortized over the block when the source supports it.
-func (r *Rand) Fill(dst []uint64) {
-	if r.bulk != nil {
-		r.bulk.Fill(dst)
-		return
-	}
-	for i := range dst {
-		dst[i] = r.src.Uint64()
-	}
-}
 
 // Intn returns a uniformly distributed integer in [0, n). It panics if
 // n <= 0. Uses Lemire's multiply-shift rejection method, which is unbiased.
@@ -166,14 +83,4 @@ func (r *Rand) ShuffleInt32(p []int32) {
 // into reproducible per-task streams.
 func (r *Rand) Split() *Rand {
 	return NewFib(r.Uint64())
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo). It now
-// delegates to math/bits.Mul64 (a single-instruction intrinsic on
-// 64-bit targets — the software long multiplication it replaces was a
-// measurable slice of every Intn in the annealing trial loop); the
-// property test keeps validating the delegation against an independent
-// long-multiplication model.
-func mul64(x, y uint64) (hi, lo uint64) {
-	return bits.Mul64(x, y)
 }

@@ -151,19 +151,6 @@ func (s *store) saveJob(rec jobView) error {
 	return fsx.WriteFileAtomicFS(s.fs, s.jobPath(rec.ID), fsx.AppendCRC(data), 0o644)
 }
 
-// removeJob deletes a job's record file (used when a re-queued corrupt
-// record is superseded). Missing files are fine.
-func (s *store) removeJob(id string) error {
-	if s == nil {
-		return nil
-	}
-	err := s.fs.Remove(s.jobPath(id))
-	if err != nil && os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
 // loadJobs reads every persisted job record, id-sorted (ids embed the
 // submission sequence number, so id order is submission order). A record
 // that fails CRC verification or does not parse is quarantined and

@@ -174,11 +174,10 @@ func benchmarkFiedler(b *testing.B, g *graph.Graph, opts Options, wantCut int64)
 	var st Stats
 	opts.Workspace = NewWorkspace()
 	opts.Stats = &st
-	src := rng.NewFibonacci(7)
-	r := rng.New(src)
+	r := rng.NewFib(7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src.Seed(7)
+		r.Seed(7)
 		f, err := Fiedler(g, opts, r)
 		if err != nil {
 			b.Fatal(err)

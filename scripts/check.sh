@@ -202,10 +202,14 @@ cmp "$smokedir/sides.spec.plain" "$smokedir/sides.spec.race" \
 echo "==> go test -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/ (alloc contract)"
 go test -count=1 -run 'SteadyAllocs|SteadyStateZeroAlloc' ./internal/coarsen/ ./internal/matching/ ./internal/kl/ ./internal/spectral/ ./internal/anneal/
 
-# cmd/benchmark is a module of its own, so `go test ./...` above never
-# reaches it. Its test runs every workload at tiny scale and certifies
-# every result.
+# cmd/benchmark is a module of its own, so neither `go vet ./...` nor
+# `go test ./...` above reaches it, and it compiles against the
+# repository's packages. Vet it in full (go test runs only a subset of
+# vet's checks); its test runs every workload at tiny scale and
+# certifies every result.
+echo "==> (cd cmd/benchmark && go vet .)"
+(cd cmd/benchmark && go vet .)
 echo "==> (cd cmd/benchmark && go test .) (tiny-scale certified run of every workload)"
 (cd cmd/benchmark && go test -count=1 .)
 
-echo "OK: vet, build, no fused multiply-adds, examples, race tests, paper reproduction, daemon load smoke, fault/chaos gates, fuzz smoke, CLI smokes with cutstat's recomputed cut, alloc contracts and the benchmark's tiny run all passed"
+echo "OK: vet, build, no fused multiply-adds, examples, race tests, paper reproduction, daemon load smoke, fault/chaos gates, fuzz smoke, CLI smokes with cutstat's recomputed cut, alloc contracts, the benchmark's vet and its tiny run all passed"
